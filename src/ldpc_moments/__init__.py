@@ -35,10 +35,8 @@ from .genfun import (
     KIND_WEIGHT,
     EnsembleParams,
     SaddleStats1,
-    TriSaddleStats,
     pair_gf_stop,
     pair_gf_weight,
-    saddle_stats_tri,
     saddle_stats_uni,
     stop_gf,
     weight_gf,

@@ -79,15 +79,20 @@ def run_bound_curve(params, kind, grid, epsilon):
 
 
 def run_table(pairs, kind, epsilon):
-    """One row per degree pair: typical minimum abscissa and bound there."""
-    rates = {round(1.0 - l / r, 12) for l, r in pairs}
+    """One row per degree pair: typical minimum abscissa and bound there.
+
+    Raises ValueError before any computation when a pair is not a supported
+    degree pair or the pairs do not share one design rate.
+    """
+    ensembles = [EnsembleParams(l, r) for l, r in pairs]
+    rates = {round(p.design_rate, 12) for p in ensembles}
     if len(rates) != 1:
         raise ValueError(f"pairs must share one design rate, got rates {sorted(rates)}")
     rows = []
-    for l, r in pairs:
-        row = {"pair": f"{l}:{r}", "min_abscissa": None, "bound": None}
+    for params in ensembles:
+        row = {"pair": f"{params.left_degree}:{params.right_degree}",
+               "min_abscissa": None, "bound": None}
         try:
-            params = EnsembleParams(l, r)
             wmin = firstmoment.min_abscissa(params, kind)
             row["min_abscissa"] = wmin
             rep = secondmoment.delta(params, kind, wmin + MIN_ABSCISSA_OFFSET, epsilon)
@@ -413,6 +418,12 @@ def _grid(args, parser):
     return [float(v) for v in np.linspace(args.min, args.max, args.steps)]
 
 
+def _epsilon(args, parser):
+    if not 0.0 < args.epsilon <= 1.0:
+        parser.error("--epsilon must lie in (0, 1]")
+    return args.epsilon
+
+
 def _block_index(args, parser):
     W = args.weight if args.kind == KIND_WEIGHT else args.size
     if W is None:
@@ -434,18 +445,18 @@ def main(argv=None) -> int:
             _emit(args, GROWTH_HEADER, rows)
         elif args.command == "bound":
             params = EnsembleParams(args.l, args.r)
-            if not 0.0 < args.epsilon <= 1.0:
-                parser.error("--epsilon must lie in (0, 1]")
+            epsilon = _epsilon(args, parser)
             rows = run_bound_curve(params, args.kind, _grid(args, parser),
-                                   args.epsilon)
+                                   epsilon)
             _emit(args, BOUND_HEADER, rows)
         elif args.command == "table":
             try:
                 pairs = _parse_pairs(args.pairs)
             except ValueError:
                 parser.error(f"cannot parse --pairs {args.pairs!r}")
+            epsilon = _epsilon(args, parser)
             try:
-                rows = run_table(pairs, args.kind, args.epsilon)
+                rows = run_table(pairs, args.kind, epsilon)
             except ValueError as exc:
                 parser.error(str(exc))
             _emit(args, TABLE_HEADER, rows)

@@ -67,6 +67,24 @@ def gf_value(params: EnsembleParams, kind: str, x: float) -> float:
     return weight_gf(params, x) if kind == KIND_WEIGHT else stop_gf(params, x)
 
 
+def bisect_root(below, lo: float, hi: float, steps: int, tol: float = 0.0) -> float:
+    """Midpoint of a bracket [lo, hi] after halving it ``steps`` times.
+
+    ``below(x)`` is true when the root lies above x; it is called once per
+    step, in order, so a caller may carry state from one call to the next.
+    Stops early once the bracket is narrower than ``tol``.
+    """
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < tol:
+            break
+    return 0.5 * (lo + hi)
+
+
 def solve_saddle(params: EnsembleParams, kind: str, abscissa: float) -> float:
     """Unique positive root x of a_phi(x) = r * abscissa, phi in {p, beta}.
 
@@ -94,13 +112,7 @@ def solve_saddle(params: EnsembleParams, kind: str, abscissa: float) -> float:
         if hi > _BRACKET_LIMIT:
             raise NoBracketError(
                 f"no sign change up to x={hi:g} for abscissa {abscissa}")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if resid(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
+    x = bisect_root(lambda v: resid(v) < 0.0, lo, hi, 80)
     best_x, best_f = x, abs(resid(x))
     for _ in range(8):
         stats = saddle_stats_uni(params, kind, x)
@@ -181,13 +193,7 @@ def hayman_coeff(poly: ExactPolynomial, m: int, k: int) -> float:
             raise NoBracketError(f"no saddle bracket for k/m = {target}")
     if moments(lo)[1] > target:
         raise NoBracketError(f"no saddle bracket for k/m = {target}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if moments(mid)[1] < target:
-            lo = mid
-        else:
-            hi = mid
-    y = 0.5 * (lo + hi)
+    y = bisect_root(lambda v: moments(v)[1] < target, lo, hi, 200)
     val, _, var = moments(y)
     return d * math.exp(m * math.log(val) - k * math.log(y)) / math.sqrt(
         2.0 * math.pi * m * var)
@@ -233,14 +239,9 @@ def min_abscissa(params: EnsembleParams, kind: str) -> float:
     while w < 0.5 + 0.5 * step:
         w_cur = min(w, 0.5 - 1e-12)
         if growth_rate(params, kind, w_cur) >= 0.0:
-            lo, hi = w_prev, w_cur
-            while hi - lo > 1e-9:
-                mid = 0.5 * (lo + hi)
-                if growth_rate(params, kind, mid) < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
+            # 1e-4-wide bracket: 17 halvings reach the 1e-9 tolerance
+            return bisect_root(lambda v: growth_rate(params, kind, v) < 0.0,
+                               w_prev, w_cur, 64, 1e-9)
         w_prev = w_cur
         w += step
     raise NoRootError("no growth-rate sign change on (0, 0.5)")

@@ -23,9 +23,7 @@ integer-coefficient forms live in :mod:`ldpc_moments.exactcomb`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import NonpositiveGFError
 
@@ -81,22 +79,6 @@ class SaddleStats1:
 
     a: float
     b: float
-
-
-@dataclass(frozen=True)
-class TriSaddleStats:
-    """Mean vector and curvature matrix of a trivariate generating function.
-
-    ``a`` holds a_i = x_i (d phi / d x_i) / phi and ``b_matrix`` the symmetric
-    3x3 matrix B_ij = x_j (d a_i / d x_j).
-    """
-
-    a: np.ndarray
-    b_matrix: np.ndarray
-    det: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "det", float(np.linalg.det(self.b_matrix)))
 
 
 def weight_gf(params: EnsembleParams, x: float) -> float:
@@ -160,31 +142,31 @@ def saddle_stats_uni(params: EnsembleParams, kind: str, x: float) -> SaddleStats
     return SaddleStats1(a=a, b=b)
 
 
-def saddle_stats_tri(params: EnsembleParams, kind: str, pt) -> TriSaddleStats:
-    """Mean vector a and curvature matrix B of f or g at a positive point.
+def pair_stats(params: EnsembleParams, kind: str, x1: float, x2: float,
+               x3: float):
+    """Value, mean vector a and curvature matrix B of f or g at a positive point.
 
-    Raises :class:`NonpositiveGFError` if the generating function is not
-    strictly positive at ``pt`` (possible for g, which has negative terms).
+    a_i = x_i (d phi / d x_i) / phi and B_ij = x_j (d a_i / d x_j), returned
+    as plain lists.  Raises :class:`NonpositiveGFError` if the generating
+    function is not strictly positive there (possible for g, which has
+    negative terms).
     """
-    check_kind(kind)
-    x = _check_point(pt)
-    if min(x) <= 0:
+    if x1 <= 0.0 or x2 <= 0.0 or x3 <= 0.0:
         raise ValueError("point must be componentwise positive")
-    val, grad, hess = pair_vgh(params, kind, x[0], x[1], x[2])
-    if val <= 0:
+    val, grad, hess = pair_vgh(params, kind, x1, x2, x3)
+    if val <= 0.0:
         raise NonpositiveGFError(
-            f"pair generating function nonpositive at {pt}: {val}")
+            f"pair generating function nonpositive at ({x1}, {x2}, {x3}): {val}")
+    x = (x1, x2, x3)
     # ratios first: grad products and val^2 can overflow while val itself
     # is still comfortably representable
     g_over = [grad[i] / val for i in range(3)]
     a = [x[i] * g_over[i] for i in range(3)]
-    # B_ij = x_i x_j (hess_ij/val - (grad_i/val)(grad_j/val)) + delta_ij a_i
-    B = np.empty((3, 3))
+    B = [[x[i] * x[j] * (hess[i][j] / val - g_over[i] * g_over[j])
+          for j in range(3)] for i in range(3)]
     for i in range(3):
-        for j in range(3):
-            B[i, j] = x[i] * x[j] * (hess[i][j] / val - g_over[i] * g_over[j])
-        B[i, i] += a[i]
-    return TriSaddleStats(a=np.array(a), b_matrix=B)
+        B[i][i] += a[i]
+    return val, a, B
 
 
 def pair_vgh(params: EnsembleParams, kind: str, x1: float, x2: float, x3: float):

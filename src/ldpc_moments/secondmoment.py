@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,12 +25,20 @@ from .errors import (
     ExponentMismatchError,
     NoBracketError,
     NoConvergenceError,
+    NonpositiveGFError,
     OffLatticeError,
     SingularMatrixError,
     VarianceDegenerateError,
 )
-from .firstmoment import growth_point, solve_saddle
-from .genfun import KIND_WEIGHT, EnsembleParams, check_kind, pair_vgh, saddle_stats_uni
+from .firstmoment import bisect_root, growth_point, solve_saddle
+from .genfun import (
+    KIND_WEIGHT,
+    EnsembleParams,
+    check_kind,
+    pair_stats,
+    pair_vgh,
+    saddle_stats_uni,
+)
 
 _NEWTON_TOL = 1e-13
 _ACCEPT_TOL = 1e-11  # well inside the 1e-10 contract
@@ -58,10 +65,6 @@ class OverlapSaddle:
     gf_value: float
     b_matrix: np.ndarray
     sigma_c2: float
-
-    @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.b_matrix))
 
 
 @dataclass(frozen=True)
@@ -107,18 +110,17 @@ class ConcentrationReport:
     warnings: list = field(default_factory=list)
 
 
-def solve_overlap(params: EnsembleParams, kind: str, omega: float, alpha: float,
-                  seed=None) -> OverlapSaddle:
+def solve_overlap(params: EnsembleParams, kind: str, omega: float,
+                  alpha: float) -> OverlapSaddle:
     """Solve the reduced two-variable overlap saddle system at (omega, alpha).
 
     Damped Newton from (x*, x*^2) and rescaled retries; residuals of the two
-    reduced equations are below 1e-10 on return.  ``seed`` optionally warm
-    starts the iteration (used by grid sweeps).
+    reduced equations are below 1e-10 on return.
     """
     check_kind(kind)
     _check_alpha(omega, alpha)
-    t1, t2 = _inner_solve(params, kind, omega, alpha, seed)
-    val, a1, a2, B = _tri_stats(params, kind, t1, t2)
+    t1, t2 = _inner_solve(params, kind, omega, alpha, None)
+    val, _, B = pair_stats(params, kind, t1, t2, t1)
     Bm = np.array(B)
     det = _det3(B)
     if abs(det) < _DET_FLOOR:
@@ -144,7 +146,7 @@ def exponent_curve(params: EnsembleParams, kind: str, omega: float,
     check_kind(kind)
     _check_alpha(omega, alpha)
     t1, t2 = _inner_solve(params, kind, omega, alpha, None)
-    val = _tri_stats(params, kind, t1, t2)[0]
+    val = pair_stats(params, kind, t1, t2, t1)[0]
     return _exponent(params, omega, alpha, t1, t2, val)
 
 
@@ -172,8 +174,8 @@ def endpoint_exponent(params: EnsembleParams, kind: str, omega: float,
     return _endpoint_extrapolated(params, kind, omega)
 
 
-def verify_conditions(params: EnsembleParams, kind: str, omega: float,
-                      grid_points: int = _GRID_POINTS) -> ConditionReport:
+def verify_conditions(params: EnsembleParams, kind: str,
+                      omega: float) -> ConditionReport:
     """Scan the overlap range and check the two dominance conditions.
 
     Condition 1: alpha = omega^2 is a negative-curvature stationary point
@@ -197,28 +199,28 @@ def verify_conditions(params: EnsembleParams, kind: str, omega: float,
     lo_edge = max(0.0, 2.0 * omega - 1.0)
     window = omega - lo_edge
     margin = min(_GRID_MARGIN, 0.01 * window)
-    alphas = np.linspace(lo_edge + margin, omega - margin, grid_points)
+    alphas = np.linspace(lo_edge + margin, omega - margin, _GRID_POINTS)
 
     # march outward from the easy omega^2 saddle so each solve warm-starts
     # from its neighbor; cold starts stall in the near-corner saturation
-    psis = np.empty(grid_points)
-    exps = np.empty(grid_points)
-    warm_by_idx = [None] * grid_points
+    psis = np.empty(_GRID_POINTS)
+    exps = np.empty(_GRID_POINTS)
+    warm_by_idx = [None] * _GRID_POINTS
     start = int(np.argmin(np.abs(alphas - alpha_sq)))
     center = (gp.saddle_x, gp.saddle_x ** 2)
-    for indices in (range(start, -1, -1), range(start + 1, grid_points)):
+    for indices in (range(start, -1, -1), range(start + 1, _GRID_POINTS)):
         warm = center
         for idx in indices:
             alpha = float(alphas[idx])
             t1, t2 = _inner_solve(params, kind, omega, alpha, warm)
             warm = (t1, t2)
             warm_by_idx[idx] = warm
-            val = _tri_stats(params, kind, t1, t2)[0]
+            val = pair_stats(params, kind, t1, t2, t1)[0]
             psis[idx] = _psi(params, omega, alpha, t1, t2)
             exps[idx] = _exponent(params, omega, alpha, t1, t2, val)
 
     points = []
-    for idx in range(grid_points - 1):
+    for idx in range(_GRID_POINTS - 1):
         if psis[idx] == 0.0:
             points.append(_stationary_point(
                 params, kind, omega, float(alphas[idx]), warm_by_idx[idx]))
@@ -254,7 +256,7 @@ def verify_conditions(params: EnsembleParams, kind: str, omega: float,
                 warnings.append(f"edge probe failed at alpha = {alpha:.6g}")
                 continue
             warm = (t1, t2)
-            val = _tri_stats(params, kind, t1, t2)[0]
+            val = pair_stats(params, kind, t1, t2, t1)[0]
             edge_max = max(edge_max,
                            _exponent(params, omega, alpha, t1, t2, val))
 
@@ -346,7 +348,7 @@ def local_limit_ratio(params: EnsembleParams, kind: str, n: int, omega: float,
         raise ValueError(f"offset {off} leaves the nonnegative orthant")
     _check_lattice(kind, base, off)
     t1, t2 = _inner_solve(params, kind, omega, i0 / n, None)
-    _, _, _, B = _tri_stats(params, kind, t1, t2)
+    B = pair_stats(params, kind, t1, t2, t1)[2]
     u = [math.sqrt(r / (n * l)) * v for v in off]
     quad = _quadform_inv(B, u)
     t = (t1, t2, t1)
@@ -375,7 +377,7 @@ def delta_value(params: EnsembleParams, kind: str, omega: float) -> float:
     """
     l, r = params.left_degree, params.right_degree
     x = solve_saddle(params, kind, omega)
-    _, _, _, B = _tri_stats(params, kind, x, x * x)
+    B = pair_stats(params, kind, x, x * x, x)[2]
     det = _det3(B)
     if abs(det) < _DET_FLOOR:
         raise SingularMatrixError(f"|B| = {det:g} at the omega^2 saddle")
@@ -393,33 +395,11 @@ def delta_value(params: EnsembleParams, kind: str, omega: float) -> float:
 # ---------------------------------------------------------------------------
 # internals
 
-@lru_cache(maxsize=4096)
-def _saddle_cached(params: EnsembleParams, kind: str, omega: float) -> float:
-    return solve_saddle(params, kind, omega)
-
-
 def _check_alpha(omega: float, alpha: float) -> None:
     lo = max(0.0, 2.0 * omega - 1.0)
     if not lo < alpha < omega:
         raise ValueError(
             f"alpha must lie in ({lo}, {omega}), got {alpha}")
-
-
-def _tri_stats(params: EnsembleParams, kind: str, t1: float, t2: float):
-    """Value, the two independent mean components and B at (t1, t2, t1)."""
-    val, grad, hess = pair_vgh(params, kind, t1, t2, t1)
-    if val <= 0.0:
-        raise NoConvergenceError(
-            f"pair generating function nonpositive at t = ({t1}, {t2})")
-    x = (t1, t2, t1)
-    # ratios first: val*val and grad*grad overflow long before val does
-    g_over = [grad[i] / val for i in range(3)]
-    a = [x[i] * g_over[i] for i in range(3)]
-    B = [[x[i] * x[j] * (hess[i][j] / val - g_over[i] * g_over[j])
-          for j in range(3)] for i in range(3)]
-    for i in range(3):
-        B[i][i] += a[i]
-    return val, a[0], a[1], B
 
 
 def _inner_solve(params: EnsembleParams, kind: str, omega: float, alpha: float,
@@ -437,7 +417,7 @@ def _inner_solve(params: EnsembleParams, kind: str, omega: float, alpha: float,
             if result[2] < _ACCEPT_TOL:
                 return result[0], result[1]
             best = result
-    x_star = _saddle_cached(params, kind, omega)
+    x_star = solve_saddle(params, kind, omega)
     for s in _SEED_SCALES:
         result = _newton_from(params, kind, omega, alpha,
                               s * x_star, s * x_star * x_star)
@@ -489,10 +469,10 @@ def _newton_from(params, kind, omega, alpha, t1, t2):
     r = params.right_degree
     c1, c2 = omega - alpha, alpha
     try:
-        val, a1, a2, B = _tri_stats(params, kind, t1, t2)
-    except NoConvergenceError:
+        val, a, B = pair_stats(params, kind, t1, t2, t1)
+    except NonpositiveGFError:
         return None
-    res = max(abs(a1 / r - c1), abs(a2 / r - c2))
+    res = max(abs(a[0] / r - c1), abs(a[1] / r - c2))
     for _ in range(120):
         if res < _NEWTON_TOL:
             break
@@ -504,8 +484,8 @@ def _newton_from(params, kind, omega, alpha, t1, t2):
         det = j11 * j22 - j12 * j21
         if det == 0.0 or not math.isfinite(det):
             return None
-        r1 = a1 / r - c1
-        r2 = a2 / r - c2
+        r1 = a[0] / r - c1
+        r2 = a[1] / r - c2
         d1 = -(j22 * r1 - j12 * r2) / det
         d2 = -(-j21 * r1 + j11 * r2) / det
         big = max(abs(d1), abs(d2))
@@ -517,13 +497,13 @@ def _newton_from(params, kind, omega, alpha, t1, t2):
             n1, n2 = t1 * math.exp(lam * d1), t2 * math.exp(lam * d2)
             if 0.0 < n1 < math.inf and 0.0 < n2 < math.inf:
                 try:
-                    valn, a1n, a2n, Bn = _tri_stats(params, kind, n1, n2)
-                except NoConvergenceError:
+                    valn, an, Bn = pair_stats(params, kind, n1, n2, n1)
+                except NonpositiveGFError:
                     valn = None
                 if valn is not None and math.isfinite(valn):
-                    resn = max(abs(a1n / r - c1), abs(a2n / r - c2))
+                    resn = max(abs(an[0] / r - c1), abs(an[1] / r - c2))
                     if resn < res:
-                        t1, t2, val, a1, a2, B, res = n1, n2, valn, a1n, a2n, Bn, resn
+                        t1, t2, val, a, B, res = n1, n2, valn, an, Bn, resn
                         accepted = True
                         break
             lam *= 0.5
@@ -595,7 +575,7 @@ def _snap_nonnegative(d: float) -> float:
 
 def _stationary_point(params, kind, omega, alpha, warm) -> StationaryPoint:
     t1, t2 = _inner_solve(params, kind, omega, alpha, warm)
-    val, _, _, B = _tri_stats(params, kind, t1, t2)
+    val, _, B = pair_stats(params, kind, t1, t2, t1)
     sc2 = _sigma_c2(params, B)
     return StationaryPoint(
         alpha=alpha,
@@ -604,18 +584,17 @@ def _stationary_point(params, kind, omega, alpha, warm) -> StationaryPoint:
 
 
 def _bisect_psi(params, kind, omega, lo, hi, psi_lo, warm):
+    """Root of psi in (lo, hi); each solve warm-starts from the previous one."""
     sign_lo = psi_lo > 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
+
+    def below(mid):
+        nonlocal warm
         t1, t2 = _inner_solve(params, kind, omega, mid, warm)
         warm = (t1, t2)
-        if (_psi(params, omega, mid, t1, t2) > 0.0) == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13:
-            break
-    return 0.5 * (lo + hi), warm
+        return (_psi(params, omega, mid, t1, t2) > 0.0) == sign_lo
+
+    root = bisect_root(below, lo, hi, 80, 1e-13)
+    return root, warm
 
 
 def _anchor_check(params, kind, omega, growth) -> None:
@@ -659,13 +638,7 @@ def _endpoint_reduced_saddle(params: EnsembleParams, kind: str,
             raise NoBracketError(
                 f"reduced endpoint saddle diverges at omega = {omega}")
         a_hi = a_of(hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if a_of(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
+    t = bisect_root(lambda v: a_of(v) < target, lo, hi, 200)
     val = pair_vgh(params, kind, t, 0.0, t)[0]
     return ((l - 1) * _entropy_term(omega, 0.0)
             + (l / r) * math.log(val) - 2.0 * l * omega * math.log(t))

@@ -190,10 +190,21 @@ class TestUsageErrors:
                      "--max", "0.2", "--steps", "1"]) == 2
         capsys.readouterr()
 
-    def test_bad_epsilon(self, capsys):
-        assert main(["bound", "--l", "3", "--r", "6", "--min", "0.2",
-                     "--max", "0.3", "--steps", "2", "--epsilon", "1.5"]) == 2
-        capsys.readouterr()
+    @pytest.mark.parametrize("command", [
+        ["bound", "--l", "3", "--r", "6", "--min", "0.2", "--max", "0.3",
+         "--steps", "2"],
+        ["table", "--pairs", "3:6"],
+    ], ids=["bound", "table"])
+    def test_bad_epsilon(self, command, capsys):
+        for epsilon in ("0", "1.5"):
+            assert main(command + ["--epsilon", epsilon]) == 2
+        assert "--epsilon must lie in (0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pairs", ["6:3", "3:0"])
+    def test_bad_table_pair(self, pairs, capsys):
+        assert main(["table", "--pairs", pairs]) == 2
+        captured = capsys.readouterr()
+        assert "need 2 <= l < r" in captured.err and captured.out == ""
 
     def test_missing_command(self, capsys):
         assert main([]) == 2

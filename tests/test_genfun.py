@@ -10,8 +10,8 @@ from ldpc_moments.genfun import (
     EnsembleParams,
     pair_gf_stop,
     pair_gf_weight,
+    pair_stats,
     pair_vgh,
-    saddle_stats_tri,
     saddle_stats_uni,
     stop_gf,
     weight_gf,
@@ -159,28 +159,28 @@ class TestTrivariateStats:
         params = EnsembleParams(3, r)
         rng = np.random.default_rng(3)
         for _ in range(20):
-            pt = tuple(rng.uniform(0.05, 1.5, size=3))
-            B = saddle_stats_tri(params, kind, pt).b_matrix
+            pt = rng.uniform(0.05, 1.5, size=3)
+            B = np.array(pair_stats(params, kind, *pt)[2])
             assert np.allclose(B, B.T, atol=1e-10)
 
     def test_mean_components_equal_on_symmetric_point(self):
         x = 0.7
-        stats = saddle_stats_tri(P34, "weight", (x, x * x, x))
-        assert stats.a[0] == pytest.approx(stats.a[2], rel=1e-12)
+        a = pair_stats(P34, "weight", x, x * x, x)[1]
+        assert a[0] == pytest.approx(a[2], rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["weight", "stopping"])
     def test_b_matches_finite_difference_of_mean(self, kind):
         pt = np.array([0.4, 0.2, 0.7])
-        stats = saddle_stats_tri(P36, kind, tuple(pt))
+        B = np.array(pair_stats(P36, kind, *pt)[2])
         step = 1e-6
         for j in range(3):
             up, dn = pt.copy(), pt.copy()
             up[j] += step
             dn[j] -= step
-            a_up = saddle_stats_tri(P36, kind, tuple(up)).a
-            a_dn = saddle_stats_tri(P36, kind, tuple(dn)).a
+            a_up = np.array(pair_stats(P36, kind, *up)[1])
+            a_dn = np.array(pair_stats(P36, kind, *dn)[1])
             col = pt[j] * (a_up - a_dn) / (2 * step)
-            assert np.allclose(col, stats.b_matrix[:, j], atol=1e-6)
+            assert np.allclose(col, B[:, j], atol=1e-6)
 
     def test_gradient_hessian_match_finite_differences(self):
         pt = (0.4, 0.2, 0.7)
@@ -200,7 +200,7 @@ class TestTrivariateStats:
 
     def test_requires_positive_point(self):
         with pytest.raises(ValueError):
-            saddle_stats_tri(P36, "weight", (0.0, 0.5, 0.5))
+            pair_stats(P36, "weight", 0.0, 0.5, 0.5)
 
 
 def test_pair_weight_support_is_parity_lattice():
@@ -220,7 +220,7 @@ def test_curvature_matrix_survives_huge_points():
     params = EnsembleParams(24, 48)
     r = 48
     t1, t2 = 787.374, 138.128
-    stats = saddle_stats_tri(params, "weight", (t1, t2, t1))
+    B = pair_stats(params, "weight", t1, t2, t1)[2]
     signs = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
     x = [mp.mpf(t1), mp.mpf(t2), mp.mpf(t1)]
     val = sum((1 + s[0] * x[0] + s[1] * x[1] + s[2] * x[2]) ** r
@@ -235,4 +235,4 @@ def test_curvature_matrix_survives_huge_points():
             ref = x[i] * x[j] * (hess[i][j] / val - grad[i] * grad[j] / val ** 2)
             if i == j:
                 ref += x[i] * grad[i] / val
-            assert stats.b_matrix[i, j] == pytest.approx(float(ref), rel=1e-9)
+            assert B[i][j] == pytest.approx(float(ref), rel=1e-9)

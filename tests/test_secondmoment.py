@@ -8,7 +8,7 @@ import pytest
 from ldpc_moments import exactcomb
 from ldpc_moments.errors import DomainError, OffLatticeError
 from ldpc_moments.firstmoment import growth_rate, min_abscissa, solve_saddle
-from ldpc_moments.genfun import EnsembleParams, pair_gf_stop, pair_gf_weight
+from ldpc_moments.genfun import EnsembleParams, pair_gf_stop, pair_gf_weight, pair_stats
 from ldpc_moments.secondmoment import (
     delta,
     delta34_closed_form,
@@ -27,11 +27,10 @@ P34 = EnsembleParams(3, 4)
 
 def _reduced_residuals(params, kind, omega, alpha, saddle):
     """Residuals of the two reduced saddle equations, as printed (a_i / r)."""
-    from ldpc_moments.genfun import saddle_stats_tri
-    stats = saddle_stats_tri(params, kind, (saddle.t1, saddle.t2, saddle.t1))
+    a = pair_stats(params, kind, saddle.t1, saddle.t2, saddle.t1)[1]
     r = params.right_degree
-    return (abs(stats.a[0] / r - (omega - alpha)),
-            abs(stats.a[1] / r - alpha))
+    return (abs(a[0] / r - (omega - alpha)),
+            abs(a[1] / r - alpha))
 
 
 class TestSolveOverlap:
@@ -293,10 +292,10 @@ class TestSecondMomentPrefactor:
         (2 pi n sqrt((w^2(1-w)^2 - (l-1) sigma_c^2) |B|)),
         with d = 4 for the parity-constrained codeword pair function, 1 for
         the stopping pair function."""
-        from ldpc_moments.secondmoment import _det3, _sigma_c2, _tri_stats
+        from ldpc_moments.secondmoment import _det3, _sigma_c2
         l, r = params.left_degree, params.right_degree
         x = solve_saddle(params, kind, w)
-        _, _, _, B = _tri_stats(params, kind, x, x * x)
+        B = pair_stats(params, kind, x, x * x, x)[2]
         sc2 = _sigma_c2(params, B)
         core = w ** 2 * (1 - w) ** 2 - (l - 1) * sc2
         d = 4.0 if kind == "weight" else 1.0
