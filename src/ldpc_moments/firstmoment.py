@@ -24,6 +24,7 @@ from .exactcomb import ExactPolynomial
 from .genfun import KIND_WEIGHT, EnsembleParams, check_kind, saddle_stats_uni, stop_gf, weight_gf
 
 _SADDLE_RESIDUAL_TOL = 1e-12
+_BRACKET_START = 1e-8
 _BRACKET_LIMIT = 1e300
 _MIN_SEARCH_STEP = 1e-4
 
@@ -85,27 +86,41 @@ def bisect_root(below, lo: float, hi: float, steps: int, tol: float = 0.0) -> fl
     return 0.5 * (lo + hi)
 
 
-def solve_saddle(params: EnsembleParams, kind: str, abscissa: float) -> float:
+def solve_saddle(params: EnsembleParams, kind: str, abscissa: float,
+                 seed: float | None = None) -> float:
     """Unique positive root x of a_phi(x) = r * abscissa, phi in {p, beta}.
 
     a_phi is strictly increasing from 0 to r, so the root is bracketed by
     doubling from 1e-8, pinned by 80 bisection steps and polished by Newton
     (a' = b/x).  Residual |a(x) - r*abscissa| < 1e-12.
+
+    A positive ``seed`` (say, the saddle of a neighbouring abscissa) is
+    polished by the same Newton steps first; its answer is kept only if it
+    meets the residual tolerance inside the bracket range, and any failure
+    falls back to the bracket-and-bisect path.
     """
     check_kind(kind)
     if not 0.0 < abscissa < 1.0:
         raise ValueError(f"abscissa must lie in (0, 1), got {abscissa}")
     r = params.right_degree
     target = r * abscissa
+    if seed is not None and seed > 0.0:
+        try:
+            x, res = _newton_polish(params, kind, target, seed)
+        except ArithmeticError:
+            pass
+        else:
+            if res < _SADDLE_RESIDUAL_TOL and _BRACKET_START <= x <= _BRACKET_LIMIT:
+                return x
 
     def resid(x: float) -> float:
         return saddle_stats_uni(params, kind, x).a - target
 
-    lo = 1e-8
+    lo = _BRACKET_START
     if resid(lo) > 0.0:
         raise NoBracketError(
             f"abscissa {abscissa} below the attainable range of a/r")
-    hi = 2e-8
+    hi = 2.0 * lo
     while resid(hi) < 0.0:
         lo = hi
         hi *= 2.0
@@ -113,7 +128,22 @@ def solve_saddle(params: EnsembleParams, kind: str, abscissa: float) -> float:
             raise NoBracketError(
                 f"no sign change up to x={hi:g} for abscissa {abscissa}")
     x = bisect_root(lambda v: resid(v) < 0.0, lo, hi, 80)
-    best_x, best_f = x, abs(resid(x))
+    x, res = _newton_polish(params, kind, target, x)
+    if not res < _SADDLE_RESIDUAL_TOL:
+        raise NoBracketError(
+            f"saddle residual above tolerance at abscissa {abscissa}")
+    return x
+
+
+def _newton_polish(params: EnsembleParams, kind: str, target: float,
+                   x: float) -> tuple[float, float]:
+    """Up to 8 Newton steps on a(x) = target from x (a' = b/x).
+
+    Returns the final iterate, or the best one seen if the final one is
+    worse, with its residual |a(x) - target| (NaN if the steps left the
+    finite range).
+    """
+    best_x, best_f = x, math.inf
     for _ in range(8):
         stats = saddle_stats_uni(params, kind, x)
         f = stats.a - target
@@ -125,17 +155,20 @@ def solve_saddle(params: EnsembleParams, kind: str, abscissa: float) -> float:
         if x_new <= 0.0:
             x_new = 0.5 * x
         x = x_new
-    if abs(resid(x)) > best_f:
-        x = best_x
-    if abs(resid(x)) >= _SADDLE_RESIDUAL_TOL:
-        raise NoBracketError(
-            f"saddle residual above tolerance at abscissa {abscissa}")
-    return x
+    else:
+        f = saddle_stats_uni(params, kind, x).a - target
+    if abs(f) > best_f:
+        return best_x, best_f
+    return x, abs(f)
 
 
-def growth_point(params: EnsembleParams, kind: str, abscissa: float) -> GrowthPoint:
-    """Saddle, growth exponent and curvature at one abscissa in (0, 1)."""
-    x = solve_saddle(params, kind, abscissa)
+def growth_point(params: EnsembleParams, kind: str, abscissa: float,
+                 seed: float | None = None) -> GrowthPoint:
+    """Saddle, growth exponent and curvature at one abscissa in (0, 1).
+
+    ``seed`` is passed on to :func:`solve_saddle` as a Newton start.
+    """
+    x = solve_saddle(params, kind, abscissa, seed)
     l, r = params.left_degree, params.right_degree
     stats = saddle_stats_uni(params, kind, x)
     growth = ((l / r) * math.log(gf_value(params, kind, x))
@@ -227,18 +260,23 @@ def min_abscissa(params: EnsembleParams, kind: str) -> float:
     relative weight (or stopping-set size).
 
     Scans with step 1e-4 for the first sign change, then bisects to absolute
-    tolerance 1e-9.  Raises NoRootError when the growth rate is positive on
-    the whole grid.
+    tolerance 1e-9.  Each grid point's saddle is a Newton seed for the next;
+    the bisection solves from cold.  Raises NoRootError when the growth rate
+    is already nonnegative at the first grid point, 1e-4 (the zero lies
+    below the grid's resolution, as for (3,48), (3,56) and (3,64)), or is
+    negative on the whole grid.
     """
     check_kind(kind)
     step = _MIN_SEARCH_STEP
     w_prev = step
-    if growth_rate(params, kind, w_prev) >= 0.0:
+    point = growth_point(params, kind, w_prev)
+    if point.growth >= 0.0:
         raise NoRootError("growth rate nonnegative at the left edge of the grid")
     w = w_prev + step
     while w < 0.5 + 0.5 * step:
         w_cur = min(w, 0.5 - 1e-12)
-        if growth_rate(params, kind, w_cur) >= 0.0:
+        point = growth_point(params, kind, w_cur, point.saddle_x)
+        if point.growth >= 0.0:
             # 1e-4-wide bracket: 17 halvings reach the 1e-9 tolerance
             return bisect_root(lambda v: growth_rate(params, kind, v) < 0.0,
                                w_prev, w_cur, 64, 1e-9)

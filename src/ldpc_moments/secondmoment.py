@@ -82,13 +82,17 @@ class StationaryPoint:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Verdicts of the two dominance conditions plus scan diagnostics."""
+    """Verdicts of the two dominance conditions plus scan diagnostics.
+
+    ``saddle_x`` is the univariate saddle x* at omega the scan was run with.
+    """
 
     condition1_ok: bool
     condition2_ok: bool
     stationary_points: list
     peak_exponent: float
     endpoint_exponent: float
+    saddle_x: float
     warnings: list = field(default_factory=list)
 
 
@@ -119,8 +123,7 @@ def solve_overlap(params: EnsembleParams, kind: str, omega: float,
     """
     check_kind(kind)
     _check_alpha(omega, alpha)
-    t1, t2 = _inner_solve(params, kind, omega, alpha, None)
-    val, _, B = pair_stats(params, kind, t1, t2, t1)
+    t1, t2, val, B = _inner_solve(params, kind, omega, alpha, None)
     Bm = np.array(B)
     det = _det3(B)
     if abs(det) < _DET_FLOOR:
@@ -136,29 +139,33 @@ def stationarity_residual(params: EnsembleParams, kind: str, omega: float,
     overlap fractions.  Psi = (l-1) ln[a(1-2w+a)/(w-a)^2] - l ln(t2/t1^2)."""
     check_kind(kind)
     _check_alpha(omega, alpha)
-    t1, t2 = _inner_solve(params, kind, omega, alpha, None)
+    t1, t2, _, _ = _inner_solve(params, kind, omega, alpha, None)
     return _psi(params, omega, alpha, t1, t2)
 
 
 def exponent_curve(params: EnsembleParams, kind: str, omega: float,
-                   alpha: float) -> float:
-    """Exponential rate of the overlap-alpha term of the squared count."""
+                   alpha: float, x_star: float | None = None) -> float:
+    """Exponential rate of the overlap-alpha term of the squared count.
+
+    ``x_star``, the univariate saddle at omega, is solved for when not given.
+    """
     check_kind(kind)
     _check_alpha(omega, alpha)
-    t1, t2 = _inner_solve(params, kind, omega, alpha, None)
-    val = pair_stats(params, kind, t1, t2, t1)[0]
+    t1, t2, val, _ = _inner_solve(params, kind, omega, alpha, None, x_star)
     return _exponent(params, omega, alpha, t1, t2, val)
 
 
 def endpoint_exponent(params: EnsembleParams, kind: str, omega: float,
-                      method: str = "auto") -> float:
+                      method: str = "auto",
+                      x_star: float | None = None) -> float:
     """Overlap exponent at the boundary alpha = max(0, 2*omega - 1).
 
     For omega <= 1/2 the boundary has no shared coordinates and the exponent
     comes from the reduced saddle of the overlap-free slice phi(x, 0, x),
     which the x1 = x3 symmetry makes univariate.  Otherwise (or when that
     saddle diverges) the interior curve is extrapolated one-sidedly with
-    steps 1e-3 and 1e-4.
+    steps 1e-3 and 1e-4, seeded from ``x_star`` (the univariate saddle at
+    omega) when given.
     """
     check_kind(kind)
     if not 0.0 < omega < 1.0:
@@ -171,7 +178,7 @@ def endpoint_exponent(params: EnsembleParams, kind: str, omega: float,
         except NoBracketError:
             if method == "saddle":
                 raise
-    return _endpoint_extrapolated(params, kind, omega)
+    return _endpoint_extrapolated(params, kind, omega, x_star)
 
 
 def verify_conditions(params: EnsembleParams, kind: str,
@@ -187,14 +194,19 @@ def verify_conditions(params: EnsembleParams, kind: str,
     near the typical minimum size.)
     Condition 2: the exponent at omega^2 strictly exceeds the boundary
     exponent.  Failures are verdicts, not errors.
+
+    The univariate saddle x* at omega is solved once and shared by every
+    overlap solve; the report carries it as ``saddle_x``.
     """
     check_kind(kind)
     gp = growth_point(params, kind, omega)
     if gp.growth <= 0.0:
         raise DomainError(
             f"positive growth rate required (Markov regime at {omega})")
+    x_star = gp.saddle_x
     alpha_sq = omega * omega
-    _anchor_check(params, kind, omega, gp.growth)
+    peak = exponent_curve(params, kind, omega, alpha_sq, x_star)
+    _anchor_check(params, kind, omega, gp.growth, peak, x_star)
 
     lo_edge = max(0.0, 2.0 * omega - 1.0)
     window = omega - lo_edge
@@ -207,15 +219,15 @@ def verify_conditions(params: EnsembleParams, kind: str,
     exps = np.empty(_GRID_POINTS)
     warm_by_idx = [None] * _GRID_POINTS
     start = int(np.argmin(np.abs(alphas - alpha_sq)))
-    center = (gp.saddle_x, gp.saddle_x ** 2)
+    center = (x_star, x_star ** 2)
     for indices in (range(start, -1, -1), range(start + 1, _GRID_POINTS)):
         warm = center
         for idx in indices:
             alpha = float(alphas[idx])
-            t1, t2 = _inner_solve(params, kind, omega, alpha, warm)
+            t1, t2, val, _ = _inner_solve(params, kind, omega, alpha, warm,
+                                          x_star)
             warm = (t1, t2)
             warm_by_idx[idx] = warm
-            val = pair_stats(params, kind, t1, t2, t1)[0]
             psis[idx] = _psi(params, omega, alpha, t1, t2)
             exps[idx] = _exponent(params, omega, alpha, t1, t2, val)
 
@@ -223,19 +235,20 @@ def verify_conditions(params: EnsembleParams, kind: str,
     for idx in range(_GRID_POINTS - 1):
         if psis[idx] == 0.0:
             points.append(_stationary_point(
-                params, kind, omega, float(alphas[idx]), warm_by_idx[idx]))
+                params, kind, omega, float(alphas[idx]), warm_by_idx[idx],
+                x_star))
             continue
         if psis[idx] * psis[idx + 1] < 0.0:
             root, warm_root = _bisect_psi(
                 params, kind, omega, float(alphas[idx]), float(alphas[idx + 1]),
-                psis[idx], warm_by_idx[idx])
-            points.append(_stationary_point(params, kind, omega, root, warm_root))
+                psis[idx], warm_by_idx[idx], x_star)
+            points.append(_stationary_point(params, kind, omega, root,
+                                            warm_root, x_star))
 
-    peak = exponent_curve(params, kind, omega, alpha_sq)
-    endpoint = endpoint_exponent(params, kind, omega)
+    endpoint = endpoint_exponent(params, kind, omega, x_star=x_star)
     warnings = []
     if omega < 0.5:
-        extrap = _endpoint_extrapolated(params, kind, omega)
+        extrap = _endpoint_extrapolated(params, kind, omega, x_star)
         if abs(extrap - endpoint) > _ENDPOINT_DISAGREE:
             warnings.append(
                 f"endpoint methods disagree: saddle {endpoint:.6g} vs "
@@ -251,12 +264,12 @@ def verify_conditions(params: EnsembleParams, kind: str,
             alpha = edge_alpha + math.copysign(margin / shrink,
                                                alpha_sq - edge_alpha)
             try:
-                t1, t2 = _inner_solve(params, kind, omega, alpha, warm)
+                t1, t2, val, _ = _inner_solve(params, kind, omega, alpha, warm,
+                                              x_star)
             except NoConvergenceError:
                 warnings.append(f"edge probe failed at alpha = {alpha:.6g}")
                 continue
             warm = (t1, t2)
-            val = pair_stats(params, kind, t1, t2, t1)[0]
             edge_max = max(edge_max,
                            _exponent(params, omega, alpha, t1, t2, val))
 
@@ -270,7 +283,8 @@ def verify_conditions(params: EnsembleParams, kind: str,
     cond2 = peak > endpoint
     return ConditionReport(condition1_ok=cond1, condition2_ok=cond2,
                            stationary_points=points, peak_exponent=peak,
-                           endpoint_exponent=endpoint, warnings=warnings)
+                           endpoint_exponent=endpoint, saddle_x=x_star,
+                           warnings=warnings)
 
 
 def delta(params: EnsembleParams, kind: str, omega: float,
@@ -293,7 +307,7 @@ def delta(params: EnsembleParams, kind: str, omega: float,
             condition1_ok=report.condition1_ok,
             condition2_ok=report.condition2_ok,
             diagnostics=report.stationary_points, warnings=report.warnings)
-    d = delta_value(params, kind, omega)
+    d = delta_value(params, kind, omega, report.saddle_x)
     return ConcentrationReport(
         abscissa=omega, epsilon=epsilon, delta=d, bound=1.0 - d / epsilon ** 2,
         condition1_ok=True, condition2_ok=True,
@@ -347,8 +361,7 @@ def local_limit_ratio(params: EnsembleParams, kind: str, n: int, omega: float,
     if min(target) < 0:
         raise ValueError(f"offset {off} leaves the nonnegative orthant")
     _check_lattice(kind, base, off)
-    t1, t2 = _inner_solve(params, kind, omega, i0 / n, None)
-    B = pair_stats(params, kind, t1, t2, t1)[2]
+    t1, t2, _, B = _inner_solve(params, kind, omega, i0 / n, None)
     u = [math.sqrt(r / (n * l)) * v for v in off]
     quad = _quadform_inv(B, u)
     t = (t1, t2, t1)
@@ -369,14 +382,16 @@ def overlap_exponent_d2(params: EnsembleParams, omega: float, alpha: float,
             - 0.5 / sigma_c2)
 
 
-def delta_value(params: EnsembleParams, kind: str, omega: float) -> float:
+def delta_value(params: EnsembleParams, kind: str, omega: float,
+                x_star: float | None = None) -> float:
     """Bare variance ratio at the omega^2 saddle, without condition scans.
 
     This is the number :func:`delta` reports when both dominance conditions
-    hold; exposed separately for closed-form cross-checks.
+    hold; exposed separately for closed-form cross-checks.  ``x_star``, the
+    univariate saddle at omega, is solved for when not given.
     """
     l, r = params.left_degree, params.right_degree
-    x = solve_saddle(params, kind, omega)
+    x = solve_saddle(params, kind, omega) if x_star is None else x_star
     B = pair_stats(params, kind, x, x * x, x)[2]
     det = _det3(B)
     if abs(det) < _DET_FLOOR:
@@ -403,38 +418,41 @@ def _check_alpha(omega: float, alpha: float) -> None:
 
 
 def _inner_solve(params: EnsembleParams, kind: str, omega: float, alpha: float,
-                 seed):
+                 seed, x_star=None):
     """Damped Newton for the reduced system a1/r = omega - alpha, a2/r = alpha.
 
     Tries the warm seed, then rescaled (x*, x*^2) seeds, then a geometric
     continuation from the omega^2 anchor toward the target (the solution
     scale blows up like one over the distance to the overlap-range corners,
-    so single far jumps can stall)."""
+    so single far jumps can stall).  x* is solved for only if the warm seed
+    fails and the caller did not pass it.  Returns (t1, t2, val, B) of the
+    accepted point."""
     best = None
     if seed is not None:
         result = _newton_from(params, kind, omega, alpha, seed[0], seed[1])
         if result is not None:
-            if result[2] < _ACCEPT_TOL:
-                return result[0], result[1]
+            if result[0] < _ACCEPT_TOL:
+                return result[1:]
             best = result
-    x_star = solve_saddle(params, kind, omega)
+    if x_star is None:
+        x_star = solve_saddle(params, kind, omega)
     for s in _SEED_SCALES:
         result = _newton_from(params, kind, omega, alpha,
                               s * x_star, s * x_star * x_star)
         if result is None:
             continue
-        if result[2] < _ACCEPT_TOL:
-            return result[0], result[1]
-        if best is None or result[2] < best[2]:
+        if result[0] < _ACCEPT_TOL:
+            return result[1:]
+        if best is None or result[0] < best[0]:
             best = result
     result = _continuation_solve(params, kind, omega, alpha, x_star)
-    if result is not None and result[2] < _ACCEPT_TOL:
-        return result[0], result[1]
-    if result is not None and (best is None or result[2] < best[2]):
+    if result is not None and result[0] < _ACCEPT_TOL:
+        return result[1:]
+    if result is not None and (best is None or result[0] < best[0]):
         best = result
     raise NoConvergenceError(
         f"overlap solve failed at omega={omega}, alpha={alpha}"
-        + (f" (best residual {best[2]:g})" if best else ""))
+        + (f" (best residual {best[0]:g})" if best else ""))
 
 
 def _continuation_solve(params, kind, omega, alpha, x_star):
@@ -456,16 +474,19 @@ def _continuation_solve(params, kind, omega, alpha, x_star):
         if k == steps:
             a_k = alpha  # land exactly on the target
         result = _newton_from(params, kind, omega, a_k, t1, t2)
-        if result is None or not result[2] < _ACCEPT_TOL:
+        if result is None or not result[0] < _ACCEPT_TOL:
             return result
-        t1, t2 = result[0], result[1]
+        t1, t2 = result[1], result[2]
     return result
 
 
 def _newton_from(params, kind, omega, alpha, t1, t2):
     """Damped Newton in log coordinates: steps are multiplicative, which
     keeps t positive and stays well-conditioned in the near-corner regime
-    where the solution components are large."""
+    where the solution components are large.
+
+    Returns (residual, t1, t2, val, B) of the last accepted point, or None
+    if the start point or a Newton system is unusable."""
     r = params.right_degree
     c1, c2 = omega - alpha, alpha
     try:
@@ -509,7 +530,7 @@ def _newton_from(params, kind, omega, alpha, t1, t2):
             lam *= 0.5
         if not accepted:
             break
-    return t1, t2, res
+    return res, t1, t2, val, B
 
 
 def _psi(params: EnsembleParams, omega: float, alpha: float,
@@ -573,9 +594,9 @@ def _snap_nonnegative(d: float) -> float:
     return 0.0 if -1e-9 < d < 0.0 else d
 
 
-def _stationary_point(params, kind, omega, alpha, warm) -> StationaryPoint:
-    t1, t2 = _inner_solve(params, kind, omega, alpha, warm)
-    val, _, B = pair_stats(params, kind, t1, t2, t1)
+def _stationary_point(params, kind, omega, alpha, warm,
+                      x_star) -> StationaryPoint:
+    t1, t2, val, B = _inner_solve(params, kind, omega, alpha, warm, x_star)
     sc2 = _sigma_c2(params, B)
     return StationaryPoint(
         alpha=alpha,
@@ -583,13 +604,13 @@ def _stationary_point(params, kind, omega, alpha, warm) -> StationaryPoint:
         d2_coefficient=overlap_exponent_d2(params, omega, alpha, sc2))
 
 
-def _bisect_psi(params, kind, omega, lo, hi, psi_lo, warm):
+def _bisect_psi(params, kind, omega, lo, hi, psi_lo, warm, x_star):
     """Root of psi in (lo, hi); each solve warm-starts from the previous one."""
     sign_lo = psi_lo > 0.0
 
     def below(mid):
         nonlocal warm
-        t1, t2 = _inner_solve(params, kind, omega, mid, warm)
+        t1, t2, _, _ = _inner_solve(params, kind, omega, mid, warm, x_star)
         warm = (t1, t2)
         return (_psi(params, omega, mid, t1, t2) > 0.0) == sign_lo
 
@@ -597,13 +618,13 @@ def _bisect_psi(params, kind, omega, lo, hi, psi_lo, warm):
     return root, warm
 
 
-def _anchor_check(params, kind, omega, growth) -> None:
+def _anchor_check(params, kind, omega, growth, peak, x_star) -> None:
     """Anchor identities guarding the exponent bookkeeping.
 
-    The alpha = omega^2 term must carry exactly twice the growth rate, and
-    the curve must approach the growth rate at the alpha -> omega edge.
+    The alpha = omega^2 term ``peak`` must carry exactly twice the growth
+    rate, and the curve must approach the growth rate at the alpha -> omega
+    edge.
     """
-    peak = exponent_curve(params, kind, omega, omega * omega)
     if abs(peak - 2.0 * growth) > 1e-8:
         raise ExponentMismatchError(
             f"E(omega^2) = {peak:.12g} vs 2*growth = {2 * growth:.12g}")
@@ -611,7 +632,7 @@ def _anchor_check(params, kind, omega, growth) -> None:
     # with the left degree to keep it well below the 1e-2 bug guard
     h = min(3e-4 / params.left_degree,
             0.1 * (omega - max(0.0, 2.0 * omega - 1.0)))
-    edge = exponent_curve(params, kind, omega, omega - h)
+    edge = exponent_curve(params, kind, omega, omega - h, x_star)
     if abs(edge - growth) > 1e-2:
         raise ExponentMismatchError(
             f"E(omega - {h:g}) = {edge:.12g} vs growth = {growth:.12g}")
@@ -644,14 +665,14 @@ def _endpoint_reduced_saddle(params: EnsembleParams, kind: str,
             + (l / r) * math.log(val) - 2.0 * l * omega * math.log(t))
 
 
-def _endpoint_extrapolated(params: EnsembleParams, kind: str,
-                           omega: float) -> float:
+def _endpoint_extrapolated(params: EnsembleParams, kind: str, omega: float,
+                           x_star: float | None) -> float:
     lo_edge = max(0.0, 2.0 * omega - 1.0)
     window = omega - lo_edge
     h1 = min(_ENDPOINT_STEPS[0], 0.05 * window)
     h2 = h1 * (_ENDPOINT_STEPS[1] / _ENDPOINT_STEPS[0])
-    e1 = exponent_curve(params, kind, omega, lo_edge + h1)
-    e2 = exponent_curve(params, kind, omega, lo_edge + h2)
+    e1 = exponent_curve(params, kind, omega, lo_edge + h1, x_star)
+    e2 = exponent_curve(params, kind, omega, lo_edge + h2, x_star)
     return e2 - h2 * (e1 - e2) / (h1 - h2)
 
 

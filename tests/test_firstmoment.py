@@ -62,6 +62,29 @@ class TestSolveSaddle:
         vals = [saddle_stats_uni(P36, kind, float(x)).a for x in xs]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    def test_neighbour_seed_matches_cold_root(self, kind):
+        r = P36.right_degree
+        for w in (0.01, 0.1, 0.3, 0.7):
+            seed = solve_saddle(P36, kind, w - 1e-4)
+            x = solve_saddle(P36, kind, w, seed)
+            assert abs(saddle_stats_uni(P36, kind, x).a - r * w) < 1e-12
+            cold = solve_saddle(P36, kind, w)
+            assert abs(x - cold) <= 8 * math.ulp(cold)
+
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    @pytest.mark.parametrize("scale", [1e3, 1e-3, 1e160, 1e300])
+    def test_far_seed_falls_back_to_cold_root(self, kind, scale):
+        # 1e160 and 1e300 overflow inside the Newton steps
+        cold = solve_saddle(P36, kind, 0.3)
+        x = solve_saddle(P36, kind, 0.3, scale * cold)
+        assert abs(x - cold) <= 8 * math.ulp(cold)
+
+    @pytest.mark.parametrize("seed", [0.0, -1.0, -math.inf, math.nan, math.inf])
+    def test_unusable_seed_is_ignored(self, seed):
+        assert solve_saddle(P36, "weight", 0.3, seed) == solve_saddle(
+            P36, "weight", 0.3)
+
     def test_boundary_abscissas_rejected(self):
         for bad in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
@@ -194,6 +217,9 @@ class TestMinAbscissa:
         assert growth_rate(P36, "stopping", smin - 1e-6) < 0.0
         assert growth_rate(P36, "stopping", smin + 1e-6) > 0.0
 
-    def test_degree_two_has_no_root(self):
-        with pytest.raises(NoRootError):
-            min_abscissa(EnsembleParams(2, 4), "weight")
+    @pytest.mark.parametrize("l,r", [(2, 4), (3, 48)])
+    def test_no_root_at_left_edge(self, l, r):
+        # (2,4) has no zero; the (3,48) zero lies below the 1e-4 grid
+        with pytest.raises(NoRootError,
+                           match="growth rate nonnegative at the left edge"):
+            min_abscissa(EnsembleParams(l, r), "weight")

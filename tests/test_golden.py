@@ -1,9 +1,11 @@
 """Pinned CSV bytes of bound and table rows.
 
-The expected rows were rendered by the package before the trivariate
-statistics, determinant, bisection and saddle-cache code paths were merged.
-A refactor that changes any digit, verdict or error code of these rows fails
-here, without the benchmark harness.
+The expected bound rows were rendered by the package before the trivariate
+statistics, determinant, bisection and saddle-cache code paths were merged;
+the table rows are those of the benchmark reference, and the omega_min reprs
+were recorded before the minimum-abscissa scan was warm-started.  A refactor
+that changes any digit, verdict or error code of these rows, or any bit of
+omega_min, fails here, without the benchmark harness.
 """
 
 import pytest
@@ -15,6 +17,7 @@ from ldpc_moments.cli import (
     run_bound_curve,
     run_table,
 )
+from ldpc_moments.firstmoment import min_abscissa
 from ldpc_moments.genfun import EnsembleParams
 
 EPSILON = 0.95
@@ -37,6 +40,36 @@ BOUND_ROWS = [
 TABLE_ROWS = [
     (3, 6, "weight", "3:6,0.0227333942,0.740613131"),
     (3, 6, "stopping", "3:6,0.0179904858,conditions_failed"),
+    (6, 12, "weight", "6:12,0.0956336826,0.963306871"),
+    (6, 12, "stopping", "6:12,0.0630194958,conditions_failed"),
+    (12, 24, "weight", "12:24,0.109404068,0.999617416"),
+    (12, 24, "stopping", "12:24,0.0584181515,conditions_failed"),
+    (24, 48, "weight", "24:48,0.110026287,0.999999989"),
+    (24, 48, "stopping", "24:48,0.0417947063,conditions_failed"),
+    (3, 4, "weight", "3:4,0.112159252,0.667892154"),
+    (3, 4, "stopping", "3:4,0.0793968067,conditions_failed"),
+    (6, 8, "weight", "6:8,0.2074367,0.989098139"),
+    (6, 8, "stopping", "6:8,0.123592794,conditions_failed"),
+    (12, 16, "weight", "12:16,0.214427835,0.999993633"),
+    (12, 16, "stopping", "12:16,0.0980439915,conditions_failed"),
+]
+
+# repr of the unrounded omega_min behind each table row
+MIN_ABSCISSA_REPRS = [
+    (3, 6, "weight", "0.02273339424133293"),
+    (3, 6, "stopping", "0.01799048576354975"),
+    (6, 12, "weight", "0.09563368263244801"),
+    (6, 12, "stopping", "0.06301949577331623"),
+    (12, 24, "weight", "0.10940406761169645"),
+    (12, 24, "stopping", "0.05841815147399966"),
+    (24, 48, "weight", "0.11002628746032925"),
+    (24, 48, "stopping", "0.04179470634460466"),
+    (3, 4, "weight", "0.11215925178528052"),
+    (3, 4, "stopping", "0.07939680671692019"),
+    (6, 8, "weight", "0.20743670005797687"),
+    (6, 8, "stopping", "0.12359279441833745"),
+    (12, 16, "weight", "0.21442783546447022"),
+    (12, 16, "stopping", "0.09804399147033868"),
 ]
 
 
@@ -52,3 +85,9 @@ def test_bound_row_bytes(l, r, kind, w, line):
 def test_table_row_bytes(l, r, kind, line):
     rows = run_table([(l, r)], kind, EPSILON)
     assert render_csv(TABLE_HEADER, rows) == ",".join(TABLE_HEADER) + "\n" + line + "\n"
+
+
+@pytest.mark.parametrize("l,r,kind,value", MIN_ABSCISSA_REPRS,
+                         ids=[f"{l}:{r}-{k}" for l, r, k, _ in MIN_ABSCISSA_REPRS])
+def test_min_abscissa_bits(l, r, kind, value):
+    assert repr(min_abscissa(EnsembleParams(l, r), kind)) == value

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ldpc_moments import exactcomb
+from ldpc_moments import exactcomb, firstmoment, secondmoment
 from ldpc_moments.errors import DomainError, OffLatticeError
 from ldpc_moments.firstmoment import growth_rate, min_abscissa, solve_saddle
 from ldpc_moments.genfun import EnsembleParams, pair_gf_stop, pair_gf_weight, pair_stats
@@ -214,6 +214,24 @@ class TestDelta:
     def test_epsilon_validated(self):
         with pytest.raises(ValueError):
             delta(P34, "weight", 0.5, 0.0)
+
+    @pytest.mark.parametrize("kind,omega", [("weight", 0.3), ("stopping", 0.3),
+                                            ("weight", 0.6)])
+    def test_univariate_saddle_solved_once(self, monkeypatch, kind, omega):
+        # x* at omega seeds every overlap solve, the endpoint extrapolation
+        # (omega >= 1/2) and delta_value; none of them solves it again
+        calls = []
+        real = firstmoment.solve_saddle
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(firstmoment, "solve_saddle", counted)
+        monkeypatch.setattr(secondmoment, "solve_saddle", counted)
+        rep = delta(P36, kind, omega, 0.95)
+        assert rep.delta is not None
+        assert len(calls) == 1
 
 
 class TestClosedForm34:
