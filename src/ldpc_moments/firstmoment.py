@@ -260,11 +260,12 @@ def min_abscissa(params: EnsembleParams, kind: str) -> float:
     relative weight (or stopping-set size).
 
     Scans with step 1e-4 for the first sign change, then bisects to absolute
-    tolerance 1e-9.  Each grid point's saddle is a Newton seed for the next;
-    the bisection solves from cold.  Raises NoRootError when the growth rate
-    is already nonnegative at the first grid point, 1e-4 (the zero lies
-    below the grid's resolution, as for (3,48), (3,56) and (3,64)), or is
-    negative on the whole grid.
+    tolerance 1e-9.  Each grid point's saddle is a Newton seed for the next,
+    and each bisection midpoint is seeded from the saddle of the bracket's
+    lower end (both ends are equally near).  Raises NoRootError when the
+    growth rate is already nonnegative at the first grid point, 1e-4 (the
+    zero lies below the grid's resolution, as for (3,48), (3,56) and
+    (3,64)), or is negative on the whole grid.
     """
     check_kind(kind)
     step = _MIN_SEARCH_STEP
@@ -275,11 +276,18 @@ def min_abscissa(params: EnsembleParams, kind: str) -> float:
     w = w_prev + step
     while w < 0.5 + 0.5 * step:
         w_cur = min(w, 0.5 - 1e-12)
-        point = growth_point(params, kind, w_cur, point.saddle_x)
+        lo_x = point.saddle_x
+        point = growth_point(params, kind, w_cur, lo_x)
         if point.growth >= 0.0:
+            def below(v):
+                nonlocal lo_x
+                mid = growth_point(params, kind, v, lo_x)
+                if mid.growth < 0.0:
+                    lo_x = mid.saddle_x
+                return mid.growth < 0.0
+
             # 1e-4-wide bracket: 17 halvings reach the 1e-9 tolerance
-            return bisect_root(lambda v: growth_rate(params, kind, v) < 0.0,
-                               w_prev, w_cur, 64, 1e-9)
+            return bisect_root(below, w_prev, w_cur, 64, 1e-9)
         w_prev = w_cur
         w += step
     raise NoRootError("no growth-rate sign change on (0, 0.5)")

@@ -157,7 +157,16 @@ def pair_stats(params: EnsembleParams, kind: str, x1: float, x2: float,
     if val <= 0.0:
         raise NonpositiveGFError(
             f"pair generating function nonpositive at ({x1}, {x2}, {x3}): {val}")
-    x = (x1, x2, x3)
+    a, B = pair_ratios((x1, x2, x3), val, grad, hess)
+    return val, a, B
+
+
+def pair_ratios(x, val, grad, hess):
+    """Mean vector a and curvature matrix B from the output of :func:`pair_vgh`.
+
+    Arithmetic only, so the components may be floats or equal-length numpy
+    arrays (one point per entry); no positivity check is made here.
+    """
     # ratios first: grad products and val^2 can overflow while val itself
     # is still comfortably representable
     g_over = [grad[i] / val for i in range(3)]
@@ -166,14 +175,16 @@ def pair_stats(params: EnsembleParams, kind: str, x1: float, x2: float,
           for j in range(3)] for i in range(3)]
     for i in range(3):
         B[i][i] += a[i]
-    return val, a, B
+    return a, B
 
 
 def pair_vgh(params: EnsembleParams, kind: str, x1: float, x2: float, x3: float):
     """Value, gradient and Hessian of f or g, all from closed forms.
 
     Returns plain floats/lists; used by the Newton solvers where building
-    numpy arrays per evaluation would dominate the cost.
+    numpy arrays per evaluation would dominate the cost.  The body is
+    arithmetic only, so equal-length numpy arrays of points work as well
+    and give arrays in place of the floats.
     """
     r = params.right_degree
     if kind == KIND_WEIGHT:

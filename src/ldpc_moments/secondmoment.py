@@ -35,6 +35,7 @@ from .genfun import (
     KIND_WEIGHT,
     EnsembleParams,
     check_kind,
+    pair_ratios,
     pair_stats,
     pair_vgh,
     saddle_stats_uni,
@@ -45,6 +46,7 @@ _ACCEPT_TOL = 1e-11  # well inside the 1e-10 contract
 _SEED_SCALES = (1.0, 0.5, 2.0, 0.1, 10.0)
 _DET_FLOOR = 1e-14
 _GRID_POINTS = 2000
+_COARSE_STRIDE = 32  # grid spacing of the scalar warm-start chain
 _GRID_MARGIN = 1e-4
 _ENDPOINT_STEPS = (1e-3, 1e-4)
 _ENDPOINT_DISAGREE = 1e-2
@@ -140,7 +142,7 @@ def stationarity_residual(params: EnsembleParams, kind: str, omega: float,
     check_kind(kind)
     _check_alpha(omega, alpha)
     t1, t2, _, _ = _inner_solve(params, kind, omega, alpha, None)
-    return _psi(params, omega, alpha, t1, t2)
+    return float(_psi(params, omega, alpha, t1, t2))
 
 
 def exponent_curve(params: EnsembleParams, kind: str, omega: float,
@@ -152,7 +154,7 @@ def exponent_curve(params: EnsembleParams, kind: str, omega: float,
     check_kind(kind)
     _check_alpha(omega, alpha)
     t1, t2, val, _ = _inner_solve(params, kind, omega, alpha, None, x_star)
-    return _exponent(params, omega, alpha, t1, t2, val)
+    return float(_exponent(params, omega, alpha, t1, t2, val))
 
 
 def endpoint_exponent(params: EnsembleParams, kind: str, omega: float,
@@ -208,28 +210,11 @@ def verify_conditions(params: EnsembleParams, kind: str,
     peak = exponent_curve(params, kind, omega, alpha_sq, x_star)
     _anchor_check(params, kind, omega, gp.growth, peak, x_star)
 
-    lo_edge = max(0.0, 2.0 * omega - 1.0)
-    window = omega - lo_edge
-    margin = min(_GRID_MARGIN, 0.01 * window)
-    alphas = np.linspace(lo_edge + margin, omega - margin, _GRID_POINTS)
-
-    # march outward from the easy omega^2 saddle so each solve warm-starts
-    # from its neighbor; cold starts stall in the near-corner saturation
-    psis = np.empty(_GRID_POINTS)
-    exps = np.empty(_GRID_POINTS)
-    warm_by_idx = [None] * _GRID_POINTS
-    start = int(np.argmin(np.abs(alphas - alpha_sq)))
-    center = (x_star, x_star ** 2)
-    for indices in (range(start, -1, -1), range(start + 1, _GRID_POINTS)):
-        warm = center
-        for idx in indices:
-            alpha = float(alphas[idx])
-            t1, t2, val, _ = _inner_solve(params, kind, omega, alpha, warm,
-                                          x_star)
-            warm = (t1, t2)
-            warm_by_idx[idx] = warm
-            psis[idx] = _psi(params, omega, alpha, t1, t2)
-            exps[idx] = _exponent(params, omega, alpha, t1, t2, val)
+    lo_edge, margin = _grid_window(omega)
+    alphas, t1s, t2s, vals = _scan_grid(params, kind, omega, x_star)
+    psis = _psi(params, omega, alphas, t1s, t2s).tolist()
+    exps = _exponent(params, omega, alphas, t1s, t2s, vals)
+    warm_by_idx = list(zip(t1s.tolist(), t2s.tolist()))
 
     points = []
     for idx in range(_GRID_POINTS - 1):
@@ -271,7 +256,7 @@ def verify_conditions(params: EnsembleParams, kind: str,
                 continue
             warm = (t1, t2)
             edge_max = max(edge_max,
-                           _exponent(params, omega, alpha, t1, t2, val))
+                           float(_exponent(params, omega, alpha, t1, t2, val)))
 
     maxima = [p for p in points if p.is_maximum]
     at_square = [p for p in maxima if abs(p.alpha - alpha_sq) < 1e-6]
@@ -533,28 +518,149 @@ def _newton_from(params, kind, omega, alpha, t1, t2):
     return res, t1, t2, val, B
 
 
-def _psi(params: EnsembleParams, omega: float, alpha: float,
-         t1: float, t2: float) -> float:
+def _grid_window(omega: float):
+    """Lower end of the overlap range and the margin the scan grid keeps
+    from both ends."""
+    lo_edge = max(0.0, 2.0 * omega - 1.0)
+    return lo_edge, min(_GRID_MARGIN, 0.01 * (omega - lo_edge))
+
+
+def _scan_grid(params, kind, omega, x_star):
+    """Overlap saddles on the scan grid: (alphas, t1, t2, val) as arrays.
+
+    A scalar warm-start chain marches outward from omega^2 over every
+    _COARSE_STRIDE-th grid point and both ends (cold starts stall in the
+    near-corner saturation).  Every other point starts from the nearest
+    chain solution on the omega^2 side, and one batched damped Newton
+    solves them all.  A point it leaves above _ACCEPT_TOL goes through
+    :func:`_inner_solve`, warm-started from its grid neighbour on the
+    omega^2 side.
+    """
+    lo_edge, margin = _grid_window(omega)
+    alphas = np.linspace(lo_edge + margin, omega - margin, _GRID_POINTS)
+    t1, t2, val = (np.empty(_GRID_POINTS) for _ in range(3))
+    start = int(np.argmin(np.abs(alphas - omega * omega)))
+
+    def solve(idx, warm):
+        t1[idx], t2[idx], val[idx], _ = _inner_solve(
+            params, kind, omega, float(alphas[idx]), warm, x_star)
+        return float(t1[idx]), float(t2[idx])
+
+    on_chain = np.zeros(_GRID_POINTS, dtype=bool)
+    on_chain[start % _COARSE_STRIDE::_COARSE_STRIDE] = True
+    on_chain[[0, -1]] = True
+    coarse, rest = np.flatnonzero(on_chain), np.flatnonzero(~on_chain)
+    for chain in (coarse[coarse <= start][::-1], coarse[coarse > start]):
+        warm = (x_star, x_star ** 2)
+        for idx in chain:
+            warm = solve(idx, warm)
+
+    # coarse[after - 1] < rest < coarse[after]
+    after = np.searchsorted(coarse, rest)
+    seed = np.where(rest < start, coarse[after], coarse[after - 1])
+    res, t1[rest], t2[rest], val[rest] = _newton_batch(
+        params, kind, omega, alphas[rest], t1[seed], t2[seed])
+
+    failed = rest[~(res < _ACCEPT_TOL)]
+    for idx in np.concatenate((failed[failed < start][::-1],
+                               failed[failed > start])):
+        nb = idx + 1 if idx < start else idx - 1
+        solve(idx, (float(t1[nb]), float(t2[nb])))
+    return alphas, t1, t2, val
+
+
+def _newton_batch(params, kind, omega, alphas, t1, t2):
+    """:func:`_newton_from` over arrays: one independent damped Newton per
+    alpha, with the same 20 log-step cap, halving line search down to
+    lambda = 1e-10 (strict residual drop only) and 120-iteration cap.
+
+    Returns arrays (residual, t1, t2, val).  The residual is inf wherever
+    the scalar solver would give up (unusable start point, singular Newton
+    system) and wherever an evaluation overflowed, which the scalar kernel
+    raises on; such points need the scalar path.
+    """
+    r = params.right_degree
+    c1, c2 = omega - alphas, alphas
+
+    def evaluate(idx, n1, n2):
+        # -> val, (r1, r2, j11, j12, j21, j22) stacked, usable, overflowed
+        v, grad, hess = pair_vgh(params, kind, n1, n2, n1)
+        a, B = pair_ratios((n1, n2, n1), v, grad, hess)
+        terms = np.array([a[0] / r - c1[idx], a[1] / r - c2[idx],
+                          (B[0][0] + B[0][2]) / r, B[0][1] / r,
+                          (B[1][0] + B[1][2]) / r, B[1][1] / r])
+        finite = np.isfinite(v)
+        for h in (*grad, *hess[0], *hess[1], *hess[2]):
+            finite &= np.isfinite(h)
+        usable = finite & (v > 0.0) & np.isfinite(terms).all(axis=0)
+        return v, terms, usable, ~finite
+
+    t1, t2 = t1.copy(), t2.copy()
+    with np.errstate(all="ignore"):
+        val, terms, live, _ = evaluate(np.arange(alphas.size), t1, t2)
+        res = np.where(live, np.maximum(np.abs(terms[0]), np.abs(terms[1])),
+                       np.inf)
+        for _ in range(120):
+            live &= res >= _NEWTON_TOL
+            idx = np.flatnonzero(live)
+            if idx.size == 0:
+                break
+            r1, r2, j11, j12, j21, j22 = terms[:, idx]
+            det = j11 * j22 - j12 * j21
+            singular = (det == 0.0) | ~np.isfinite(det)
+            res[idx[singular]] = np.inf
+            live[idx[singular]] = False
+            d1 = -(j22 * r1 - j12 * r2) / det
+            d2 = -(-j21 * r1 + j11 * r2) / det
+            big = np.maximum(np.abs(d1), np.abs(d2))
+            d1 = np.where(big > 20.0, d1 * 20.0 / big, d1)
+            d2 = np.where(big > 20.0, d2 * 20.0 / big, d2)
+            searching = ~singular  # over idx: no step accepted yet
+            lam = 1.0
+            while lam > 1e-10 and searching.any():
+                pos = np.flatnonzero(searching)
+                n1 = t1[idx[pos]] * np.exp(lam * d1[pos])
+                n2 = t2[idx[pos]] * np.exp(lam * d2[pos])
+                inside = (0.0 < n1) & (n1 < np.inf) & (0.0 < n2) & (n2 < np.inf)
+                pos, n1, n2 = pos[inside], n1[inside], n2[inside]
+                p = idx[pos]
+                valn, termsn, usable, overflowed = evaluate(p, n1, n2)
+                resn = np.maximum(np.abs(termsn[0]), np.abs(termsn[1]))
+                acc = usable & (resn < res[p])
+                hit = p[acc]
+                t1[hit], t2[hit], val[hit] = n1[acc], n2[acc], valn[acc]
+                terms[:, hit], res[hit] = termsn[:, acc], resn[acc]
+                res[p[overflowed]] = np.inf
+                live[p[overflowed]] = False
+                searching[pos[acc | overflowed]] = False
+                lam *= 0.5
+            live[idx[searching]] = False  # no step accepted: Newton stops
+    return res, t1, t2, val
+
+
+def _psi(params: EnsembleParams, omega: float, alpha, t1, t2):
+    """Stationarity residual at one alpha (floats) or a grid of them (arrays)."""
     l = params.left_degree
     ratio = alpha * (1.0 - 2.0 * omega + alpha) / (omega - alpha) ** 2
-    return (l - 1) * math.log(ratio) - l * math.log(t2 / (t1 * t1))
+    return (l - 1) * np.log(ratio) - l * np.log(t2 / (t1 * t1))
 
 
-def _xlogx(v: float) -> float:
-    return v * math.log(v) if v > 0.0 else 0.0
+def _xlogx(v):
+    positive = v > 0.0
+    return np.where(positive, v * np.log(np.where(positive, v, 1.0)), 0.0)
 
 
-def _entropy_term(omega: float, alpha: float) -> float:
+def _entropy_term(omega: float, alpha):
     return (_xlogx(alpha) + 2.0 * _xlogx(omega - alpha)
             + _xlogx(1.0 - 2.0 * omega + alpha))
 
 
-def _exponent(params: EnsembleParams, omega: float, alpha: float,
-              t1: float, t2: float, val: float) -> float:
+def _exponent(params: EnsembleParams, omega: float, alpha, t1, t2, val):
+    """Overlap exponent E(alpha) at one alpha (floats) or a grid (arrays)."""
     l, r = params.left_degree, params.right_degree
     return ((l - 1) * _entropy_term(omega, alpha)
-            + (l / r) * math.log(val)
-            - l * (2.0 * (omega - alpha) * math.log(t1) + alpha * math.log(t2)))
+            + (l / r) * np.log(val)
+            - l * (2.0 * (omega - alpha) * np.log(t1) + alpha * np.log(t2)))
 
 
 def _det3(B) -> float:
@@ -600,7 +706,7 @@ def _stationary_point(params, kind, omega, alpha, warm,
     sc2 = _sigma_c2(params, B)
     return StationaryPoint(
         alpha=alpha,
-        exponent=_exponent(params, omega, alpha, t1, t2, val),
+        exponent=float(_exponent(params, omega, alpha, t1, t2, val)),
         d2_coefficient=overlap_exponent_d2(params, omega, alpha, sc2))
 
 
@@ -661,8 +767,8 @@ def _endpoint_reduced_saddle(params: EnsembleParams, kind: str,
         a_hi = a_of(hi)
     t = bisect_root(lambda v: a_of(v) < target, lo, hi, 200)
     val = pair_vgh(params, kind, t, 0.0, t)[0]
-    return ((l - 1) * _entropy_term(omega, 0.0)
-            + (l / r) * math.log(val) - 2.0 * l * omega * math.log(t))
+    return float((l - 1) * _entropy_term(omega, 0.0)
+                 + (l / r) * math.log(val) - 2.0 * l * omega * math.log(t))
 
 
 def _endpoint_extrapolated(params: EnsembleParams, kind: str, omega: float,

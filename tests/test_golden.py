@@ -1,11 +1,12 @@
 """Pinned CSV bytes of bound and table rows.
 
-The expected bound rows were rendered by the package before the trivariate
+The first five bound rows were rendered by the package before the trivariate
 statistics, determinant, bisection and saddle-cache code paths were merged;
-the table rows are those of the benchmark reference, and the omega_min reprs
-were recorded before the minimum-abscissa scan was warm-started.  A refactor
-that changes any digit, verdict or error code of these rows, or any bit of
-omega_min, fails here, without the benchmark harness.
+the other bound rows and the table rows are those of the benchmark reference,
+and the omega_min reprs were recorded before the minimum-abscissa scan was
+warm-started.  A refactor that changes any digit, verdict or error code of
+these rows, or any bit of omega_min, fails here, without the benchmark
+harness.
 """
 
 import pytest
@@ -35,6 +36,19 @@ BOUND_ROWS = [
     # just above the typical minimum stopping-set size, where cond1 fails
     (3, 6, "stopping", 0.018,
      "0.018,0.0581436221,5.09896534e-06,,,false,true"),
+    # condition-false rows of the benchmark reference: near-complete stopping
+    # sets fail both conditions, and the near-corner (3,64) weight row fails
+    # cond1; a change to the overlap scan could flip these verdicts
+    (3, 6, "stopping", 0.990625,
+     "0.990625,105.666663,0.0531094356,,,false,false"),
+    (3, 6, "stopping", 0.996875,
+     "0.996875,319,0.0211461152,,,false,false"),
+    (12, 24, "stopping", 0.990625,
+     "0.990625,105.666667,0.0531094358,,,false,false"),
+    (12, 24, "stopping", 0.996875,
+     "0.996875,319,0.0211461152,,,false,false"),
+    (3, 64, "weight", 0.003125,
+     "0.003125,0.00729469085,0.00869177286,,,false,true"),
 ]
 
 TABLE_ROWS = [

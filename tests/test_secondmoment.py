@@ -187,6 +187,83 @@ class TestVerifyConditions:
         assert rep.condition1_ok and rep.condition2_ok
 
 
+def _sequential_grid(params, kind, omega, x_star, alphas):
+    """Reference scan: one scalar warm-started solve per grid point, marching
+    outward from omega^2 (the scan before the grid solve was batched)."""
+    t1, t2, val = (np.empty(alphas.size) for _ in range(3))
+    start = int(np.argmin(np.abs(alphas - omega * omega)))
+    for indices in (range(start, -1, -1), range(start + 1, alphas.size)):
+        warm = (x_star, x_star ** 2)
+        for idx in indices:
+            t1[idx], t2[idx], val[idx], _ = secondmoment._inner_solve(
+                params, kind, omega, float(alphas[idx]), warm, x_star)
+            warm = (float(t1[idx]), float(t2[idx]))
+    return t1, t2, val
+
+
+SCAN_CASES = [((3, 6), "weight", 0.3), ((3, 6), "stopping", None),
+              ((12, 24), "stopping", 0.990625), ((3, 64), "weight", 0.003125)]
+
+
+class TestScanGrid:
+    @staticmethod
+    def _compare(params, kind, omega):
+        x_star = solve_saddle(params, kind, omega)
+        alphas, t1, t2, val = secondmoment._scan_grid(params, kind, omega, x_star)
+        rt1, rt2, rval = _sequential_grid(params, kind, omega, x_star, alphas)
+        psi = secondmoment._psi(params, omega, alphas, t1, t2)
+        rpsi = secondmoment._psi(params, omega, alphas, rt1, rt2)
+        assert np.array_equal(np.sign(psi), np.sign(rpsi))
+        exps = secondmoment._exponent(params, omega, alphas, t1, t2, val)
+        rexps = secondmoment._exponent(params, omega, alphas, rt1, rt2, rval)
+        assert np.max(np.abs(exps - rexps)) < 1e-12
+        for got, want in ((t1, rt1), (t2, rt2)):
+            assert np.max(np.abs(got / want - 1.0)) < 1e-8
+
+    @pytest.mark.parametrize("pair,kind,omega", SCAN_CASES,
+                             ids=[f"{l}:{r}-{k}-{w or 'smin'}"
+                                  for (l, r), k, w in SCAN_CASES])
+    def test_batched_grid_matches_sequential_chain(self, pair, kind, omega):
+        params = EnsembleParams(*pair)
+        if omega is None:
+            omega = min_abscissa(params, kind) + 1e-6
+        self._compare(params, kind, omega)
+
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_scalar_fallback_matches_sequential_chain(self, monkeypatch, every):
+        # points the batch leaves unsolved go through the scalar chain from
+        # their omega^2-side neighbour; force every (every)-th point there,
+        # with its batch values spoiled so that only the fallback can pass
+        real = secondmoment._newton_batch
+        unsolved = []
+
+        def failing(*args):
+            res, t1, t2, val = real(*args)
+            res[::every] = np.inf
+            t1[::every] = t2[::every] = val[::every] = np.nan
+            unsolved.append(res[::every].size)
+            return res, t1, t2, val
+
+        monkeypatch.setattr(secondmoment, "_newton_batch", failing)
+        self._compare(P36, "stopping", 0.3)
+        assert unsolved and unsolved[0] > 0
+
+    def test_scan_makes_few_scalar_solves(self, monkeypatch):
+        # the sequential scan made 2,076 scalar solves for this row; the
+        # coarse chain, bisection, probes and endpoints now need about 140
+        calls = []
+        real = secondmoment._inner_solve
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(secondmoment, "_inner_solve", counted)
+        rep = verify_conditions(P36, "weight", 0.3)
+        assert rep.condition1_ok and rep.condition2_ok
+        assert len(calls) <= 300
+
+
 class TestDelta:
     def test_half_abscissa_34_is_tight(self):
         rep = delta(P34, "weight", 0.5, 0.95)
