@@ -1,0 +1,91 @@
+"""Self-check measurements shared by ``ldpc-moments verify`` and the tests.
+
+Each function returns numbers, not verdicts: every caller compares them
+with its own tolerances, so one shared predicate cannot hide a fault from
+both the command line and the acceptance gate.
+"""
+
+import math
+
+from . import ensemble_oracle, exactcomb, firstmoment, secondmoment
+from .genfun import KIND_WEIGHT, EnsembleParams
+
+
+def exhaustive_mismatches(params, n, kind):
+    """(W, moment, exhaustive average, formula) wherever the two differ."""
+    out = []
+    for W in range(n + 1):
+        for moment in (1, 2):
+            ex = ensemble_oracle.exhaustive_moment(params, n, W, kind, moment)
+            gf = (exactcomb.exact_first_moment if moment == 1
+                  else exactcomb.exact_second_moment)(params, n, W, kind)
+            if ex != gf:
+                out.append((W, moment, ex, gf))
+    return out
+
+
+def hayman_errors(params, omega, ns):
+    """{n: relative error of hayman_coeff} on the check-polynomial power
+    coefficient of relative weight omega at block length n."""
+    l, r = params.left_degree, params.right_degree
+    poly = exactcomb.poly_weight_check(r)
+    errs = {}
+    for n in ns:
+        m, k = n * l // r, round(n * l * omega)
+        errs[n] = abs(firstmoment.hayman_coeff(poly, m, k)
+                      / exactcomb.power_coeff(poly, m, k) - 1.0)
+    return errs
+
+
+def llt_errors(params, n, omega, alpha, offsets):
+    """{offset: relative error of local_limit_ratio} against the ratio of
+    exact pair-GF power coefficients (weight kind, block length n)."""
+    l, r = params.left_degree, params.right_degree
+    W, i0 = round(n * omega), round(n * alpha)
+    base = (l * (W - i0), l * i0, l * (W - i0))
+    pair = exactcomb.expand_pair_gf(params, KIND_WEIGHT)
+    indices = [base] + [tuple(base[k] + o[k] for k in range(3)) for o in offsets]
+    coeffs = exactcomb.power_coefficients(pair, n * l // r, indices)
+    errors = {}
+    for o, j in zip(offsets, indices[1:]):
+        pred = secondmoment.local_limit_ratio(params, KIND_WEIGHT, n, omega, alpha, o)
+        errors[o] = abs(pred / (coeffs[j] / coeffs[base]) - 1.0)
+    return errors
+
+
+def mc_attempts(params, n, W, kind, samples, seed, moment):
+    """[(|MC mean - exact|, 3-sigma halfwidth)] per attempt; an attempt
+    outside its 3-sigma band is rerun once with seed + samples."""
+    exact = float((exactcomb.exact_first_moment if moment == 1
+                   else exactcomb.exact_second_moment)(params, n, W, kind))
+    attempts = []
+    for trial in range(2):
+        est = ensemble_oracle.mc_moments(params, n, W, kind, samples,
+                                         seed + trial * samples, moment=moment)
+        attempts.append((abs(est.mean - exact), est.confidence_halfwidth_3sigma))
+        if attempts[-1][0] <= attempts[-1][1]:
+            break
+    return attempts
+
+
+def closed_form_gap(omegas):
+    """Worst |delta_value - delta34_closed_form| of (3,4) weight over omegas."""
+    params = EnsembleParams(3, 4)
+    gaps = [abs(secondmoment.delta_value(params, KIND_WEIGHT, w)
+                - secondmoment.delta34_closed_form(w)) for w in omegas]
+    return max(gaps, key=lambda g: math.inf if math.isnan(g) else g)  # NaN is worst
+
+
+def endpoint_gap(params, kind, omega):
+    """|saddle - extrapolated| endpoint exponent."""
+    sad, ext = (secondmoment.endpoint_exponent(params, kind, omega, method=method)
+                for method in ("saddle", "extrapolate"))
+    return abs(sad - ext)
+
+
+def disjoint_term_errors(params, omega, ns):
+    """{n: |ln S_0 / n - endpoint exponent|} for the exact disjoint-support
+    term S_0 of the weight-kind second moment at block length n."""
+    endpoint = secondmoment.endpoint_exponent(params, KIND_WEIGHT, omega)
+    return {n: abs(math.log(float(exactcomb.exact_term(
+        params, n, round(n * omega), 0, KIND_WEIGHT))) / n - endpoint) for n in ns}

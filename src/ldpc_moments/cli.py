@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import ensemble_oracle, exactcomb, firstmoment, secondmoment
+from . import checks, ensemble_oracle, exactcomb, firstmoment, secondmoment
 from .errors import SolverError, UnsupportedPolyError
 from .genfun import KIND_WEIGHT, KINDS, EnsembleParams
 
@@ -132,174 +132,89 @@ def run_verify(suite, seed=12345):
     """Run one named self-check suite; returns (rows, all_passed)."""
     if suite not in VERIFY_SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {VERIFY_SUITES}")
-    checks = {
-        "hayman": _verify_hayman,
-        "locallimit": _verify_locallimit,
-        "closedform": _verify_closedform,
-        "endpoint": _verify_endpoint,
-        "exact": _verify_exact,
-        "mc": _verify_mc,
-    }[suite](seed)
-    rows = [{"check": name, "status": status, "measured": measured,
-             "tolerance": tol} for name, status, measured, tol in checks]
-    ok = all(row["status"] != "FAIL" for row in rows)
-    return rows, ok
+    results = {"hayman": _verify_hayman, "locallimit": _verify_locallimit,
+               "closedform": _verify_closedform, "endpoint": _verify_endpoint,
+               "exact": _verify_exact, "mc": _verify_mc}[suite](seed)
+    rows = [{"check": name, "status": _STATUS[ok], "measured": measured,
+             "tolerance": tol} for name, ok, measured, tol in results]
+    return rows, all(row["status"] != "FAIL" for row in rows)
 
 
 # ---------------------------------------------------------------------------
-# verify suites
+# verify suites: (check, ok, measured, tolerance) rows; ok is None if skipped
+
+_STATUS = {True: "PASS", False: "FAIL", None: "SKIP"}
+_P36 = EnsembleParams(3, 6)
+
 
 def _verify_hayman(seed):
-    checks = []
     binom = exactcomb.ExactPolynomial(1, {0: 1, 1: 1})
-    approx = firstmoment.hayman_coeff(binom, 60, 18)
-    err = abs(approx / math.comb(60, 18) - 1.0)
-    checks.append(("binomial_60_18", _status(err <= 0.02), err, 0.02))
-
+    err = abs(firstmoment.hayman_coeff(binom, 60, 18) / math.comb(60, 18) - 1.0)
     p6 = exactcomb.poly_weight_check(6)
-    exact = exactcomb.power_coeff(p6, 50, 10)
-    ratio = firstmoment.hayman_coeff(p6, 50, 10) / exact
-    checks.append(("weight_poly_ratio", _status(0.95 <= ratio <= 1.05),
-                   ratio, "0.95..1.05"))
-
-    errs = {}
-    for n in (20, 40):
-        m, k = n * 3 // 6, round(n * 3 * 0.3)
-        exact = exactcomb.power_coeff(p6, m, k)
-        errs[n] = abs(firstmoment.hayman_coeff(p6, m, k) / exact - 1.0)
-    ok = errs[40] < errs[20] and errs[40] < 0.10 and errs[20] < 0.10
-    checks.append(("convergence_n20_n40", _status(ok),
-                   f"{errs[20]:.4g}->{errs[40]:.4g}", "decreasing <0.1"))
-
+    ratio = firstmoment.hayman_coeff(p6, 50, 10) / exactcomb.power_coeff(p6, 50, 10)
+    errs = checks.hayman_errors(_P36, 0.3, (20, 40))
     off = firstmoment.hayman_coeff(p6, 9, 7)  # odd index off the even lattice
-    checks.append(("off_lattice_zero", _status(off == 0.0), off, 0.0))
-
+    rows = [("binomial_60_18", err <= 0.02, err, 0.02),
+            ("weight_poly_ratio", 0.95 <= ratio <= 1.05, ratio, "0.95..1.05"),
+            ("convergence_n20_n40",
+             errs[40] < errs[20] and errs[40] < 0.10 and errs[20] < 0.10,
+             f"{errs[20]:.4g}->{errs[40]:.4g}", "decreasing <0.1"),
+            ("off_lattice_zero", off == 0.0, off, 0.0)]
     try:
         firstmoment.hayman_coeff(exactcomb.ExactPolynomial(1, {0: 5}), 10, 3)
-        checks.append(("single_term_poly", "FAIL", "no error raised", "UNSUPPORTED_POLY"))
+        rows.append(("single_term_poly", False, "no error raised", "UNSUPPORTED_POLY"))
     except UnsupportedPolyError:
-        checks.append(("single_term_poly", "SKIP", "UNSUPPORTED_POLY", "degenerate input"))
+        rows.append(("single_term_poly", None, "UNSUPPORTED_POLY", "degenerate input"))
     except ValueError as exc:
-        checks.append(("single_term_poly", "FAIL", repr(exc), "UNSUPPORTED_POLY"))
-    return checks
-
-
-def _llt_errors(params, n, omega, alpha, offsets):
-    l, r = params.left_degree, params.right_degree
-    W, i0 = round(n * omega), round(n * alpha)
-    base = (l * (W - i0), l * i0, l * (W - i0))
-    pair = exactcomb.expand_pair_gf(params, KIND_WEIGHT)
-    indices = [base] + [tuple(base[k] + o[k] for k in range(3)) for o in offsets]
-    coeffs = exactcomb.power_coefficients(pair, n * l // r, indices)
-    errors = {}
-    for o in offsets:
-        j = tuple(base[k] + o[k] for k in range(3))
-        exact_ratio = coeffs[j] / coeffs[base]
-        pred = secondmoment.local_limit_ratio(params, KIND_WEIGHT, n, omega,
-                                              alpha, o)
-        errors[o] = abs(pred / exact_ratio - 1.0)
-    return errors
+        rows.append(("single_term_poly", False, repr(exc), "UNSUPPORTED_POLY"))
+    return rows
 
 
 def _verify_locallimit(seed):
-    params = EnsembleParams(3, 6)
     omega, alpha = 1.0 / 3.0, 1.0 / 6.0
     offsets = [(-3, 3, -3), (3, -3, 3), (2, 0, 0), (0, 2, 0), (-1, 1, -1), (1, 1, 1)]
-    e24 = _llt_errors(params, 24, omega, alpha, offsets)
-    e48 = _llt_errors(params, 48, omega, alpha, offsets)
-    checks = []
-    for o in offsets:
-        ok = e24[o] <= 0.30 and e48[o] < e24[o]
-        checks.append((f"offset_{o[0]}_{o[1]}_{o[2]}", _status(ok),
-                       f"{e24[o]:.4g}->{e48[o]:.4g}", "<=0.3 decreasing"))
-    ident = secondmoment.local_limit_ratio(params, KIND_WEIGHT, 24, omega,
-                                           alpha, (0, 0, 0))
-    checks.append(("identity_offset", _status(ident == 1.0), ident, 1.0))
-    return checks
+    e24, e48 = (checks.llt_errors(_P36, n, omega, alpha, offsets) for n in (24, 48))
+    rows = [(f"offset_{o[0]}_{o[1]}_{o[2]}", e24[o] <= 0.30 and e48[o] < e24[o],
+             f"{e24[o]:.4g}->{e48[o]:.4g}", "<=0.3 decreasing") for o in offsets]
+    ident = secondmoment.local_limit_ratio(_P36, KIND_WEIGHT, 24, omega, alpha, (0, 0, 0))
+    return rows + [("identity_offset", ident == 1.0, ident, 1.0)]
 
 
 def _verify_closedform(seed):
-    params = EnsembleParams(3, 4)
-    checks = []
-    worst = 0.0
-    for k in range(15):
-        w = 0.15 + 0.05 * k
-        diff = abs(secondmoment.delta_value(params, KIND_WEIGHT, w)
-                   - secondmoment.delta34_closed_form(w))
-        worst = max(worst, diff)
-    checks.append(("grid_0.15_0.85", _status(worst <= 1e-9), worst, 1e-9))
+    worst = checks.closed_form_gap([0.15 + 0.05 * k for k in range(15)])
     spot = abs(secondmoment.delta34_closed_form(0.25) - 0.08059)
-    checks.append(("spot_0.25", _status(spot <= 1e-4), spot, 1e-4))
-    return checks
+    return [("grid_0.15_0.85", worst <= 1e-9, worst, 1e-9),
+            ("spot_0.25", spot <= 1e-4, spot, 1e-4)]
 
 
 def _verify_endpoint(seed):
-    params = EnsembleParams(3, 6)
-    checks = []
-    sad = secondmoment.endpoint_exponent(params, KIND_WEIGHT, 0.3, method="saddle")
-    ext = secondmoment.endpoint_exponent(params, KIND_WEIGHT, 0.3,
-                                         method="extrapolate")
-    diff = abs(sad - ext)
-    checks.append(("saddle_vs_extrapolation", _status(diff <= 1e-3), diff, 1e-3))
-
-    peak = secondmoment.exponent_curve(params, KIND_WEIGHT, 0.3, 0.09)
-    ident = abs(peak - 2.0 * firstmoment.growth_rate(params, KIND_WEIGHT, 0.3))
-    checks.append(("peak_identity", _status(ident <= 1e-8), ident, 1e-8))
-
-    # exact growth of the disjoint-support term approaches the endpoint value
-    endpoint = secondmoment.endpoint_exponent(params, KIND_WEIGHT, 0.5)
-    errs = {}
-    for n in (24, 48):
-        s0 = exactcomb.exact_term(params, n, n // 2, 0, KIND_WEIGHT)
-        errs[n] = abs(math.log(float(s0)) / n - endpoint)
-    ok = errs[48] < errs[24]
-    checks.append(("disjoint_term_growth", _status(ok),
-                   f"{errs[24]:.4g}->{errs[48]:.4g}", "decreasing"))
-    return checks
+    diff = checks.endpoint_gap(_P36, KIND_WEIGHT, 0.3)
+    peak = secondmoment.exponent_curve(_P36, KIND_WEIGHT, 0.3, 0.09)
+    ident = abs(peak - 2.0 * firstmoment.growth_rate(_P36, KIND_WEIGHT, 0.3))
+    errs = checks.disjoint_term_errors(_P36, 0.5, (24, 48))
+    return [("saddle_vs_extrapolation", diff <= 1e-3, diff, 1e-3),
+            ("peak_identity", ident <= 1e-8, ident, 1e-8),
+            ("disjoint_term_growth", errs[48] < errs[24],
+             f"{errs[24]:.4g}->{errs[48]:.4g}", "decreasing")]
 
 
 def _verify_exact(seed):
-    params = EnsembleParams(2, 4)
-    checks = []
+    rows = []
     for kind in KINDS:
-        worst = "match"
-        for W in range(5):
-            for moment in (1, 2):
-                ex = ensemble_oracle.exhaustive_moment(params, 4, W, kind, moment)
-                gf = (exactcomb.exact_first_moment(params, 4, W, kind) if moment == 1
-                      else exactcomb.exact_second_moment(params, 4, W, kind))
-                if ex != gf:
-                    worst = f"W={W} m={moment}: {ex} != {gf}"
-        checks.append((f"exhaustive_{kind}", _status(worst == "match"),
-                       worst, "exact equality"))
-    return checks
+        bad = checks.exhaustive_mismatches(EnsembleParams(2, 4), 4, kind)
+        worst = "W={} m={}: {} != {}".format(*bad[-1]) if bad else "match"
+        rows.append((f"exhaustive_{kind}", not bad, worst, "exact equality"))
+    return rows
 
 
 def _verify_mc(seed):
-    params = EnsembleParams(3, 6)
-    n, W, samples = 12, 4, 10_000
-    checks = []
-    for moment, exact in (
-            (1, exactcomb.exact_first_moment(params, n, W, KIND_WEIGHT)),
-            (2, exactcomb.exact_second_moment(params, n, W, KIND_WEIGHT))):
-        attempts = []
-        ok = False
-        for trial in range(2):  # rerun once with a fresh seed on failure
-            est = ensemble_oracle.mc_moments(
-                params, n, W, KIND_WEIGHT, samples,
-                seed + trial * samples, moment=moment)
-            dev = abs(est.mean - float(exact))
-            attempts.append(f"{dev:.4g}/{est.confidence_halfwidth_3sigma:.4g}")
-            if dev <= est.confidence_halfwidth_3sigma:
-                ok = True
-                break
-        checks.append((f"moment{moment}_3sigma", _status(ok),
-                       ";".join(attempts), "|dev| <= 3sigma"))
-    return checks
-
-
-def _status(ok):
-    return "PASS" if ok else "FAIL"
+    rows = []
+    for moment in (1, 2):
+        attempts = checks.mc_attempts(_P36, 12, 4, KIND_WEIGHT, 10_000, seed, moment)
+        rows.append((f"moment{moment}_3sigma", any(dev <= hw for dev, hw in attempts),
+                     ";".join(f"{dev:.4g}/{hw:.4g}" for dev, hw in attempts),
+                     "|dev| <= 3sigma"))
+    return rows
 
 
 def _error_code(exc):
@@ -411,6 +326,8 @@ def _parse_pairs(text):
 
 
 def _grid(args, parser):
+    if not (math.isfinite(args.min) and math.isfinite(args.max)):
+        parser.error("--min and --max must be finite")
     if not args.min < args.max:
         parser.error("--min must be smaller than --max")
     if args.steps < 2:
@@ -482,6 +399,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         code = getattr(exc, "code", "INVALID")
         print(f"invalid input [{code}]: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # only --out is opened
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
     return 0
 

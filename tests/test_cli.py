@@ -185,6 +185,25 @@ class TestUsageErrors:
                      "--max", "0.2", "--steps", "5"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["growth", "bound"])
+    @pytest.mark.parametrize("lo,hi", [("0.1", "inf"), ("nan", "0.3"), ("0.1", "nan")])
+    def test_non_finite_grid(self, command, lo, hi, capsys):
+        assert main([command, "--l", "3", "--r", "6", "--min", lo, "--max", hi,
+                     "--steps", "3"]) == 2
+        captured = capsys.readouterr()
+        assert "--min and --max must be finite" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command", [
+        ["growth", "--l", "3", "--r", "6", "--min", "0.2", "--max", "0.3",
+         "--steps", "2"],
+        ["verify", "--suite", "hayman"],
+    ], ids=["growth", "verify"])
+    def test_unwritable_out(self, command, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.csv"
+        assert main(command + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(out) in err and "Traceback" not in err
+
     def test_steps_minimum(self, capsys):
         assert main(["growth", "--l", "3", "--r", "6", "--min", "0.1",
                      "--max", "0.2", "--steps", "1"]) == 2

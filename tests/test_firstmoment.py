@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ldpc_moments import exactcomb
+from ldpc_moments import checks, exactcomb
 from ldpc_moments.errors import NoRootError, UnsupportedPolyError
 from ldpc_moments.exactcomb import ExactPolynomial, exact_first_moment, power_coeff
 from ldpc_moments.firstmoment import (
@@ -117,11 +117,7 @@ class TestHaymanCoeff:
 
     def test_doubling_block_length_tightens(self):
         # (3,6) at relative weight 0.3: each doubling shrinks the error
-        p6 = exactcomb.poly_weight_check(6)
-        errs = {}
-        for n in (20, 40, 80):
-            m, k = n // 2, round(n * 3 * 0.3)
-            errs[n] = abs(hayman_coeff(p6, m, k) / power_coeff(p6, m, k) - 1.0)
+        errs = checks.hayman_errors(P36, 0.3, (20, 40, 80))
         assert errs[40] < errs[20]
         assert errs[80] < errs[40]
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ldpc_moments import exactcomb, firstmoment, secondmoment
+from ldpc_moments import checks, exactcomb, firstmoment, secondmoment
 from ldpc_moments.errors import DomainError, OffLatticeError
 from ldpc_moments.firstmoment import growth_rate, min_abscissa, solve_saddle
 from ldpc_moments.genfun import EnsembleParams, pair_gf_stop, pair_gf_weight, pair_stats
@@ -137,23 +137,15 @@ class TestEndpoint:
                 < 2.0 * growth_rate(P36, "weight", 0.3))
 
     def test_methods_agree(self):
-        sad = endpoint_exponent(P36, "weight", 0.3, method="saddle")
-        ext = endpoint_exponent(P36, "weight", 0.3, method="extrapolate")
-        assert sad == pytest.approx(ext, abs=1e-3)
+        assert checks.endpoint_gap(P36, "weight", 0.3) <= 1e-3
 
     def test_exact_disjoint_term_growth_converges(self):
         # at omega=0.5 the saddle path diverges; extrapolation serves it
-        endpoint = endpoint_exponent(P36, "weight", 0.5)
-        errs = {}
-        for n in (24, 48):
-            s0 = exactcomb.exact_term(P36, n, n // 2, 0, "weight")
-            errs[n] = abs(math.log(s0.numerator / s0.denominator) / n - endpoint)
+        errs = checks.disjoint_term_errors(P36, 0.5, (24, 48))
         assert errs[48] < errs[24]
 
     def test_stopping_kind(self):
-        sad = endpoint_exponent(P36, "stopping", 0.3, method="saddle")
-        ext = endpoint_exponent(P36, "stopping", 0.3, method="extrapolate")
-        assert sad == pytest.approx(ext, abs=1e-3)
+        assert checks.endpoint_gap(P36, "stopping", 0.3) <= 1e-3
 
 
 class TestVerifyConditions:
@@ -264,6 +256,34 @@ class TestScanGrid:
         assert len(calls) <= 300
 
 
+class TestContinuation:
+    def test_near_corner_needs_continuation(self, monkeypatch):
+        # 1e-12 above the alpha = 2w - 1 corner no Newton start converges;
+        # only the continuation from the omega^2 anchor reaches the target
+        params, omega, alpha = EnsembleParams(3, 32), 0.999, 0.998 + 1e-12
+        solved = []
+        real = secondmoment._continuation_solve
+
+        def counted(*args):
+            result = real(*args)
+            solved.append(result is not None
+                          and result[0] < secondmoment._ACCEPT_TOL)
+            return result
+
+        monkeypatch.setattr(secondmoment, "_continuation_solve", counted)
+        value = exponent_curve(params, "weight", omega, alpha)
+        assert solved == [True]
+        assert value == pytest.approx(0.0023782257585, abs=1e-12)
+        # a warm-started march down from omega^2 needs no continuation
+        alphas = 0.998 + np.geomspace(1e-12, omega * omega - 0.998, 50)
+        alphas[0] = alpha
+        x_star = solve_saddle(params, "weight", omega)
+        t1, t2, val = _sequential_grid(params, "weight", omega, x_star, alphas)
+        assert len(solved) == 1
+        march = secondmoment._exponent(params, omega, alpha, t1[0], t2[0], val[0])
+        assert march == pytest.approx(value, abs=1e-12)
+
+
 class TestDelta:
     def test_half_abscissa_34_is_tight(self):
         rep = delta(P34, "weight", 0.5, 0.95)
@@ -319,10 +339,7 @@ class TestClosedForm34:
         assert delta34_closed_form(0.25) == pytest.approx(0.08059, abs=1e-4)
 
     def test_matches_pipeline_on_grid(self):
-        for k in range(15):
-            w = 0.15 + 0.05 * k
-            assert delta_value(P34, "weight", w) == pytest.approx(
-                delta34_closed_form(w), abs=1e-9)
+        assert checks.closed_form_gap([0.15 + 0.05 * k for k in range(15)]) <= 1e-9
 
     def test_domain_guard(self):
         # the radicand stays positive on (0,1), shrinking to 0 at the edges;
@@ -341,22 +358,10 @@ class TestLocalLimitRatio:
 
     def test_prediction_accuracy_and_convergence(self):
         offsets = [(-3, 3, -3), (2, 0, 0), (-1, 1, -1)]
-        errs = {}
-        for n in (24, 48):
-            m = n // 2
-            W, i0 = n // 3, n // 6
-            base = (3 * (W - i0), 3 * i0, 3 * (W - i0))
-            pair = exactcomb.expand_pair_gf(P36, "weight")
-            idx = [base] + [tuple(base[k] + o[k] for k in range(3))
-                            for o in offsets]
-            coeffs = exactcomb.power_coefficients(pair, m, idx)
-            for o in offsets:
-                j = tuple(base[k] + o[k] for k in range(3))
-                pred = local_limit_ratio(P36, "weight", n, 1 / 3, 1 / 6, o)
-                errs[(n, o)] = abs(pred / (coeffs[j] / coeffs[base]) - 1.0)
+        errs = {n: checks.llt_errors(P36, n, 1 / 3, 1 / 6, offsets) for n in (24, 48)}
         for o in offsets:
-            assert errs[(24, o)] < 0.30
-            assert errs[(48, o)] < errs[(24, o)]
+            assert errs[24][o] < 0.30
+            assert errs[48][o] < errs[24][o]
 
     def test_mixed_parity_offset_off_lattice(self):
         with pytest.raises(OffLatticeError):
