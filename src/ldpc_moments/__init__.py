@@ -44,7 +44,6 @@ from .genfun import (
 from .secondmoment import (
     ConcentrationReport,
     ConditionReport,
-    OverlapSaddle,
     StationaryPoint,
     delta,
     delta34_closed_form,
@@ -52,8 +51,6 @@ from .secondmoment import (
     endpoint_exponent,
     exponent_curve,
     local_limit_ratio,
-    solve_overlap,
-    stationarity_residual,
     verify_conditions,
 )
 

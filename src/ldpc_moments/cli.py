@@ -383,6 +383,8 @@ def main(argv=None) -> int:
             _emit(args, EXACT_HEADER, rows)
         elif args.command == "mc":
             params = EnsembleParams(args.l, args.r)
+            if args.samples < 2:
+                parser.error("--samples must be at least 2")
             rows = run_mc(params, args.kind, args.n, _block_index(args, parser),
                           args.samples, args.seed)
             _emit(args, MC_HEADER, rows)
@@ -393,8 +395,9 @@ def main(argv=None) -> int:
                 return 1
     except SystemExit as exc:
         return int(exc.code or 0)
-    except SolverError as exc:
-        print(f"numerical failure [{exc.code}]: {exc}", file=sys.stderr)
+    except (SolverError, ArithmeticError) as exc:
+        code = getattr(exc, "code", type(exc).__name__)
+        print(f"numerical failure [{code}]: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         code = getattr(exc, "code", "INVALID")

@@ -98,7 +98,11 @@ def stop_gf(params: EnsembleParams, x: float) -> float:
 
 
 def pair_gf_weight(params: EnsembleParams, pt) -> float:
-    """Evaluate the codeword-pair generating function f at a point >= 0."""
+    """Evaluate the codeword-pair generating function f at a point >= 0.
+
+    An independent closed form, kept as an oracle for :func:`pair_vgh`,
+    which the solvers use; nothing in the package calls it.
+    """
     x1, x2, x3 = _check_point(pt)
     r = params.right_degree
     return 0.25 * sum(
@@ -110,6 +114,8 @@ def pair_gf_stop(params: EnsembleParams, pt) -> float:
 
     g contains subtracted terms, so the value may be negative far from the
     region of interest; callers taking ln(g) must check the sign first.
+    Like :func:`pair_gf_weight`, an independent closed form kept as an
+    oracle for :func:`pair_vgh`.
     """
     x1, x2, x3 = _check_point(pt)
     r = params.right_degree

@@ -43,30 +43,12 @@ from .genfun import (
 
 _NEWTON_TOL = 1e-13
 _ACCEPT_TOL = 1e-11  # well inside the 1e-10 contract
-_SEED_SCALES = (1.0, 0.5, 2.0, 0.1, 10.0)
 _DET_FLOOR = 1e-14
 _GRID_POINTS = 2000
 _COARSE_STRIDE = 32  # grid spacing of the scalar warm-start chain
 _GRID_MARGIN = 1e-4
 _ENDPOINT_STEPS = (1e-3, 1e-4)
 _ENDPOINT_DISAGREE = 1e-2
-
-
-@dataclass(frozen=True)
-class OverlapSaddle:
-    """Positive solution of the overlap saddle system at one alpha.
-
-    t3 = t1 is implicit (the system is symmetric in the two exclusive edge
-    classes).  ``sigma_c2`` is the curvature of the coefficient sequence
-    along the overlap direction: 1 / (l*r * (-1,1,-1) B^(-1) (-1,1,-1)^T).
-    """
-
-    alpha: float
-    t1: float
-    t2: float
-    gf_value: float
-    b_matrix: np.ndarray
-    sigma_c2: float
 
 
 @dataclass(frozen=True)
@@ -114,35 +96,6 @@ class ConcentrationReport:
     condition2_ok: bool
     diagnostics: list
     warnings: list = field(default_factory=list)
-
-
-def solve_overlap(params: EnsembleParams, kind: str, omega: float,
-                  alpha: float) -> OverlapSaddle:
-    """Solve the reduced two-variable overlap saddle system at (omega, alpha).
-
-    Damped Newton from (x*, x*^2) and rescaled retries; residuals of the two
-    reduced equations are below 1e-10 on return.
-    """
-    check_kind(kind)
-    _check_alpha(omega, alpha)
-    t1, t2, val, B = _inner_solve(params, kind, omega, alpha, None)
-    Bm = np.array(B)
-    det = _det3(B)
-    if abs(det) < _DET_FLOOR:
-        raise SingularMatrixError(f"|B| = {det:g} at alpha = {alpha}")
-    sigma_c2 = _sigma_c2(params, B)
-    return OverlapSaddle(alpha=alpha, t1=t1, t2=t2, gf_value=val,
-                         b_matrix=Bm, sigma_c2=sigma_c2)
-
-
-def stationarity_residual(params: EnsembleParams, kind: str, omega: float,
-                          alpha: float) -> float:
-    """Psi(alpha): derivative of the overlap exponent; zero at stationary
-    overlap fractions.  Psi = (l-1) ln[a(1-2w+a)/(w-a)^2] - l ln(t2/t1^2)."""
-    check_kind(kind)
-    _check_alpha(omega, alpha)
-    t1, t2, _, _ = _inner_solve(params, kind, omega, alpha, None)
-    return float(_psi(params, omega, alpha, t1, t2))
 
 
 def exponent_curve(params: EnsembleParams, kind: str, omega: float,
@@ -406,38 +359,27 @@ def _inner_solve(params: EnsembleParams, kind: str, omega: float, alpha: float,
                  seed, x_star=None):
     """Damped Newton for the reduced system a1/r = omega - alpha, a2/r = alpha.
 
-    Tries the warm seed, then rescaled (x*, x*^2) seeds, then a geometric
-    continuation from the omega^2 anchor toward the target (the solution
-    scale blows up like one over the distance to the overlap-range corners,
-    so single far jumps can stall).  x* is solved for only if the warm seed
-    fails and the caller did not pass it.  Returns (t1, t2, val, B) of the
-    accepted point."""
-    best = None
-    if seed is not None:
-        result = _newton_from(params, kind, omega, alpha, seed[0], seed[1])
-        if result is not None:
-            if result[0] < _ACCEPT_TOL:
-                return result[1:]
-            best = result
+    Starts from the warm seed or, without one, from the omega^2 anchor
+    (x*, x*^2).  If that start fails, the one fallback is a geometric
+    continuation from the anchor toward the target (the solution scale blows
+    up like one over the distance to the overlap-range corners, so single
+    far jumps can stall).  x* is solved for only when needed and the caller
+    did not pass it.  Returns (t1, t2, val, B) of the accepted point."""
+    if seed is None:
+        if x_star is None:
+            x_star = solve_saddle(params, kind, omega)
+        seed = (x_star, x_star * x_star)
+    result = _newton_from(params, kind, omega, alpha, seed[0], seed[1])
+    if result is not None and result[0] < _ACCEPT_TOL:
+        return result[1:]
     if x_star is None:
         x_star = solve_saddle(params, kind, omega)
-    for s in _SEED_SCALES:
-        result = _newton_from(params, kind, omega, alpha,
-                              s * x_star, s * x_star * x_star)
-        if result is None:
-            continue
-        if result[0] < _ACCEPT_TOL:
-            return result[1:]
-        if best is None or result[0] < best[0]:
-            best = result
     result = _continuation_solve(params, kind, omega, alpha, x_star)
     if result is not None and result[0] < _ACCEPT_TOL:
         return result[1:]
-    if result is not None and (best is None or result[0] < best[0]):
-        best = result
     raise NoConvergenceError(
         f"overlap solve failed at omega={omega}, alpha={alpha}"
-        + (f" (best residual {best[0]:g})" if best else ""))
+        + (f" (continuation residual {result[0]:g})" if result else ""))
 
 
 def _continuation_solve(params, kind, omega, alpha, x_star):
@@ -534,7 +476,7 @@ def _scan_grid(params, kind, omega, x_star):
     chain solution on the omega^2 side, and one batched damped Newton
     solves them all.  A point it leaves above _ACCEPT_TOL goes through
     :func:`_inner_solve`, warm-started from its grid neighbour on the
-    omega^2 side.
+    omega^2 side, so it ends in the same continuation as any failed solve.
     """
     lo_edge, margin = _grid_window(omega)
     alphas = np.linspace(lo_edge + margin, omega - margin, _GRID_POINTS)

@@ -109,8 +109,9 @@ def test_criterion_06_square_overlap_saddle_identity():
         if firstmoment.growth_rate(params, kind, omega) <= 0.0:
             continue
         x = firstmoment.solve_saddle(params, kind, omega)
-        s = secondmoment.solve_overlap(params, kind, omega, omega * omega)
-        worst_t = max(worst_t, abs(s.t1 - x), abs(s.t2 - x * x))
+        t1, t2, _, _ = secondmoment._inner_solve(params, kind, omega,
+                                                 omega * omega, None)
+        worst_t = max(worst_t, abs(t1 - x), abs(t2 - x * x))
         peak = secondmoment.exponent_curve(params, kind, omega, omega * omega)
         growth = firstmoment.growth_rate(params, kind, omega)
         worst_e = max(worst_e, abs(peak - 2.0 * growth))

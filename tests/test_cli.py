@@ -66,6 +66,16 @@ class TestBoundCurve:
         assert isinstance(rows[2]["bound"], float)
 
 
+class TestNumericalFailure:
+    def test_overflow_exits_3_without_traceback(self, capsys):
+        # the check-degree power in the pair kernel overflows at r = 64
+        assert main(["bound", "--l", "3", "--r", "64", "--min", "0.01",
+                     "--max", "0.99", "--steps", "9"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure [")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 class TestTable:
     def test_rate_half_values(self, tmp_path):
         out = tmp_path / "table.csv"
@@ -145,6 +155,13 @@ class TestExactAndMc:
         lines = out.splitlines()
         assert lines[0] == "moment,mean,variance,halfwidth,exact,within_3sigma"
         assert lines[1].split(",")[-1] == "true"
+
+    def test_mc_needs_two_samples(self, capsys):
+        # one sample has no sample variance, so no confidence interval
+        assert main(["mc", "--l", "2", "--r", "4", "--n", "4", "--weight", "2",
+                     "--samples", "1", "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert "--samples must be at least 2" in captured.err and captured.out == ""
 
     def test_mc_seeded_byte_identical(self, tmp_path):
         args = ["mc", "--l", "2", "--r", "4", "--n", "4", "--weight", "2",

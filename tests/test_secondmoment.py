@@ -16,18 +16,17 @@ from ldpc_moments.secondmoment import (
     endpoint_exponent,
     exponent_curve,
     local_limit_ratio,
-    solve_overlap,
-    stationarity_residual,
     verify_conditions,
 )
+from ldpc_moments.secondmoment import _det3, _inner_solve, _psi, _sigma_c2
 
 P36 = EnsembleParams(3, 6)
 P34 = EnsembleParams(3, 4)
 
 
-def _reduced_residuals(params, kind, omega, alpha, saddle):
+def _reduced_residuals(params, kind, omega, alpha, t1, t2):
     """Residuals of the two reduced saddle equations, as printed (a_i / r)."""
-    a = pair_stats(params, kind, saddle.t1, saddle.t2, saddle.t1)[1]
+    a = pair_stats(params, kind, t1, t2, t1)[1]
     r = params.right_degree
     return (abs(a[0] / r - (omega - alpha)),
             abs(a[1] / r - alpha))
@@ -36,36 +35,27 @@ def _reduced_residuals(params, kind, omega, alpha, saddle):
 class TestSolveOverlap:
     def test_square_overlap_reduces_to_univariate_saddle(self):
         x = solve_saddle(P36, "weight", 0.3)
-        s = solve_overlap(P36, "weight", 0.3, 0.09)
-        assert s.t1 == pytest.approx(x, abs=1e-9)
-        assert s.t2 == pytest.approx(x * x, abs=1e-9)
+        t1, t2, _, _ = _inner_solve(P36, "weight", 0.3, 0.09, None)
+        assert t1 == pytest.approx(x, abs=1e-9)
+        assert t2 == pytest.approx(x * x, abs=1e-9)
 
     def test_near_diagonal_limit(self):
         x = solve_saddle(P36, "weight", 0.3)
-        s = solve_overlap(P36, "weight", 0.3, 0.3 - 1e-5)
-        assert s.t1 < 0.02
-        assert s.t2 == pytest.approx(x, abs=0.01)
+        t1, t2, _, _ = _inner_solve(P36, "weight", 0.3, 0.3 - 1e-5, None)
+        assert t1 < 0.02
+        assert t2 == pytest.approx(x, abs=0.01)
 
     def test_residuals_and_positivity(self):
-        s = solve_overlap(P36, "weight", 0.3, 0.05)
-        r1, r2 = _reduced_residuals(P36, "weight", 0.3, 0.05, s)
+        t1, t2, val, _ = _inner_solve(P36, "weight", 0.3, 0.05, None)
+        r1, r2 = _reduced_residuals(P36, "weight", 0.3, 0.05, t1, t2)
         assert r1 < 1e-10 and r2 < 1e-10
-        assert s.gf_value > 0.0
+        assert val > 0.0
 
     @pytest.mark.parametrize("kind,gf", [("weight", pair_gf_weight),
                                          ("stopping", pair_gf_stop)])
     def test_gf_value_consistent(self, kind, gf):
-        s = solve_overlap(P36, kind, 0.3, 0.11)
-        assert s.gf_value == pytest.approx(
-            gf(P36, (s.t1, s.t2, s.t1)), rel=1e-12)
-
-    def test_alpha_domain_enforced(self):
-        with pytest.raises(ValueError):
-            solve_overlap(P36, "weight", 0.3, 0.3)
-        with pytest.raises(ValueError):
-            solve_overlap(P36, "weight", 0.3, 0.0)
-        with pytest.raises(ValueError):
-            solve_overlap(P36, "weight", 0.7, 0.39)  # below 2w-1
+        t1, t2, val, _ = _inner_solve(P36, kind, 0.3, 0.11, None)
+        assert val == pytest.approx(gf(P36, (t1, t2, t1)), rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["weight", "stopping"])
     @pytest.mark.parametrize(
@@ -78,41 +68,55 @@ class TestSolveOverlap:
             if growth_rate(params, kind, omega) <= 0:
                 continue
             x = solve_saddle(params, kind, omega)
-            s = solve_overlap(params, kind, omega, omega * omega)
-            assert s.t1 == pytest.approx(x, abs=1e-9)
-            assert s.t2 == pytest.approx(x * x, abs=1e-9)
+            t1, t2, val, _ = _inner_solve(params, kind, omega, omega * omega,
+                                          None)
+            assert t1 == pytest.approx(x, abs=1e-9)
+            assert t2 == pytest.approx(x * x, abs=1e-9)
             # the pair function collapses to the squared single-check GF
             phi = pair_gf_weight if kind == "weight" else pair_gf_stop
             single = phi(params, (x, x * x, x))
-            assert s.gf_value == pytest.approx(single, rel=1e-12)
+            assert val == pytest.approx(single, rel=1e-12)
 
     def test_b_matrix_positive_definite_and_sigma_positive(self):
         for alpha in (0.05, 0.09, 0.2, 0.28):
-            s = solve_overlap(P36, "weight", 0.3, alpha)
-            np.linalg.cholesky(s.b_matrix)  # raises if not pd
-            assert s.sigma_c2 > 0.0
+            B = _inner_solve(P36, "weight", 0.3, alpha, None)[3]
+            assert abs(_det3(B)) >= secondmoment._DET_FLOOR
+            np.linalg.cholesky(np.array(B))  # raises if not pd
+            assert _sigma_c2(P36, B) > 0.0
 
 
 class TestStationarity:
     @pytest.mark.parametrize("params,omega", [(P36, 0.3), (P34, 0.25)])
     def test_square_overlap_is_stationary(self, params, omega):
-        assert abs(stationarity_residual(
-            params, "weight", omega, omega * omega)) < 1e-8
+        alpha = omega * omega
+        t1, t2, _, _ = _inner_solve(params, "weight", omega, alpha, None)
+        assert abs(_psi(params, omega, alpha, t1, t2)) < 1e-8
 
     def test_sign_change_across_square_overlap(self):
-        lo = stationarity_residual(P36, "weight", 0.3, 0.09 - 1e-3)
-        hi = stationarity_residual(P36, "weight", 0.3, 0.09 + 1e-3)
-        assert lo > 0.0 > hi
+        psis = []
+        for alpha in (0.09 - 1e-3, 0.09 + 1e-3):
+            t1, t2, _, _ = _inner_solve(P36, "weight", 0.3, alpha, None)
+            psis.append(_psi(P36, 0.3, alpha, t1, t2))
+        assert psis[0] > 0.0 > psis[1]
 
     def test_fine_grid_sign_pattern(self):
-        alphas = np.linspace(0.05, 0.13, 17)
-        signs = [math.copysign(1.0, stationarity_residual(
-            P36, "weight", 0.3, float(a))) for a in alphas]
+        signs = []
+        for alpha in np.linspace(0.05, 0.13, 17).tolist():
+            t1, t2, _, _ = _inner_solve(P36, "weight", 0.3, alpha, None)
+            signs.append(math.copysign(1.0, _psi(P36, 0.3, alpha, t1, t2)))
         flips = sum(s1 != s2 for s1, s2 in zip(signs, signs[1:]))
         assert flips == 1  # exactly one crossing in this window: at 0.09
 
 
 class TestExponentCurve:
+    def test_alpha_domain_enforced(self):
+        with pytest.raises(ValueError):
+            exponent_curve(P36, "weight", 0.3, 0.3)
+        with pytest.raises(ValueError):
+            exponent_curve(P36, "weight", 0.3, 0.0)
+        with pytest.raises(ValueError):
+            exponent_curve(P36, "weight", 0.7, 0.39)  # below 2w-1
+
     def test_peak_identity(self):
         peak = exponent_curve(P36, "weight", 0.3, 0.09)
         assert peak == pytest.approx(
@@ -242,18 +246,27 @@ class TestScanGrid:
 
     def test_scan_makes_few_scalar_solves(self, monkeypatch):
         # the sequential scan made 2,076 scalar solves for this row; the
-        # coarse chain, bisection, probes and endpoints now need about 140
-        calls = []
-        real = secondmoment._inner_solve
+        # coarse chain, bisection, probes and endpoints now need 140, and
+        # each is accepted from its first Newton start: no continuation
+        starts, per_solve = [], []
+        real_solve, real_newton = secondmoment._inner_solve, secondmoment._newton_from
+
+        def newton(*args):
+            starts.append(args)
+            return real_newton(*args)
 
         def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+            before = len(starts)
+            result = real_solve(*args, **kwargs)
+            per_solve.append(len(starts) - before)
+            return result
 
+        monkeypatch.setattr(secondmoment, "_newton_from", newton)
         monkeypatch.setattr(secondmoment, "_inner_solve", counted)
         rep = verify_conditions(P36, "weight", 0.3)
         assert rep.condition1_ok and rep.condition2_ok
-        assert len(calls) <= 300
+        assert len(per_solve) <= 150
+        assert set(per_solve) == {1}
 
 
 class TestContinuation:
@@ -282,6 +295,37 @@ class TestContinuation:
         assert len(solved) == 1
         march = secondmoment._exponent(params, omega, alpha, t1[0], t2[0], val[0])
         assert march == pytest.approx(value, abs=1e-12)
+
+
+class TestFallback:
+    def test_failed_start_falls_back_to_continuation(self, monkeypatch):
+        # when the warm start fails, the continuation from the omega^2
+        # anchor (seven steps here) must land on the solution the warm start
+        # would have found
+        omega, alpha = 0.3, 0.001
+        x_star = solve_saddle(P36, "weight", omega)
+        want = _inner_solve(P36, "weight", omega, alpha, None, x_star)
+        real_newton, real_march = (secondmoment._newton_from,
+                                   secondmoment._continuation_solve)
+        starts, marches = [], []
+
+        def failing_first(*args):
+            starts.append(args)
+            return None if len(starts) == 1 else real_newton(*args)
+
+        def counted(*args):
+            marches.append(args)
+            return real_march(*args)
+
+        monkeypatch.setattr(secondmoment, "_newton_from", failing_first)
+        monkeypatch.setattr(secondmoment, "_continuation_solve", counted)
+        got = _inner_solve(P36, "weight", omega, alpha, want[:2], x_star)
+        assert len(marches) == 1 and len(starts) > 2
+        for g, w in zip(got[:2], want[:2]):
+            assert g == pytest.approx(w, rel=1e-10)
+        exps = [secondmoment._exponent(P36, omega, alpha, *v[:3])
+                for v in (got, want)]
+        assert exps[0] == pytest.approx(exps[1], abs=1e-12)
 
 
 class TestDelta:
@@ -392,7 +436,6 @@ class TestSecondMomentPrefactor:
         (2 pi n sqrt((w^2(1-w)^2 - (l-1) sigma_c^2) |B|)),
         with d = 4 for the parity-constrained codeword pair function, 1 for
         the stopping pair function."""
-        from ldpc_moments.secondmoment import _det3, _sigma_c2
         l, r = params.left_degree, params.right_degree
         x = solve_saddle(params, kind, w)
         B = pair_stats(params, kind, x, x * x, x)[2]
@@ -428,12 +471,13 @@ class TestSigmaCurvatureCrossCheck:
         for n in (48, 96):
             W = n // 3
             i0 = round(n * w * w)
-            s = solve_overlap(P36, "weight", w, i0 / n)
+            B = _inner_solve(P36, "weight", w, i0 / n, None)[3]
+            sigma_c2 = _sigma_c2(P36, B)
             idx = [(3 * (W - i), 3 * i, 3 * (W - i)) for i in
                    (i0 - 1, i0, i0 + 1)]
             coeffs = exactcomb.power_coefficients(pair, n // 2, idx)
             lnc = [math.log(coeffs[ix]) for ix in idx]
             d2 = lnc[2] - 2.0 * lnc[1] + lnc[0]
-            rel[n] = abs(d2 / (-1.0 / (n * s.sigma_c2)) - 1.0)
+            rel[n] = abs(d2 / (-1.0 / (n * sigma_c2)) - 1.0)
         assert rel[48] < 0.20
         assert rel[96] < rel[48]
