@@ -73,10 +73,13 @@ def bisect_root(below, lo: float, hi: float, steps: int, tol: float = 0.0) -> fl
 
     ``below(x)`` is true when the root lies above x; it is called once per
     step, in order, so a caller may carry state from one call to the next.
-    Stops early once the bracket is narrower than ``tol``.
+    Stops early once the bracket is narrower than ``tol``, or once the
+    midpoint rounds onto an end, after which the result can no longer move.
     """
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         if below(mid):
             lo = mid
         else:
@@ -91,7 +94,7 @@ def solve_saddle(params: EnsembleParams, kind: str, abscissa: float,
     """Unique positive root x of a_phi(x) = r * abscissa, phi in {p, beta}.
 
     a_phi is strictly increasing from 0 to r, so the root is bracketed by
-    doubling from 1e-8, pinned by 80 bisection steps and polished by Newton
+    doubling from 1e-8, bisected (at most 80 steps) and polished by Newton
     (a' = b/x).  Residual |a(x) - r*abscissa| < 1e-12.
 
     A positive ``seed`` (say, the saddle of a neighbouring abscissa) is

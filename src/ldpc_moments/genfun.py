@@ -173,15 +173,18 @@ def pair_ratios(x, val, grad, hess):
     Arithmetic only, so the components may be floats or equal-length numpy
     arrays (one point per entry); no positivity check is made here.
     """
+    x1, x2, x3 = x
     # ratios first: grad products and val^2 can overflow while val itself
     # is still comfortably representable
-    g_over = [grad[i] / val for i in range(3)]
-    a = [x[i] * g_over[i] for i in range(3)]
-    B = [[x[i] * x[j] * (hess[i][j] / val - g_over[i] * g_over[j])
-          for j in range(3)] for i in range(3)]
-    for i in range(3):
-        B[i][i] += a[i]
-    return a, B
+    g1, g2, g3 = grad[0] / val, grad[1] / val, grad[2] / val
+    (h11, h12, h13), (_, h22, h23), (_, _, h33) = hess
+    a1, a2, a3 = x1 * g1, x2 * g2, x3 * g3
+    B12 = x1 * x2 * (h12 / val - g1 * g2)
+    B13 = x1 * x3 * (h13 / val - g1 * g3)
+    B23 = x2 * x3 * (h23 / val - g2 * g3)
+    return [a1, a2, a3], [[x1 * x1 * (h11 / val - g1 * g1) + a1, B12, B13],
+                          [B12, x2 * x2 * (h22 / val - g2 * g2) + a2, B23],
+                          [B13, B23, x3 * x3 * (h33 / val - g3 * g3) + a3]]
 
 
 def pair_vgh(params: EnsembleParams, kind: str, x1: float, x2: float, x3: float):
@@ -190,57 +193,46 @@ def pair_vgh(params: EnsembleParams, kind: str, x1: float, x2: float, x3: float)
     Returns plain floats/lists; used by the Newton solvers where building
     numpy arrays per evaluation would dominate the cost.  The body is
     arithmetic only, so equal-length numpy arrays of points work as well
-    and give arrays in place of the floats.
+    and give arrays in place of the floats.  The Hessian is symmetric, and
+    for f its three diagonal entries are one object.
     """
     r = params.right_degree
     if kind == KIND_WEIGHT:
-        val = 0.0
-        grad = [0.0, 0.0, 0.0]
-        hess = [[0.0] * 3 for _ in range(3)]
-        for s in _F_SIGNS:
-            base = 1.0 + s[0] * x1 + s[1] * x2 + s[2] * x3
-            b0 = base ** (r - 2)
-            b1 = b0 * base
-            val += b1 * base
-            for i in range(3):
-                grad[i] += s[i] * b1
-                for j in range(i, 3):
-                    hess[i][j] += s[i] * s[j] * b0
-        val *= 0.25
-        c1 = 0.25 * r
-        c2 = 0.25 * r * (r - 1)
-        grad = [c1 * gi for gi in grad]
-        for i in range(3):
-            for j in range(i, 3):
-                hess[i][j] *= c2
-                hess[j][i] = hess[i][j]
-        return val, grad, hess
+        # brackets in _F_SIGNS order; every sum keeps that order (pinned bits)
+        A = 1.0 + x1 + x2 + x3
+        B = 1.0 + x1 - x2 - x3
+        C = 1.0 - x1 + x2 - x3
+        D = 1.0 - x1 - x2 + x3
+        A0, B0, C0, D0 = A ** (r - 2), B ** (r - 2), C ** (r - 2), D ** (r - 2)
+        A1, B1, C1, D1 = A0 * A, B0 * B, C0 * C, D0 * D
+        val = (A1 * A + B1 * B + C1 * C + D1 * D) * 0.25
+        c1, c2 = 0.25 * r, 0.25 * r * (r - 1)
+        grad = [c1 * (A1 + B1 - C1 - D1), c1 * (A1 - B1 + C1 - D1),
+                c1 * (A1 - B1 - C1 + D1)]
+        h00, h01 = (A0 + B0 + C0 + D0) * c2, (A0 - B0 - C0 + D0) * c2
+        h02, h12 = (A0 - B0 + C0 - D0) * c2, (A0 + B0 - C0 - D0) * c2
+        return val, grad, [[h00, h01, h02], [h01, h00, h12], [h02, h12, h00]]
 
     # stopping kind: derivatives of the four printed terms of g
-    S0 = 1.0 + x1 + x2 + x3
-    q1 = 1.0 + x1
-    q3 = 1.0 + x3
-    val = (S0 ** r - r * q1 ** (r - 1) * (x2 + x3)
-           - r * x1 * (q3 ** (r - 1) - (r - 1) * x3)
-           - r * x2 * (q3 ** (r - 1) - 1.0))
+    S0, q1, q3 = 1.0 + x1 + x2 + x3, 1.0 + x1, 1.0 + x3
+    p1, p3 = q1 ** (r - 1), q3 ** (r - 1)
+    p1d, p3d = q1 ** (r - 2), q3 ** (r - 2)
+    val = (S0 ** r - r * p1 * (x2 + x3) - r * x1 * (p3 - (r - 1) * x3)
+           - r * x2 * (p3 - 1.0))
     Sd = S0 ** (r - 1)
     grad = [
-        r * Sd - r * (r - 1) * q1 ** (r - 2) * (x2 + x3)
-        - r * (q3 ** (r - 1) - (r - 1) * x3),
-        r * Sd - r * q1 ** (r - 1) - r * (q3 ** (r - 1) - 1.0),
-        r * Sd - r * q1 ** (r - 1)
-        - r * (r - 1) * (x1 * (q3 ** (r - 2) - 1.0) + x2 * q3 ** (r - 2)),
+        r * Sd - r * (r - 1) * p1d * (x2 + x3) - r * (p3 - (r - 1) * x3),
+        r * Sd - r * p1 - r * (p3 - 1.0),
+        r * Sd - r * p1 - r * (r - 1) * (x1 * (p3d - 1.0) + x2 * p3d),
     ]
-    Sdd = S0 ** (r - 2)
-    c = r * (r - 1)
+    Sdd, c = S0 ** (r - 2), r * (r - 1)
     h00 = c * Sdd - c * (r - 2) * q1 ** (r - 3) * (x2 + x3)
-    h01 = c * Sdd - c * q1 ** (r - 2)
-    h02 = c * (Sdd - q1 ** (r - 2) - q3 ** (r - 2) + 1.0)
+    h01 = c * Sdd - c * p1d
+    h02 = c * (Sdd - p1d - p3d + 1.0)
     h11 = c * Sdd
-    h12 = c * Sdd - c * q3 ** (r - 2)
+    h12 = c * Sdd - c * p3d
     h22 = c * Sdd - c * (r - 2) * q3 ** (r - 3) * (x1 + x2)
-    hess = [[h00, h01, h02], [h01, h11, h12], [h02, h12, h22]]
-    return val, grad, hess
+    return val, grad, [[h00, h01, h02], [h01, h11, h12], [h02, h12, h22]]
 
 
 def _check_point(pt):

@@ -527,15 +527,27 @@ def _newton_batch(params, kind, omega, alphas, t1, t2):
     def evaluate(idx, n1, n2):
         # -> val, (r1, r2, j11, j12, j21, j22) stacked, usable, overflowed
         v, grad, hess = pair_vgh(params, kind, n1, n2, n1)
-        a, B = pair_ratios((n1, n2, n1), v, grad, hess)
-        terms = np.array([a[0] / r - c1[idx], a[1] / r - c2[idx],
-                          (B[0][0] + B[0][2]) / r, B[0][1] / r,
-                          (B[1][0] + B[1][2]) / r, B[1][1] / r])
         finite = np.isfinite(v)
-        for h in (*grad, *hess[0], *hess[1], *hess[2]):
-            finite &= np.isfinite(h)
+        for h in (*grad, *{id(h): h for row in hess for h in row}.values()):
+            finite &= np.isfinite(h)  # each shared Hessian entry once
+        a, B = pair_ratios((n1, n2, n1), v, grad, hess)
+        terms = np.empty((6, v.size))  # filled row by row: no stacked copy
+        terms[0], terms[1] = a[0] / r - c1[idx], a[1] / r - c2[idx]
+        terms[2], terms[3] = (B[0][0] + B[0][2]) / r, B[0][1] / r
+        terms[4], terms[5] = (B[1][0] + B[1][2]) / r, B[1][1] / r
         usable = finite & (v > 0.0) & np.isfinite(terms).all(axis=0)
         return v, terms, usable, ~finite
+
+    def newton_step(rows):
+        # -> singular, capped d1, d2; its temporaries die before the line search
+        r1, r2, j11, j12, j21, j22 = rows
+        det = j11 * j22 - j12 * j21
+        d1 = -(j22 * r1 - j12 * r2) / det
+        d2 = -(-j21 * r1 + j11 * r2) / det
+        big = np.maximum(np.abs(d1), np.abs(d2))
+        return ((det == 0.0) | ~np.isfinite(det),
+                np.where(big > 20.0, d1 * 20.0 / big, d1),
+                np.where(big > 20.0, d2 * 20.0 / big, d2))
 
     t1, t2 = t1.copy(), t2.copy()
     with np.errstate(all="ignore"):
@@ -547,16 +559,9 @@ def _newton_batch(params, kind, omega, alphas, t1, t2):
             idx = np.flatnonzero(live)
             if idx.size == 0:
                 break
-            r1, r2, j11, j12, j21, j22 = terms[:, idx]
-            det = j11 * j22 - j12 * j21
-            singular = (det == 0.0) | ~np.isfinite(det)
+            singular, d1, d2 = newton_step(terms[:, idx])
             res[idx[singular]] = np.inf
             live[idx[singular]] = False
-            d1 = -(j22 * r1 - j12 * r2) / det
-            d2 = -(-j21 * r1 + j11 * r2) / det
-            big = np.maximum(np.abs(d1), np.abs(d2))
-            d1 = np.where(big > 20.0, d1 * 20.0 / big, d1)
-            d2 = np.where(big > 20.0, d2 * 20.0 / big, d2)
             searching = ~singular  # over idx: no step accepted yet
             lam = 1.0
             while lam > 1e-10 and searching.any():

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from ldpc_moments import checks, exactcomb
+from ldpc_moments import checks, exactcomb, genfun, secondmoment
+from ldpc_moments.cli import main
 from ldpc_moments.errors import NoRootError, UnsupportedPolyError
 from ldpc_moments.exactcomb import ExactPolynomial, exact_first_moment, power_coeff
 from ldpc_moments.firstmoment import (
     avg_count,
+    bisect_root,
     growth_point,
     growth_rate,
     hayman_coeff,
@@ -219,3 +221,97 @@ class TestMinAbscissa:
         with pytest.raises(NoRootError,
                            match="growth rate nonnegative at the left edge"):
             min_abscissa(EnsembleParams(l, r), "weight")
+
+
+class TestBisectionStop:
+    """bisect_root stops once the midpoint rounds onto an end of the bracket."""
+
+    @staticmethod
+    def _reference(below, lo, hi, steps):
+        # the loop without the stop
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            if below(mid):
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize("below,lo,hi", [
+        (lambda v: v * v < 2.0, 1.0, 2.0),
+        (lambda v: v < 0.3, 1e-12, 1.0),
+        (lambda v: v < 0.75, 0.5, 1.0),  # the root is a double
+        (lambda v: math.log(v) < -18.0, 1e-8, 2e-8),
+        (lambda v: False, 1.0, 2.0),  # root below the bracket
+        (lambda v: True, 1.0, 2.0),  # root above the bracket
+    ], ids=["sqrt2", "wide", "exact", "log", "below", "above"])
+    def test_same_float_as_full_loop(self, below, lo, hi):
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return below(v)
+
+        got = bisect_root(counted, lo, hi, 200)
+        assert repr(got) == repr(self._reference(below, lo, hi, 200))
+        assert len(calls) <= 60
+
+    @pytest.mark.parametrize("l,r,kind,omega,value", [
+        (3, 6, "weight", 0.2, "0.29581287019322833"),
+        (12, 24, "stopping", 0.05, "-0.06953686368656076"),
+    ])
+    def test_endpoint_saddle_stops_early(self, l, r, kind, omega, value,
+                                         monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return genfun.pair_vgh(*args)
+
+        monkeypatch.setattr(secondmoment, "pair_vgh", counted)
+        got = secondmoment._endpoint_reduced_saddle(EnsembleParams(l, r), kind,
+                                                    omega)
+        assert repr(got) == value
+        assert len(calls) <= 70  # 202 when all 200 steps ran
+
+    def test_verify_hayman_rows_unchanged(self, capsys):
+        assert main(["verify", "--suite", "hayman", "--format", "json"]) == 0
+        assert capsys.readouterr().out == HAYMAN_JSON
+
+
+# ldpc-moments verify --suite hayman --format json, recorded while the
+# hayman_coeff bisection still ran all 200 steps
+HAYMAN_JSON = """\
+[
+  {
+    "check": "binomial_60_18",
+    "status": "PASS",
+    "measured": 0.005238038019883096,
+    "tolerance": 0.02
+  },
+  {
+    "check": "weight_poly_ratio",
+    "status": "PASS",
+    "measured": 1.0168361668109054,
+    "tolerance": "0.95..1.05"
+  },
+  {
+    "check": "convergence_n20_n40",
+    "status": "PASS",
+    "measured": "0.0009252->0.0001851",
+    "tolerance": "decreasing <0.1"
+  },
+  {
+    "check": "off_lattice_zero",
+    "status": "PASS",
+    "measured": 0.0,
+    "tolerance": 0.0
+  },
+  {
+    "check": "single_term_poly",
+    "status": "SKIP",
+    "measured": "UNSUPPORTED_POLY",
+    "tolerance": "degenerate input"
+  }
+]
+"""
