@@ -151,7 +151,10 @@ def verify_conditions(params: EnsembleParams, kind: str,
     exponent.  Failures are verdicts, not errors.
 
     The univariate saddle x* at omega is solved once and shared by every
-    overlap solve; the report carries it as ``saddle_x``.
+    overlap solve; the report carries it as ``saddle_x``.  psi(omega^2) = 0
+    holds exactly, so a sign change in the grid interval holding omega^2 is
+    that root: its stationary point comes from the one omega^2 solve that
+    gives the peak, and only the other sign changes are bisected.
     """
     check_kind(kind)
     gp = growth_point(params, kind, omega)
@@ -160,7 +163,8 @@ def verify_conditions(params: EnsembleParams, kind: str,
             f"positive growth rate required (Markov regime at {omega})")
     x_star = gp.saddle_x
     alpha_sq = omega * omega
-    peak = exponent_curve(params, kind, omega, alpha_sq, x_star)
+    t1, t2, val, B = _inner_solve(params, kind, omega, alpha_sq, None, x_star)
+    peak = float(_exponent(params, omega, alpha_sq, t1, t2, val))
     _anchor_check(params, kind, omega, gp.growth, peak, x_star)
 
     lo_edge, margin = _grid_window(omega)
@@ -168,18 +172,25 @@ def verify_conditions(params: EnsembleParams, kind: str,
     psis = _psi(params, omega, alphas, t1s, t2s).tolist()
     exps = _exponent(params, omega, alphas, t1s, t2s, vals)
     warm_by_idx = list(zip(t1s.tolist(), t2s.tolist()))
+    grid = alphas.tolist()
 
     points = []
     for idx in range(_GRID_POINTS - 1):
         if psis[idx] == 0.0:
             points.append(_stationary_point(
-                params, kind, omega, float(alphas[idx]), warm_by_idx[idx],
-                x_star))
+                params, kind, omega, grid[idx], warm_by_idx[idx], x_star))
             continue
-        if psis[idx] * psis[idx + 1] < 0.0:
+        if not psis[idx] * psis[idx + 1] < 0.0:
+            continue
+        if grid[idx] <= alpha_sq <= grid[idx + 1]:
+            points.append(StationaryPoint(
+                alpha=alpha_sq, exponent=peak,
+                d2_coefficient=overlap_exponent_d2(
+                    params, omega, alpha_sq, _sigma_c2(params, B))))
+        else:
             root, warm_root = _bisect_psi(
-                params, kind, omega, float(alphas[idx]), float(alphas[idx + 1]),
-                psis[idx], warm_by_idx[idx], x_star)
+                params, kind, omega, grid[idx], grid[idx + 1], psis[idx],
+                warm_by_idx[idx], x_star)
             points.append(_stationary_point(params, kind, omega, root,
                                             warm_root, x_star))
 
@@ -424,11 +435,7 @@ def _newton_from(params, kind, omega, alpha, t1, t2):
     for _ in range(120):
         if res < _NEWTON_TOL:
             break
-        # Jacobian of (a1/r, a2/r) w.r.t. (ln t1, ln t2), using t3 = t1
-        j11 = (B[0][0] + B[0][2]) / r
-        j12 = B[0][1] / r
-        j21 = (B[1][0] + B[1][2]) / r
-        j22 = B[1][1] / r
+        j11, j12, j21, j22 = _jacobian(B, r)
         det = j11 * j22 - j12 * j21
         if det == 0.0 or not math.isfinite(det):
             return None
@@ -460,6 +467,13 @@ def _newton_from(params, kind, omega, alpha, t1, t2):
     return res, t1, t2, val, B
 
 
+def _jacobian(B, r):
+    """Jacobian (j11, j12, j21, j22) of (a1/r, a2/r) w.r.t. (ln t1, ln t2),
+    using t3 = t1, from B at the point (floats or arrays)."""
+    return ((B[0][0] + B[0][2]) / r, B[0][1] / r,
+            (B[1][0] + B[1][2]) / r, B[1][1] / r)
+
+
 def _grid_window(omega: float):
     """Lower end of the overlap range and the margin the scan grid keeps
     from both ends."""
@@ -472,11 +486,12 @@ def _scan_grid(params, kind, omega, x_star):
 
     A scalar warm-start chain marches outward from omega^2 over every
     _COARSE_STRIDE-th grid point and both ends (cold starts stall in the
-    near-corner saturation).  Every other point starts from the nearest
-    chain solution on the omega^2 side, and one batched damped Newton
-    solves them all.  A point it leaves above _ACCEPT_TOL goes through
-    :func:`_inner_solve`, warm-started from its grid neighbour on the
-    omega^2 side, so it ends in the same continuation as any failed solve.
+    near-corner saturation).  Every other point lies between two chain
+    points and starts from :func:`_hermite_seeds`, a cubic through their
+    solutions and path tangents; one batched damped Newton solves them all.
+    A point it leaves above _ACCEPT_TOL goes through :func:`_inner_solve`,
+    warm-started from its grid neighbour on the omega^2 side, so it ends in
+    the same continuation as any failed solve.
     """
     lo_edge, margin = _grid_window(omega)
     alphas = np.linspace(lo_edge + margin, omega - margin, _GRID_POINTS)
@@ -484,24 +499,25 @@ def _scan_grid(params, kind, omega, x_star):
     start = int(np.argmin(np.abs(alphas - omega * omega)))
 
     def solve(idx, warm):
-        t1[idx], t2[idx], val[idx], _ = _inner_solve(
+        t1[idx], t2[idx], val[idx], B = _inner_solve(
             params, kind, omega, float(alphas[idx]), warm, x_star)
-        return float(t1[idx]), float(t2[idx])
+        return (float(t1[idx]), float(t2[idx])), B
 
     on_chain = np.zeros(_GRID_POINTS, dtype=bool)
     on_chain[start % _COARSE_STRIDE::_COARSE_STRIDE] = True
     on_chain[[0, -1]] = True
     coarse, rest = np.flatnonzero(on_chain), np.flatnonzero(~on_chain)
-    for chain in (coarse[coarse <= start][::-1], coarse[coarse > start]):
+    jac = np.empty((4, coarse.size))  # Jacobian terms at the chain points
+    split = int(np.searchsorted(coarse, start))  # coarse[split] == start
+    for chain in (range(split, -1, -1), range(split + 1, coarse.size)):
         warm = (x_star, x_star ** 2)
-        for idx in chain:
-            warm = solve(idx, warm)
+        for pos in chain:
+            warm, B = solve(coarse[pos], warm)
+            jac[:, pos] = _jacobian(B, params.right_degree)
 
-    # coarse[after - 1] < rest < coarse[after]
-    after = np.searchsorted(coarse, rest)
-    seed = np.where(rest < start, coarse[after], coarse[after - 1])
     res, t1[rest], t2[rest], val[rest] = _newton_batch(
-        params, kind, omega, alphas[rest], t1[seed], t2[seed])
+        params, kind, omega, alphas[rest],
+        *_hermite_seeds(alphas, coarse, rest, t1, t2, jac))
 
     failed = rest[~(res < _ACCEPT_TOL)]
     for idx in np.concatenate((failed[failed < start][::-1],
@@ -509,6 +525,38 @@ def _scan_grid(params, kind, omega, x_star):
         nb = idx + 1 if idx < start else idx - 1
         solve(idx, (float(t1[nb]), float(t2[nb])))
     return alphas, t1, t2, val
+
+
+def _hermite_seeds(alphas, coarse, rest, t1, t2, jac):
+    """Batch seeds (t1, t2) at the grid points ``rest`` from the solutions at
+    the chain points ``coarse``.
+
+    Each seed is the cubic Hermite interpolant of ln t between the two chain
+    points around it, through their values and the path tangents
+    d(ln t)/d alpha = J^(-1) (-1, 1) (the reduced equations read
+    a1/r = omega - alpha, a2/r = alpha; J from ``jac``).  One basis serves
+    both components.  A singular J gives a non-finite seed, which the batch
+    leaves to the scalar fallback.
+    """
+    with np.errstate(all="ignore"):
+        j11, j12, j21, j22 = jac
+        det = j11 * j22 - j12 * j21
+        slopes = (-(j22 + j12) / det, (j11 + j21) / det)
+        # coarse[after - 1] < rest < coarse[after]
+        after = np.searchsorted(coarse, rest)
+        lo = alphas[coarse[after - 1]]
+        h = alphas[coarse[after]] - lo
+        s = (alphas[rest] - lo) / h
+        w1 = s * s * (3.0 - 2.0 * s)  # weight of the upper value
+        m0 = s * (1.0 - s) ** 2 * h  # weights of the two tangents
+        m1 = s * s * (s - 1.0) * h
+        seeds = []
+        for t, slope in zip((t1, t2), slopes):
+            ln_t = np.log(t[coarse])
+            ln0 = ln_t[after - 1]
+            seeds.append(np.exp(ln0 + w1 * (ln_t[after] - ln0)
+                                + m0 * slope[after - 1] + m1 * slope[after]))
+    return seeds
 
 
 def _newton_batch(params, kind, omega, alphas, t1, t2):
@@ -533,8 +581,7 @@ def _newton_batch(params, kind, omega, alphas, t1, t2):
         a, B = pair_ratios((n1, n2, n1), v, grad, hess)
         terms = np.empty((6, v.size))  # filled row by row: no stacked copy
         terms[0], terms[1] = a[0] / r - c1[idx], a[1] / r - c2[idx]
-        terms[2], terms[3] = (B[0][0] + B[0][2]) / r, B[0][1] / r
-        terms[4], terms[5] = (B[1][0] + B[1][2]) / r, B[1][1] / r
+        terms[2], terms[3], terms[4], terms[5] = _jacobian(B, r)
         usable = finite & (v > 0.0) & np.isfinite(terms).all(axis=0)
         return v, terms, usable, ~finite
 

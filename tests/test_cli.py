@@ -2,12 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from ldpc_moments.cli import (
     BOUND_HEADER,
     main,
     render_csv,
+    render_json,
     run_bound_curve,
     run_table,
     run_verify,
@@ -64,6 +66,17 @@ class TestBoundCurve:
         assert rows[0]["bound"] == "markov"
         assert rows[1]["cond1"] is False and rows[1]["bound"] is None
         assert isinstance(rows[2]["bound"], float)
+
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    def test_rows_do_not_depend_on_the_curve(self, kind):
+        # no seed or cached solve carries over from one row to the next: the
+        # 9-step curve of `bound --min 0.01 --max 0.99 --steps 9` renders the
+        # same bytes as its abscissas run one at a time
+        grid = np.linspace(0.01, 0.99, 9).tolist()
+        curve = run_bound_curve(P36, kind, grid, 0.95)
+        alone = [run_bound_curve(P36, kind, [w], 0.95)[0] for w in grid]
+        for render in (render_csv, render_json):
+            assert render(BOUND_HEADER, alone) == render(BOUND_HEADER, curve)
 
 
 class TestNumericalFailure:

@@ -197,8 +197,11 @@ def _sequential_grid(params, kind, omega, x_star, alphas):
     return t1, t2, val
 
 
+# the last two have omega > 1/2, so both ends of the overlap range (2w-1 and
+# w) are corners, where the interpolated batch seeds are worst
 SCAN_CASES = [((3, 6), "weight", 0.3), ((3, 6), "stopping", None),
-              ((12, 24), "stopping", 0.990625), ((3, 64), "weight", 0.003125)]
+              ((12, 24), "stopping", 0.990625), ((3, 64), "weight", 0.003125),
+              ((3, 6), "weight", 0.75), ((12, 24), "stopping", 0.6)]
 
 
 class TestScanGrid:
@@ -246,8 +249,9 @@ class TestScanGrid:
 
     def test_scan_makes_few_scalar_solves(self, monkeypatch):
         # the sequential scan made 2,076 scalar solves for this row; the
-        # coarse chain, bisection, probes and endpoints now need 140, and
-        # each is accepted from its first Newton start: no continuation
+        # omega^2 solve, coarse chain, one bisection, probes and endpoints
+        # now need 108, and each is accepted from its first Newton start:
+        # no continuation
         starts, per_solve = [], []
         real_solve, real_newton = secondmoment._inner_solve, secondmoment._newton_from
 
@@ -265,8 +269,61 @@ class TestScanGrid:
         monkeypatch.setattr(secondmoment, "_inner_solve", counted)
         rep = verify_conditions(P36, "weight", 0.3)
         assert rep.condition1_ok and rep.condition2_ok
-        assert len(per_solve) <= 150
+        assert len(per_solve) <= 110
         assert set(per_solve) == {1}
+
+
+class TestPredictedSeeds:
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    def test_batch_converges_in_two_full_passes(self, monkeypatch, kind):
+        # seeds interpolated from the chain solutions and tangents: one
+        # full-size evaluation at the seeds, one after the first Newton
+        # step, then only the few near-corner points (the nearest-chain
+        # seeds took 3 full-size passes and 8,155 point evaluations)
+        sizes, batches = [], []
+        real_vgh, real_batch = secondmoment.pair_vgh, secondmoment._newton_batch
+
+        def vgh(params, kind, x1, x2, x3):
+            if isinstance(x1, np.ndarray):
+                sizes.append(x1.size)
+            return real_vgh(params, kind, x1, x2, x3)
+
+        def batch(params, kind, omega, alphas, t1, t2):
+            batches.append(alphas.size)
+            return real_batch(params, kind, omega, alphas, t1, t2)
+
+        monkeypatch.setattr(secondmoment, "pair_vgh", vgh)
+        monkeypatch.setattr(secondmoment, "_newton_batch", batch)
+        rep = verify_conditions(P36, kind, 0.3)
+        assert rep.condition1_ok and rep.condition2_ok
+        assert len(batches) == 1
+        assert sizes.count(batches[0]) <= 2
+        assert sum(sizes) <= 5000
+
+    @pytest.mark.parametrize("pair,kind,omega", [
+        ((3, 6), "weight", 0.3), ((3, 6), "stopping", 0.3),
+        ((3, 6), "weight", 0.75), ((3, 4), "weight", 0.5),
+        ((12, 24), "stopping", 0.6)])
+    def test_square_root_in_closed_form(self, pair, kind, omega):
+        # psi(omega^2) = 0 exactly: the stationary point there is the peak
+        # solve itself, at alpha = omega^2 to the bit
+        rep = verify_conditions(EnsembleParams(*pair), kind, omega)
+        at_square = [p for p in rep.stationary_points
+                     if p.alpha == omega * omega]
+        assert len(at_square) == 1
+        assert at_square[0].exponent == rep.peak_exponent
+        assert at_square[0].is_maximum
+
+    def test_square_sign_change_is_not_bisected(self, monkeypatch):
+        # (3,6) stopping at 0.3 has one sign change of psi, the one at
+        # omega^2, so no bisection runs
+        def bisect(*args):
+            raise AssertionError("psi bisected")
+
+        monkeypatch.setattr(secondmoment, "_bisect_psi", bisect)
+        rep = verify_conditions(P36, "stopping", 0.3)
+        assert rep.condition1_ok and rep.condition2_ok
+        assert [p.alpha for p in rep.stationary_points] == [0.3 * 0.3]
 
 
 class TestContinuation:
