@@ -17,8 +17,7 @@ def exhaustive_mismatches(params, n, kind):
     for W in range(n + 1):
         for moment in (1, 2):
             ex = ensemble_oracle.exhaustive_moment(params, n, W, kind, moment)
-            gf = (exactcomb.exact_first_moment if moment == 1
-                  else exactcomb.exact_second_moment)(params, n, W, kind)
+            gf = exactcomb.exact_moment(params, n, W, kind, moment)
             if ex != gf:
                 out.append((W, moment, ex, gf))
     return out
@@ -56,8 +55,7 @@ def llt_errors(params, n, omega, alpha, offsets):
 def mc_attempts(params, n, W, kind, samples, seed, moment):
     """[(|MC mean - exact|, 3-sigma halfwidth)] per attempt; an attempt
     outside its 3-sigma band is rerun once with seed + samples."""
-    exact = float((exactcomb.exact_first_moment if moment == 1
-                   else exactcomb.exact_second_moment)(params, n, W, kind))
+    exact = float(exactcomb.exact_moment(params, n, W, kind, moment))
     attempts = []
     for trial in range(2):
         est = ensemble_oracle.mc_moments(params, n, W, kind, samples,
@@ -78,8 +76,8 @@ def closed_form_gap(omegas):
 
 def endpoint_gap(params, kind, omega):
     """|saddle - extrapolated| endpoint exponent."""
-    sad, ext = (secondmoment.endpoint_exponent(params, kind, omega, method=method)
-                for method in ("saddle", "extrapolate"))
+    sad = secondmoment._endpoint_reduced_saddle(params, kind, omega)
+    ext = secondmoment._endpoint_extrapolated(params, kind, omega, None)
     return abs(sad - ext)
 
 

@@ -114,8 +114,7 @@ def run_mc(params, kind, n, W, samples, seed):
     for moment in (1, 2):
         est = ensemble_oracle.mc_moments(params, n, W, kind, samples, seed,
                                          moment=moment)
-        exact = (exactcomb.exact_first_moment(params, n, W, kind) if moment == 1
-                 else exactcomb.exact_second_moment(params, n, W, kind))
+        exact = exactcomb.exact_moment(params, n, W, kind, moment)
         inside = abs(est.mean - float(exact)) <= est.confidence_halfwidth_3sigma
         rows.append({
             "moment": moment,

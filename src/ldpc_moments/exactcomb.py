@@ -46,9 +46,6 @@ class ExactPolynomial:
                 if len(e) != 3 or min(e) < 0:
                     raise ValueError(f"bad exponent {e!r}")
 
-    def coefficient(self, index) -> int:
-        return self.terms.get(index, 0)
-
     def degree(self) -> int:
         """Maximum exponent (univariate) or maximum total degree (trivariate)."""
         if self.variable_count == 1:
@@ -65,14 +62,6 @@ class ExactPolynomial:
             d = math.gcd(d, e - es[0])
         return d
 
-    def evaluate(self, point):
-        """Exact evaluation at integer/rational point(s)."""
-        if self.variable_count == 1:
-            return sum(c * point ** e for e, c in self.terms.items())
-        x1, x2, x3 = point
-        return sum(c * x1 ** e1 * x2 ** e2 * x3 ** e3
-                   for (e1, e2, e3), c in self.terms.items())
-
 
 def poly_weight_check(r: int) -> ExactPolynomial:
     """Exact expansion of p(x): even-index binomials of (1+x)^r."""
@@ -86,34 +75,33 @@ def poly_stop_check(r: int) -> ExactPolynomial:
     return ExactPolynomial(1, terms)
 
 
+@lru_cache(maxsize=None)
+def check_poly(r: int, kind: str) -> ExactPolynomial:
+    """The check polynomial of ``kind`` at check degree r: p or beta."""
+    check_kind(kind)
+    return poly_weight_check(r) if kind == KIND_WEIGHT else poly_stop_check(r)
+
+
 def expand_pair_gf(params: EnsembleParams, kind: str) -> ExactPolynomial:
     """Exact trivariate expansion of f (weight) or g (stopping).
 
-    f keeps the monomials of (1+x1+x2+x3)^r whose exponents are all even or
-    all odd.  g is expanded from its closed form; despite the subtracted
-    terms the result is componentwise nonnegative (it counts placements).
+    Both come from the multinomial simplex of (1+x1+x2+x3)^r: f keeps the
+    monomials whose exponents are all even or all odd, g subtracts the
+    terms of its closed form and is still componentwise nonnegative (it
+    counts placements).
     """
     check_kind(kind)
     r = params.right_degree
     if r > MAX_PAIR_DEGREE:
         raise TooLargeError(
             f"exact pair expansion supports r <= {MAX_PAIR_DEGREE}, got {r}")
-    if kind == KIND_WEIGHT:
-        terms = {}
-        for k1 in range(r + 1):
-            for k2 in range(r + 1 - k1):
-                for k3 in range(r + 1 - k1 - k2):
-                    if not (k1 % 2 == k2 % 2 == k3 % 2):
-                        continue
-                    terms[(k1, k2, k3)] = _multinomial(r, k1, k2, k3)
-        return ExactPolynomial(3, terms)
-
     # (1+x1+x2+x3)^r ...
-    terms = {}
-    for k1 in range(r + 1):
-        for k2 in range(r + 1 - k1):
-            for k3 in range(r + 1 - k1 - k2):
-                terms[(k1, k2, k3)] = _multinomial(r, k1, k2, k3)
+    terms = {(k1, k2, k3): _multinomial(r, k1, k2, k3)
+             for k1 in range(r + 1) for k2 in range(r + 1 - k1)
+             for k3 in range(r + 1 - k1 - k2)}
+    if kind == KIND_WEIGHT:
+        return ExactPolynomial(3, {k: c for k, c in terms.items()
+                                   if k[0] % 2 == k[1] % 2 == k[2] % 2})
     # ... - r (1+x1)^(r-1) (x2 + x3)
     for k1 in range(r):
         c = r * math.comb(r - 1, k1)
@@ -131,31 +119,29 @@ def expand_pair_gf(params: EnsembleParams, kind: str) -> ExactPolynomial:
 
 
 def power_coeff(poly: ExactPolynomial, m: int, index) -> int:
-    """Exact coefficient of ``poly**m`` at ``index`` (0 off support).
-
-    Iterated sparse multiplication, truncating every partial product at the
-    per-variable degrees of ``index``.
-    """
-    if m < 0:
-        raise ValueError("power must be nonnegative")
+    """Exact coefficient of ``poly**m`` at ``index`` (0 off support): the
+    one-index case of :func:`power_coefficients`, which powers a univariate
+    polynomial as the trivariate one with exponents (e, 0, 0)."""
     if poly.variable_count == 1:
         if not isinstance(index, int) or index < 0:
             raise ValueError(f"bad univariate index {index!r}")
-        return _power_trunc_uni(poly, m, index)[index]
+        poly = ExactPolynomial(3, {(e, 0, 0): c for e, c in poly.terms.items()})
+        index = (index, 0, 0)
     index = tuple(index)
-    if len(index) != 3 or min(index) < 0:
-        raise ValueError(f"bad trivariate index {index!r}")
-    return _power_trunc_tri(poly, m, index).get(index, 0)
+    return power_coefficients(poly, m, [index])[index]
 
 
 def power_coefficients(poly: ExactPolynomial, m: int, indices) -> dict:
     """Coefficients of ``poly**m`` at several trivariate indices at once.
 
-    One truncated expansion at the componentwise maximum of ``indices``
-    serves every lookup; much cheaper than repeated :func:`power_coeff`.
+    Iterated sparse multiplication, truncating every partial product at the
+    componentwise maximum of ``indices``, so one expansion serves every
+    lookup; much cheaper than repeated :func:`power_coeff`.
     """
     if poly.variable_count != 3:
         raise ValueError("power_coefficients is trivariate-only")
+    if m < 0:
+        raise ValueError("power must be nonnegative")
     wanted = [tuple(ix) for ix in indices]
     if not wanted:
         return {}
@@ -172,11 +158,10 @@ def exact_first_moment(params: EnsembleParams, n: int, W: int, kind: str) -> Fra
     Equals C(n,W) * Coeff(phi^(n*l/r), x^(l*W)) / C(n*l, l*W) with phi = p or
     beta.
     """
-    check_kind(kind)
-    l, r = params.left_degree, params.right_degree
+    l = params.left_degree
+    phi = check_poly(params.right_degree, kind)
     m = _check_counts(params, n, W)
-    phi = poly_weight_check(r) if kind == KIND_WEIGHT else poly_stop_check(r)
-    coeff = _power_trunc_uni(phi, m, l * W)[l * W]
+    coeff = power_coeff(phi, m, l * W)
     return Fraction(math.comb(n, W) * coeff, math.comb(n * l, l * W))
 
 
@@ -190,16 +175,24 @@ def exact_second_moment(params: EnsembleParams, n: int, W: int, kind: str) -> Fr
     check_kind(kind)
     l = params.left_degree
     m = _check_counts(params, n, W)
-    pair = expand_pair_gf(params, kind)
-    lo = max(0, 2 * W - n)
-    bound = (l * (W - lo), l * W, l * (W - lo))
-    power = _power_trunc_tri(pair, m, bound)
+    indices = {i: (l * (W - i), l * i, l * (W - i))
+               for i in range(max(0, 2 * W - n), W + 1)}
+    C = power_coefficients(expand_pair_gf(params, kind), m, indices.values())
     total = Fraction(0)
-    for i in range(lo, W + 1):
-        Ci = power.get((l * (W - i), l * i, l * (W - i)), 0)
-        if Ci:
-            total += _pair_prefactor(params, n, W, i) * Ci
+    for i, ix in indices.items():
+        if C[ix]:
+            total += _pair_prefactor(params, n, W, i) * C[ix]
     return total
+
+
+def exact_moment(params: EnsembleParams, n: int, W: int, kind: str,
+                 moment: int) -> Fraction:
+    """Exact E[count^moment], moment 1 or 2 (cf. exhaustive_moment)."""
+    if moment == 1:
+        return exact_first_moment(params, n, W, kind)
+    if moment == 2:
+        return exact_second_moment(params, n, W, kind)
+    raise ValueError("moment must be 1 or 2")
 
 
 def exact_term(params: EnsembleParams, n: int, W: int, i: int, kind: str) -> Fraction:
@@ -250,25 +243,6 @@ def _multinomial(r: int, k1: int, k2: int, k3: int) -> int:
                 * math.factorial(k2) * math.factorial(k3)))
 
 
-def _power_trunc_uni(poly: ExactPolynomial, m: int, bound: int) -> list:
-    """Dense coefficient list of poly**m truncated at exponent ``bound``."""
-    base = sorted(poly.terms.items())
-    cur = [0] * (bound + 1)
-    cur[0] = 1
-    for _ in range(m):
-        nxt = [0] * (bound + 1)
-        for e, c in enumerate(cur):
-            if c == 0:
-                continue
-            for d, cb in base:
-                k = e + d
-                if k > bound:
-                    break
-                nxt[k] += c * cb
-        cur = nxt
-    return cur
-
-
 def _power_trunc_tri(poly: ExactPolynomial, m: int, bound) -> dict:
     """Sparse dict of poly**m truncated componentwise at ``bound``."""
     b1, b2, b3 = bound
@@ -281,7 +255,7 @@ def _power_trunc_tri(poly: ExactPolynomial, m: int, bound) -> dict:
             for (d1, d2, d3), cb in base:
                 k1 = e1 + d1
                 if k1 > b1:
-                    continue
+                    break  # base is sorted: d1 only grows from here
                 k2 = e2 + d2
                 if k2 > b2:
                     continue

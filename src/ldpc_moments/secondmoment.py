@@ -30,7 +30,7 @@ from .errors import (
     SingularMatrixError,
     VarianceDegenerateError,
 )
-from .firstmoment import bisect_root, growth_point, solve_saddle
+from .firstmoment import bisect_root, grow_bracket, growth_point, solve_saddle
 from .genfun import (
     KIND_WEIGHT,
     EnsembleParams,
@@ -111,7 +111,6 @@ def exponent_curve(params: EnsembleParams, kind: str, omega: float,
 
 
 def endpoint_exponent(params: EnsembleParams, kind: str, omega: float,
-                      method: str = "auto",
                       x_star: float | None = None) -> float:
     """Overlap exponent at the boundary alpha = max(0, 2*omega - 1).
 
@@ -125,14 +124,11 @@ def endpoint_exponent(params: EnsembleParams, kind: str, omega: float,
     check_kind(kind)
     if not 0.0 < omega < 1.0:
         raise ValueError(f"omega must lie in (0, 1), got {omega}")
-    if method not in ("auto", "saddle", "extrapolate"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "saddle" or (method == "auto" and omega < 0.5):
+    if omega < 0.5:
         try:
             return _endpoint_reduced_saddle(params, kind, omega)
         except NoBracketError:
-            if method == "saddle":
-                raise
+            pass
     return _endpoint_extrapolated(params, kind, omega, x_star)
 
 
@@ -750,15 +746,8 @@ def _endpoint_reduced_saddle(params: EnsembleParams, kind: str,
             raise NoBracketError(f"slice generating function invalid at {x}")
         return x * (grad[0] + grad[2]) / val
 
-    lo, hi = 1e-12, 1.0
-    a_hi = a_of(hi)
-    while a_hi < target:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e8:
-            raise NoBracketError(
-                f"reduced endpoint saddle diverges at omega = {omega}")
-        a_hi = a_of(hi)
+    lo, hi = grow_bracket(lambda v: a_of(v) < target, 1e-12, 1.0, 1e8,
+                          f"the reduced endpoint saddle at omega = {omega}")
     t = bisect_root(lambda v: a_of(v) < target, lo, hi, 200)
     val = pair_vgh(params, kind, t, 0.0, t)[0]
     return float((l - 1) * _entropy_term(omega, 0.0)

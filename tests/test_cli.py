@@ -11,6 +11,7 @@ from ldpc_moments.cli import (
     render_csv,
     render_json,
     run_bound_curve,
+    run_growth_curve,
     run_table,
     run_verify,
 )
@@ -87,6 +88,34 @@ class TestNumericalFailure:
         captured = capsys.readouterr()
         assert captured.err.startswith("numerical failure [")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+class TestOddCheckDegree:
+    # at odd r the x^r terms of p cancel, so no codeword has relative weight
+    # (r-1)/r or more and the saddle equation has no root there
+    @pytest.mark.parametrize("l,r", [(2, 3), (2, 5), (3, 7)])
+    def test_unattainable_weights_are_no_bracket_rows(self, l, r, capsys):
+        params = EnsembleParams(l, r)
+        top = (r - 1) / r
+        grid = [top, top + 1e-9, 0.9, 0.995]
+        assert all(row["growth"] == "NO_BRACKET"
+                   for row in run_growth_curve(params, "weight", grid))
+        assert all(row["bound"] == "NO_BRACKET" and row["growth"] is None
+                   for row in run_bound_curve(params, "weight", grid, 0.95))
+        below = top - 1e-6
+        assert isinstance(run_growth_curve(params, "weight", [below])[0]["growth"],
+                          float)
+        assert isinstance(
+            run_bound_curve(params, "weight", [below], 0.95)[0]["growth"], float)
+        for command in ("growth", "bound"):
+            assert main([command, "--l", str(l), "--r", str(r), "--min", str(top),
+                         "--max", "0.995", "--steps", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("NO_BRACKET") == 6
+
+    def test_stopping_kind_keeps_the_whole_range(self):
+        rows = run_growth_curve(EnsembleParams(2, 3), "stopping", [2 / 3, 0.9])
+        assert all(isinstance(row["growth"], float) for row in rows)
 
 
 class TestTable:

@@ -8,7 +8,9 @@ from ldpc_moments import genfun
 from ldpc_moments.errors import DivisibilityError, TooLargeError
 from ldpc_moments.exactcomb import (
     ExactPolynomial,
+    check_poly,
     exact_first_moment,
+    exact_moment,
     exact_second_moment,
     exact_term,
     expand_pair_gf,
@@ -38,6 +40,16 @@ class TestExactPolynomial:
         assert sorted(poly_weight_check(6).terms) == [0, 2, 4, 6]
         assert sorted(poly_stop_check(6).terms) == [0, 2, 3, 4, 5, 6]
 
+    def test_check_poly_by_kind(self):
+        assert check_poly(6, "weight") == poly_weight_check(6)
+        assert check_poly(6, "stopping") == poly_stop_check(6)
+        assert check_poly(6, "weight") is check_poly(6, "weight")
+        # the x^r terms of p cancel at odd r
+        assert check_poly(7, "weight").degree() == 6
+        assert check_poly(7, "stopping").degree() == 7
+        with pytest.raises(ValueError):
+            check_poly(6, "bogus")
+
     def test_support_period(self):
         assert poly_weight_check(6).support_period() == 2
         assert poly_stop_check(6).support_period() == 1
@@ -45,22 +57,22 @@ class TestExactPolynomial:
     def test_exact_evaluation_matches_float_forms(self):
         p = poly_weight_check(6)
         b = poly_stop_check(6)
-        assert p.evaluate(1) == genfun.weight_gf(P36, 1.0)
-        assert b.evaluate(1) == genfun.stop_gf(P36, 1.0)
-        assert p.evaluate(Fraction(1, 2)) == Fraction(
+        assert sum(p.terms.values()) == genfun.weight_gf(P36, 1.0)
+        assert sum(b.terms.values()) == genfun.stop_gf(P36, 1.0)
+        assert sum(c * Fraction(1, 2) ** e for e, c in p.terms.items()) == Fraction(
             int(genfun.weight_gf(P36, 0.5) * 64), 64)
 
 
 class TestExpandPairGF:
     def test_weight_constant_and_odd_corner(self):
         poly = expand_pair_gf(P34, "weight")
-        assert poly.coefficient((0, 0, 0)) == 1
-        assert poly.coefficient((1, 1, 1)) == 24  # r(r-1)(r-2)
+        assert poly.terms[(0, 0, 0)] == 1
+        assert poly.terms[(1, 1, 1)] == 24  # r(r-1)(r-2)
 
     def test_weight_total_mass(self):
         poly = expand_pair_gf(P34, "weight")
         assert sum(poly.terms.values()) == 64
-        assert poly.evaluate((1, 1, 1)) == genfun.pair_gf_weight(P34, (1, 1, 1))
+        assert sum(poly.terms.values()) == genfun.pair_gf_weight(P34, (1, 1, 1))
 
     def test_stop_total_mass(self):
         poly = expand_pair_gf(P34, "stopping")
@@ -72,7 +84,7 @@ class TestExpandPairGF:
         poly = expand_pair_gf(EnsembleParams(2, r), "stopping")
         assert all(c > 0 for c in poly.terms.values())
         for (k1, k2, k3), c in poly.terms.items():
-            assert poly.coefficient((k3, k2, k1)) == c
+            assert poly.terms.get((k3, k2, k1), 0) == c
 
     def test_degree_cap(self):
         with pytest.raises(TooLargeError):
@@ -139,6 +151,17 @@ class TestSecondMoment:
 
     def test_reference_value(self):
         assert exact_second_moment(P24, 4, 2, "weight") == Fraction(492, 35)
+
+
+class TestExactMoment:
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    def test_dispatches_on_moment(self, kind):
+        assert exact_moment(P36, 6, 2, kind, 1) == exact_first_moment(P36, 6, 2, kind)
+        assert exact_moment(P36, 6, 2, kind, 2) == exact_second_moment(P36, 6, 2, kind)
+
+    def test_rejects_other_moments(self):
+        with pytest.raises(ValueError):
+            exact_moment(P36, 6, 2, "weight", 3)
 
 
 class TestExactTerm:

@@ -7,11 +7,12 @@ import pytest
 
 from ldpc_moments import checks, exactcomb, genfun, secondmoment
 from ldpc_moments.cli import main
-from ldpc_moments.errors import NoRootError, UnsupportedPolyError
+from ldpc_moments.errors import NoBracketError, NoRootError, UnsupportedPolyError
 from ldpc_moments.exactcomb import ExactPolynomial, exact_first_moment, power_coeff
 from ldpc_moments.firstmoment import (
     avg_count,
     bisect_root,
+    grow_bracket,
     growth_point,
     growth_rate,
     hayman_coeff,
@@ -221,6 +222,25 @@ class TestMinAbscissa:
         with pytest.raises(NoRootError,
                            match="growth rate nonnegative at the left edge"):
             min_abscissa(EnsembleParams(l, r), "weight")
+
+
+class TestGrowBracket:
+    def test_doubles_past_the_root(self):
+        calls = []
+
+        def below(v):
+            calls.append(v)
+            return v < 5.0
+
+        assert grow_bracket(below, 1e-12, 1.0, 1e8, "test") == (4.0, 8.0)
+        assert calls == [1.0, 2.0, 4.0, 8.0]
+
+    def test_root_inside_the_first_bracket(self):
+        assert grow_bracket(lambda v: v < 0.5, 1e-12, 1.0, 1e8, "test") == (1e-12, 1.0)
+
+    def test_raises_past_the_limit(self):
+        with pytest.raises(NoBracketError, match="for test"):
+            grow_bracket(lambda v: True, 1.0, 2.0, 100.0, "test")
 
 
 class TestBisectionStop:

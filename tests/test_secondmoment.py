@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ldpc_moments import checks, exactcomb, firstmoment, secondmoment
+from ldpc_moments.cli import main
 from ldpc_moments.errors import DomainError, OffLatticeError
 from ldpc_moments.firstmoment import growth_rate, min_abscissa, solve_saddle
 from ldpc_moments.genfun import EnsembleParams, pair_gf_stop, pair_gf_weight, pair_stats
@@ -150,6 +151,36 @@ class TestEndpoint:
 
     def test_stopping_kind(self):
         assert checks.endpoint_gap(P36, "stopping", 0.3) <= 1e-3
+
+    def test_verify_endpoint_rows_unchanged(self, capsys):
+        assert main(["verify", "--suite", "endpoint", "--format", "json"]) == 0
+        assert capsys.readouterr().out == ENDPOINT_JSON
+
+
+# ldpc-moments verify --suite endpoint --format json, recorded while
+# endpoint_exponent still chose the endpoint method from a keyword argument
+ENDPOINT_JSON = """\
+[
+  {
+    "check": "saddle_vs_extrapolation",
+    "status": "PASS",
+    "measured": 0.0002562791306524037,
+    "tolerance": 0.001
+  },
+  {
+    "check": "peak_identity",
+    "status": "PASS",
+    "measured": 4.440892098500626e-16,
+    "tolerance": 1e-08
+  },
+  {
+    "check": "disjoint_term_growth",
+    "status": "PASS",
+    "measured": "0.04694->0.03044",
+    "tolerance": "decreasing"
+  }
+]
+"""
 
 
 class TestVerifyConditions:
