@@ -45,12 +45,12 @@ class TannerGraph:
     @cached_property
     def multiplicity(self) -> np.ndarray:
         """Check-by-variable edge multiplicity matrix."""
-        l, r = self.left_degree, self.right_degree
-        mult = np.zeros((self.check_count, self.n), dtype=np.int64)
-        for v in range(self.n):
-            for j in range(l):
-                mult[self.socket_perm[v * l + j] // r, v] += 1
-        return mult
+        l, r, n = self.left_degree, self.right_degree, self.n
+        # variable socket vs belongs to variable vs // l, check socket cs to
+        # check cs // r: count every (check, variable) edge in one pass
+        flat = (self.socket_perm // r) * n + np.arange(n * l) // l
+        return np.bincount(flat, minlength=self.check_count * n).reshape(
+            self.check_count, n)
 
 
 def sample_graph(params: EnsembleParams, n: int, seed: int) -> TannerGraph:
@@ -207,18 +207,39 @@ def _count_weight(graph: TannerGraph, W: int) -> int:
 def _count_stopping(graph: TannerGraph, W: int) -> int:
     if W == 0:
         return 1  # the empty set
-    mult = graph.multiplicity
-    n = graph.n
+    # small integers: the float product is exact, and runs as one BLAS call
+    mult = graph.multiplicity.astype(np.float64)
     total = 0
-    combos = itertools.combinations(range(n), W)
-    while True:
-        chunk = list(itertools.islice(combos, _SUBSET_CHUNK))
-        if not chunk:
-            break
-        idx = np.array(chunk, dtype=np.intp)
-        seen = mult[:, idx].sum(axis=2)  # checks x subsets
+    for incidence in _incidence_chunks(graph.n, W):
+        seen = mult @ incidence  # checks x subsets
         total += int((~(seen == 1).any(axis=0)).sum())
     return total
+
+
+def _incidence_chunks(n: int, W: int):
+    """0/1 variable-by-subset incidence matrices of every W-subset of n
+    variables, in ``itertools.combinations`` order: one cached matrix while
+    C(n, W) <= ``_SUBSET_CHUNK``, else chunks of that many subsets built on
+    the fly, so memory stays bounded."""
+    if math.comb(n, W) <= _SUBSET_CHUNK:
+        yield _subset_incidence(n, W)
+        return
+    combos = itertools.combinations(range(n), W)
+    while chunk := list(itertools.islice(combos, _SUBSET_CHUNK)):
+        yield _incidence(chunk, n)
+
+
+@lru_cache(maxsize=8)
+def _subset_incidence(n: int, W: int) -> np.ndarray:
+    out = _incidence(list(itertools.combinations(range(n), W)), n)
+    out.flags.writeable = False  # shared by every caller
+    return out
+
+
+def _incidence(subsets: list, n: int) -> np.ndarray:
+    out = np.zeros((n, len(subsets)))
+    out[np.array(subsets, dtype=np.intp).T, np.arange(len(subsets))] = 1
+    return out
 
 
 def _profile_from_mult(mult_rows: tuple, n: int, kind: str) -> tuple:

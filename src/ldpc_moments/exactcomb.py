@@ -134,9 +134,18 @@ def power_coeff(poly: ExactPolynomial, m: int, index) -> int:
 def power_coefficients(poly: ExactPolynomial, m: int, indices) -> dict:
     """Coefficients of ``poly**m`` at several trivariate indices at once.
 
-    Iterated sparse multiplication, truncating every partial product at the
-    componentwise maximum of ``indices``, so one expansion serves every
-    lookup; much cheaper than repeated :func:`power_coeff`.
+    One expansion serves every lookup, and it keeps only what can reach a
+    wanted index:
+
+    * staircase truncation: a partial product keeps a term only if it lies
+      componentwise at or below some wanted index (exponents only grow, so
+      no other term can contribute), so the cut is the union of the boxes
+      below the wanted indices;
+    * a split power: A = poly**(m // 2) is expanded once, B = poly**(m - m // 2)
+      is A itself for even m and A * poly for odd m, and each wanted
+      coefficient is the sum over j of A[j] * B[index - j].
+
+    Every coefficient is an exact int.
     """
     if poly.variable_count != 3:
         raise ValueError("power_coefficients is trivariate-only")
@@ -147,9 +156,18 @@ def power_coefficients(poly: ExactPolynomial, m: int, indices) -> dict:
         return {}
     if any(len(ix) != 3 or min(ix) < 0 for ix in wanted):
         raise ValueError("indices must be nonnegative triples")
-    bound = tuple(max(ix[k] for ix in wanted) for k in range(3))
-    power = _power_trunc_tri(poly, m, bound)
-    return {ix: power.get(ix, 0) for ix in wanted}
+    lim = _staircase(wanted)
+    base = sorted(poly.terms.items())
+    half = {(0, 0, 0): 1}
+    for _ in range(m // 2):
+        half = _times_trunc(half, base, lim)
+    rest = _times_trunc(half, base, lim) if m % 2 else half
+    out = {}
+    for ix in dict.fromkeys(wanted):
+        i1, i2, i3 = ix
+        out[ix] = sum(c * rest[k] for (j1, j2, j3), c in half.items()
+                      if (k := (i1 - j1, i2 - j2, i3 - j3)) in rest)
+    return out
 
 
 def exact_first_moment(params: EnsembleParams, n: int, W: int, kind: str) -> Fraction:
@@ -243,26 +261,47 @@ def _multinomial(r: int, k1: int, k2: int, k3: int) -> int:
                 * math.factorial(k2) * math.factorial(k3)))
 
 
-def _power_trunc_tri(poly: ExactPolynomial, m: int, bound) -> dict:
-    """Sparse dict of poly**m truncated componentwise at ``bound``."""
-    b1, b2, b3 = bound
-    base = sorted(poly.terms.items())
-    cur = {(0, 0, 0): 1}
-    for _ in range(m):
-        nxt = {}
-        get = nxt.get
-        for (e1, e2, e3), c in cur.items():
-            for (d1, d2, d3), cb in base:
-                k1 = e1 + d1
-                if k1 > b1:
-                    break  # base is sorted: d1 only grows from here
-                k2 = e2 + d2
-                if k2 > b2:
-                    continue
-                k3 = e3 + d3
-                if k3 > b3:
-                    continue
-                key = (k1, k2, k3)
-                nxt[key] = get(key, 0) + c * cb
-        cur = nxt
-    return cur
+def _staircase(wanted) -> list:
+    """lim[k1][k3]: the largest k2 of a wanted index whose first exponent is
+    at least k1 and whose third is at least k3.
+
+    Row k1 is cut after its last k3 with such an index, so a term (k1, k2, k3)
+    can reach a wanted index exactly when k1 < len(lim), k3 < len(lim[k1])
+    and k2 <= lim[k1][k3].
+    """
+    b1 = max(ix[0] for ix in wanted)
+    b3 = max(ix[2] for ix in wanted)
+    lim = [[-1] * (b3 + 1) for _ in range(b1 + 1)]
+    for i1, i2, i3 in wanted:
+        lim[i1][i3] = max(lim[i1][i3], i2)
+    for k1 in range(b1, -1, -1):  # suffix maxima over k3, then over k1
+        row = lim[k1]
+        for k3 in range(b3 - 1, -1, -1):
+            row[k3] = max(row[k3], row[k3 + 1])
+        if k1 < b1:
+            row[:] = map(max, row, lim[k1 + 1])
+    # lim is nonincreasing in k3, so the reachable k3 of a row are a prefix
+    return [row[:sum(v >= 0 for v in row)] for row in lim]
+
+
+def _times_trunc(cur: dict, base: list, lim: list) -> dict:
+    """Sparse product of ``cur`` and the sorted ``base`` terms, keeping only
+    the terms under the staircase ``lim`` (see :func:`_staircase`)."""
+    nxt = {}
+    get = nxt.get
+    n1 = len(lim)
+    for (e1, e2, e3), c in cur.items():
+        for (d1, d2, d3), cb in base:
+            k1 = e1 + d1
+            if k1 >= n1:
+                break  # base is sorted: d1 only grows from here
+            row = lim[k1]
+            k3 = e3 + d3
+            if k3 >= len(row):
+                continue
+            k2 = e2 + d2
+            if k2 > row[k3]:
+                continue
+            key = (k1, k2, k3)
+            nxt[key] = get(key, 0) + c * cb
+    return nxt

@@ -1,5 +1,6 @@
 """Configuration-model sampling and direct counting against exact formulas."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ldpc_moments import ensemble_oracle
 from ldpc_moments.ensemble_oracle import (
     TannerGraph,
     count_words,
@@ -20,6 +22,20 @@ from ldpc_moments.genfun import EnsembleParams
 
 P24 = EnsembleParams(2, 4)
 P36 = EnsembleParams(3, 6)
+
+
+def _chunked_stopping_count(graph, W, chunk=4096):
+    """Size-W stopping sets by gathering the multiplicity columns of each
+    W-subset (the count that the incidence-matrix product replaced)."""
+    if W == 0:
+        return 1
+    mult = graph.multiplicity
+    total = 0
+    combos = itertools.combinations(range(graph.n), W)
+    while subsets := list(itertools.islice(combos, chunk)):
+        seen = mult[:, np.array(subsets, dtype=np.intp)].sum(axis=2)
+        total += int((~(seen == 1).any(axis=0)).sum())
+    return total
 
 
 def _lehmer_rank(perm):
@@ -99,6 +115,24 @@ class TestCountWords:
         perm = np.array([0, 1, 4, 5, 2, 3, 6, 7])
         g = TannerGraph(n=4, left_degree=2, right_degree=4, socket_perm=perm)
         assert count_words(g, 1, "weight") >= 1
+
+    @pytest.mark.parametrize("n,W", [(12, 4), (12, 6), (18, 6), (24, 3),
+                                     (12, 0), (12, 12)])
+    def test_stopping_count_matches_column_sums(self, n, W):
+        # (18, 6) has 18564 subsets, more than one chunk, so it streams
+        assert (math.comb(n, W) > ensemble_oracle._SUBSET_CHUNK) == ((n, W) == (18, 6))
+        for seed in range(200):
+            g = sample_graph(P36, n, 7000 + seed)
+            assert count_words(g, W, "stopping") == _chunked_stopping_count(g, W)
+
+    def test_multiplicity_counts_every_edge(self):
+        for seed in range(50):
+            g = sample_graph(P36, 12, seed)
+            want = np.zeros((g.check_count, g.n), dtype=np.int64)
+            for vs, cs in enumerate(g.socket_perm):
+                want[cs // 6, vs // 3] += 1
+            assert np.array_equal(g.multiplicity, want)
+            assert g.multiplicity.dtype == np.int64
 
     def test_size_cap(self):
         g = sample_graph(EnsembleParams(2, 4), 30, 0)

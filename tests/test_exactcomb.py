@@ -1,10 +1,11 @@
 """Exact polynomial expansions and rational moment formulas."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from ldpc_moments import genfun
+from ldpc_moments import exactcomb, genfun
 from ldpc_moments.errors import DivisibilityError, TooLargeError
 from ldpc_moments.exactcomb import (
     ExactPolynomial,
@@ -24,6 +25,74 @@ from ldpc_moments.genfun import EnsembleParams
 P36 = EnsembleParams(3, 6)
 P24 = EnsembleParams(2, 4)
 P34 = EnsembleParams(3, 4)
+
+
+def _naive_power(poly, m, bound):
+    """Sparse dict of poly**m by m plain multiplications, each partial
+    product cut at the componentwise box ``bound`` (the routine that
+    :func:`power_coefficients` replaced, kept as its reference)."""
+    b1, b2, b3 = bound
+    base = sorted(poly.terms.items())
+    cur = {(0, 0, 0): 1}
+    for _ in range(m):
+        nxt = {}
+        get = nxt.get
+        for (e1, e2, e3), c in cur.items():
+            for (d1, d2, d3), cb in base:
+                k1 = e1 + d1
+                if k1 > b1:
+                    break  # base is sorted: d1 only grows from here
+                k2 = e2 + d2
+                if k2 > b2:
+                    continue
+                k3 = e3 + d3
+                if k3 > b3:
+                    continue
+                key = (k1, k2, k3)
+                nxt[key] = get(key, 0) + c * cb
+        cur = nxt
+    return cur
+
+
+def _naive_coefficients(poly, m, indices):
+    bound = tuple(max(ix[k] for ix in indices) for k in range(3))
+    power = _naive_power(poly, m, bound)
+    return {ix: power.get(ix, 0) for ix in indices}
+
+
+def _naive_univariate(terms, m, k):
+    """Coefficient of x^k in (sum c x^e)**m by dense list convolution."""
+    cur = [1]
+    for _ in range(m):
+        nxt = [0] * (len(cur) + max(terms))
+        for i, a in enumerate(cur):
+            for e, c in terms.items():
+                nxt[i + e] += a * c
+        cur = nxt
+    return cur[k] if k < len(cur) else 0
+
+
+class _CountedInt(int):
+    """An int that counts the products it takes part in as left factor."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _CountedInt.products += 1
+        return int(self) * other
+
+
+def _count_products(monkeypatch):
+    """Make every partial product of :func:`power_coefficients` count its
+    coefficient products (including the final A[j] * B[index - j] sums)."""
+    step = exactcomb._times_trunc
+
+    def counted(cur, base, lim):
+        out = step({k: _CountedInt(c) for k, c in cur.items()}, base, lim)
+        return {k: _CountedInt(c) for k, c in out.items()}
+
+    monkeypatch.setattr(exactcomb, "_times_trunc", counted)
+    _CountedInt.products = 0
 
 
 class TestExactPolynomial:
@@ -111,6 +180,60 @@ class TestPowerCoeff:
         bulk = power_coefficients(poly, 2, idx)
         for ix in idx:
             assert bulk[ix] == power_coeff(poly, 2, ix)
+
+
+class TestPowerMatchesNaive:
+    """power_coefficients (staircase cut, split power) against plain
+    multiplication cut at the componentwise box."""
+
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    @pytest.mark.parametrize("r", [3, 4, 5, 6, 8, 10])
+    def test_random_indices(self, r, kind):
+        rng = random.Random(1000 * r + len(kind))
+        pair = expand_pair_gf(EnsembleParams(2, r), kind)
+        signed = ExactPolynomial(3, {e: c * rng.choice((-3, -1, 1, 2))
+                                     for e, c in pair.terms.items()})
+        for m in range(8):
+            for poly in (pair, signed):
+                # some indices off the support, some past the degree r*m
+                top = min(r * m, 9) + 2
+                idx = [tuple(rng.randrange(top) for _ in range(3))
+                       for _ in range(rng.randrange(1, 6))]
+                want = _naive_coefficients(poly, m, idx)
+                assert power_coefficients(poly, m, idx) == want
+                assert power_coeff(poly, m, idx[0]) == want[idx[0]]
+
+    def test_out_of_reach_and_repeated_indices(self):
+        poly = expand_pair_gf(P36, "stopping")
+        idx = [(19, 0, 0), (2, 2, 2), (2, 2, 2), (0, 0, 0), (6, 6, 6)]
+        got = power_coefficients(poly, 3, idx)
+        assert got == _naive_coefficients(poly, 3, idx)
+        assert got[(19, 0, 0)] == 0  # past the degree 3 * 6
+        assert got[(0, 0, 0)] == 1
+
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    @pytest.mark.parametrize("r", [3, 4, 5, 6, 8, 10])
+    def test_univariate_path(self, r, kind):
+        rng = random.Random(r)
+        poly = check_poly(r, kind)
+        for m in range(8):
+            for k in {0, 1, r, r * m, r * m + 1, rng.randrange(r * m + 2)}:
+                assert power_coeff(poly, m, k) == _naive_univariate(poly.terms, m, k)
+
+
+class TestPowerWork:
+    """Coefficient products of the overlap powers of the benchmark rows;
+    counts, not times, so they hold on any machine."""
+
+    def test_weight_products(self, monkeypatch):
+        _count_products(monkeypatch)
+        exact_second_moment(P36, 36, 12, "weight")
+        assert _CountedInt.products <= 300_000
+
+    def test_stopping_products(self, monkeypatch):
+        _count_products(monkeypatch)
+        exact_second_moment(P36, 24, 8, "stopping")
+        assert _CountedInt.products <= 500_000
 
 
 class TestFirstMoment:
