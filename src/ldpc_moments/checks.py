@@ -15,9 +15,8 @@ def exhaustive_mismatches(params, n, kind):
     """(W, moment, exhaustive average, formula) wherever the two differ."""
     out = []
     for W in range(n + 1):
-        for moment in (1, 2):
-            ex = ensemble_oracle.exhaustive_moment(params, n, W, kind, moment)
-            gf = exactcomb.exact_moment(params, n, W, kind, moment)
+        exhaustive = ensemble_oracle.exhaustive_moment(params, n, W, kind)
+        for moment, ex, gf in zip((1, 2), exhaustive, _exact_pair(params, n, W, kind)):
             if ex != gf:
                 out.append((W, moment, ex, gf))
     return out
@@ -52,18 +51,29 @@ def llt_errors(params, n, omega, alpha, offsets):
     return errors
 
 
-def mc_attempts(params, n, W, kind, samples, seed, moment):
-    """[(|MC mean - exact|, 3-sigma halfwidth)] per attempt; an attempt
-    outside its 3-sigma band is rerun once with seed + samples."""
-    exact = float(exactcomb.exact_moment(params, n, W, kind, moment))
-    attempts = []
+def mc_attempts(params, n, W, kind, samples, seed):
+    """Per moment (first, second), [(|MC mean - exact|, 3-sigma halfwidth)]
+    per attempt.  Both moments share each sampling pass; if a moment misses
+    its 3-sigma band, one more pass runs with seed + samples, and only the
+    moments that missed record it."""
+    exact = [float(e) for e in _exact_pair(params, n, W, kind)]
+    attempts = ([], [])
+    pending = (0, 1)
     for trial in range(2):
-        est = ensemble_oracle.mc_moments(params, n, W, kind, samples,
-                                         seed + trial * samples, moment=moment)
-        attempts.append((abs(est.mean - exact), est.confidence_halfwidth_3sigma))
-        if attempts[-1][0] <= attempts[-1][1]:
+        estimates = ensemble_oracle.mc_moments(params, n, W, kind, samples,
+                                               seed + trial * samples)
+        for k in pending:
+            attempts[k].append((abs(estimates[k].mean - exact[k]),
+                                estimates[k].confidence_halfwidth_3sigma))
+        pending = [k for k in pending if not attempts[k][-1][0] <= attempts[k][-1][1]]
+        if not pending:
             break
     return attempts
+
+
+def _exact_pair(params, n, W, kind):
+    return (exactcomb.exact_first_moment(params, n, W, kind),
+            exactcomb.exact_second_moment(params, n, W, kind))
 
 
 def closed_form_gap(omegas):

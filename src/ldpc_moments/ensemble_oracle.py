@@ -87,7 +87,8 @@ def count_words(graph: TannerGraph, W: int, kind: str) -> int:
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """Monte-Carlo estimate of E[count^moment] with a 3-sigma halfwidth.
+    """Monte-Carlo estimate of one moment, E[count] or E[count^2], with a
+    3-sigma halfwidth.
 
     With a single sample the variance is reported as 0 and the halfwidth as
     NaN (undefined), flagging the estimate as degenerate.
@@ -101,34 +102,34 @@ class MomentEstimate:
 
 
 def mc_moments(params: EnsembleParams, n: int, W: int, kind: str,
-               samples: int, seed: int, moment: int = 1) -> MomentEstimate:
-    """Sample mean/variance of count^moment over independent graphs.
+               samples: int, seed: int) -> tuple:
+    """(E[count], E[count^2]) estimates from one pass over independent graphs.
 
-    Per-sample seed is ``seed + index``; the estimate is therefore identical
-    under any execution order or partitioning of the index range.
+    Each graph is sampled and counted once.  Per-sample seed is
+    ``seed + index``; the estimates are therefore identical under any
+    execution order or partitioning of the index range.
     """
     check_kind(kind)
     if samples < 1:
         raise ValueError("need at least one sample")
-    if moment not in (1, 2):
-        raise ValueError("moment must be 1 or 2")
-    counts = np.empty(samples, dtype=np.float64)
-    for idx in range(samples):
-        graph = sample_graph(params, n, seed + idx)
-        counts[idx] = count_words(graph, W, kind) ** moment
-    mean = float(counts.mean())
-    if samples == 1:
-        return MomentEstimate(mean=mean, variance=0.0, sample_count=1,
-                              confidence_halfwidth_3sigma=math.nan, seed=seed)
-    var = float(counts.var(ddof=1))
-    halfwidth = 3.0 * math.sqrt(var / samples)
-    return MomentEstimate(mean=mean, variance=var, sample_count=samples,
+    counts = [count_words(sample_graph(params, n, seed + idx), W, kind)
+              for idx in range(samples)]
+    return (_estimate(np.array(counts, dtype=np.float64), seed),
+            _estimate(np.array([c * c for c in counts], dtype=np.float64), seed))
+
+
+def _estimate(values: np.ndarray, seed: int) -> MomentEstimate:
+    samples = len(values)
+    var = float(values.var(ddof=1)) if samples > 1 else 0.0
+    halfwidth = 3.0 * math.sqrt(var / samples) if samples > 1 else math.nan
+    return MomentEstimate(mean=float(values.mean()), variance=var,
+                          sample_count=samples,
                           confidence_halfwidth_3sigma=halfwidth, seed=seed)
 
 
-def exhaustive_moment(params: EnsembleParams, n: int, W: int, kind: str,
-                      moment: int) -> Fraction:
-    """Exact ensemble average of count^moment by iterating all socket
+def exhaustive_moment(params: EnsembleParams, n: int, W: int,
+                      kind: str) -> tuple:
+    """Exact ensemble averages (E[count], E[count^2]) by iterating all socket
     permutations.  Only feasible for (n*l)! up to about 4e7."""
     check_kind(kind)
     l, r = params.left_degree, params.right_degree
@@ -138,11 +139,10 @@ def exhaustive_moment(params: EnsembleParams, n: int, W: int, kind: str,
         raise TooLargeError(f"({n}*{l})! exceeds the exhaustive cap")
     if not 0 <= W <= n:
         raise ValueError(f"W={W} outside [0, {n}]")
-    if moment not in (1, 2):
-        raise ValueError("moment must be 1 or 2")
     weight_sums, stop_sums = _exhaustive_tallies(l, r, n)
     sums = weight_sums if kind == KIND_WEIGHT else stop_sums
-    return Fraction(sums[W][moment - 1], math.factorial(n * l))
+    total = math.factorial(n * l)
+    return tuple(Fraction(s, total) for s in sums[W])
 
 
 # ---------------------------------------------------------------------------

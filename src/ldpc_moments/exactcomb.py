@@ -203,16 +203,6 @@ def exact_second_moment(params: EnsembleParams, n: int, W: int, kind: str) -> Fr
     return total
 
 
-def exact_moment(params: EnsembleParams, n: int, W: int, kind: str,
-                 moment: int) -> Fraction:
-    """Exact E[count^moment], moment 1 or 2 (cf. exhaustive_moment)."""
-    if moment == 1:
-        return exact_first_moment(params, n, W, kind)
-    if moment == 2:
-        return exact_second_moment(params, n, W, kind)
-    raise ValueError("moment must be 1 or 2")
-
-
 def exact_term(params: EnsembleParams, n: int, W: int, i: int, kind: str) -> Fraction:
     """Single overlap term S_i = F_i * C_i of the second-moment sum."""
     check_kind(kind)

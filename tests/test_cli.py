@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ldpc_moments import ensemble_oracle
 from ldpc_moments.cli import (
     BOUND_HEADER,
     main,
@@ -12,6 +13,7 @@ from ldpc_moments.cli import (
     render_json,
     run_bound_curve,
     run_growth_curve,
+    run_mc,
     run_table,
     run_verify,
 )
@@ -213,6 +215,20 @@ class TestExactAndMc:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_mc_counts_each_graph_once(self, monkeypatch):
+        # both moment rows come from one pass over the sampled graphs
+        calls = []
+        count_words = ensemble_oracle.count_words
+
+        def counting(graph, W, kind):
+            calls.append(graph)
+            return count_words(graph, W, kind)
+
+        monkeypatch.setattr(ensemble_oracle, "count_words", counting)
+        rows = run_mc(EnsembleParams(2, 4), "weight", 4, 2, 50, 11)
+        assert [row["moment"] for row in rows] == [1, 2]
+        assert len(calls) == 50
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("suite", ["hayman", "locallimit", "closedform",
@@ -230,12 +246,37 @@ class TestVerifyCommand:
         rows, ok = run_verify("closedform")
         assert ok and all(row["status"] == "PASS" for row in rows)
 
+    def test_mc_rows_unchanged(self, capsys):
+        assert main(["verify", "--suite", "mc", "--seed", "12345",
+                     "--format", "json"]) == 0
+        assert capsys.readouterr().out == MC_JSON
+
     def test_degenerate_input_surfaced_as_skip(self):
         rows, ok = run_verify("hayman")
         assert ok
         skipped = [r for r in rows if r["status"] == "SKIP"]
         assert len(skipped) == 1
         assert "UNSUPPORTED_POLY" in skipped[0]["measured"]
+
+
+# ldpc-moments verify --suite mc --seed 12345 --format json, recorded while
+# each moment still sampled its own 10,000 graphs
+MC_JSON = """\
+[
+  {
+    "check": "moment1_3sigma",
+    "status": "PASS",
+    "measured": "0.03636/0.1273",
+    "tolerance": "|dev| <= 3sigma"
+  },
+  {
+    "check": "moment2_3sigma",
+    "status": "PASS",
+    "measured": "1.209/5.34",
+    "tolerance": "|dev| <= 3sigma"
+  }
+]
+"""
 
 
 class TestUsageErrors:

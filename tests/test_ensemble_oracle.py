@@ -144,29 +144,29 @@ class TestMcMoments:
     def test_first_and_second_moment_within_three_sigma(self):
         exact1 = float(exact_first_moment(P36, 12, 4, "weight"))
         exact2 = float(exact_second_moment(P36, 12, 4, "weight"))
-        est1 = mc_moments(P36, 12, 4, "weight", 10_000, 2024, moment=1)
-        est2 = mc_moments(P36, 12, 4, "weight", 10_000, 2024, moment=2)
+        est1, est2 = mc_moments(P36, 12, 4, "weight", 10_000, 2024)
         assert abs(est1.mean - exact1) <= est1.confidence_halfwidth_3sigma
         assert abs(est2.mean - exact2) <= est2.confidence_halfwidth_3sigma
 
     def test_single_sample_flagged(self):
-        est = mc_moments(P24, 4, 2, "weight", 1, 7)
-        assert est.variance == 0.0
-        assert math.isnan(est.confidence_halfwidth_3sigma)
+        for est in mc_moments(P24, 4, 2, "weight", 1, 7):
+            assert est.variance == 0.0
+            assert math.isnan(est.confidence_halfwidth_3sigma)
 
     def test_seed_schedule_is_per_sample(self):
         # the estimate is an order-insensitive function of seed+index counts
-        est = mc_moments(P24, 4, 2, "weight", 50, 300)
-        singles = [mc_moments(P24, 4, 2, "weight", 1, 300 + i).mean
-                   for i in range(50)]
-        assert est.mean == pytest.approx(np.mean(singles), rel=1e-12)
+        pair = mc_moments(P24, 4, 2, "weight", 50, 300)
+        singles = [mc_moments(P24, 4, 2, "weight", 1, 300 + i) for i in range(50)]
+        for k, est in enumerate(pair):
+            assert est.mean == pytest.approx(np.mean([s[k].mean for s in singles]),
+                                             rel=1e-12)
 
     def test_replication_coverage(self):
         # 3-sigma interval should contain the exact value almost always
         exact = float(exact_first_moment(P24, 4, 2, "weight"))
         hits = 0
         for rep in range(100):
-            est = mc_moments(P24, 4, 2, "weight", 2000, 5000 + rep * 2000)
+            est, _ = mc_moments(P24, 4, 2, "weight", 2000, 5000 + rep * 2000)
             if abs(est.mean - exact) <= est.confidence_halfwidth_3sigma:
                 hits += 1
         assert hits >= 95
@@ -176,18 +176,19 @@ class TestExhaustiveMoment:
     @pytest.mark.parametrize("kind", ["weight", "stopping"])
     @pytest.mark.parametrize("W", [0, 1, 2, 3, 4])
     def test_matches_generating_function_first_moment(self, kind, W):
-        assert exhaustive_moment(P24, 4, W, kind, 1) == exact_first_moment(
+        assert exhaustive_moment(P24, 4, W, kind)[0] == exact_first_moment(
             P24, 4, W, kind)
 
     @pytest.mark.parametrize("kind", ["weight", "stopping"])
     @pytest.mark.parametrize("W", [0, 1, 2, 3, 4])
     def test_matches_generating_function_second_moment(self, kind, W):
-        assert exhaustive_moment(P24, 4, W, kind, 2) == exact_second_moment(
+        assert exhaustive_moment(P24, 4, W, kind)[1] == exact_second_moment(
             P24, 4, W, kind)
 
     def test_reference_value(self):
-        assert exhaustive_moment(P24, 4, 2, "weight", 1) == Fraction(114, 35)
+        assert exhaustive_moment(P24, 4, 2, "weight") == (Fraction(114, 35),
+                                                          Fraction(492, 35))
 
     def test_size_cap(self):
         with pytest.raises(TooLargeError):
-            exhaustive_moment(P36, 4, 2, "weight", 1)  # 12! permutations
+            exhaustive_moment(P36, 4, 2, "weight")  # 12! permutations

@@ -11,7 +11,6 @@ from ldpc_moments.exactcomb import (
     ExactPolynomial,
     check_poly,
     exact_first_moment,
-    exact_moment,
     exact_second_moment,
     exact_term,
     expand_pair_gf,
@@ -274,17 +273,6 @@ class TestSecondMoment:
 
     def test_reference_value(self):
         assert exact_second_moment(P24, 4, 2, "weight") == Fraction(492, 35)
-
-
-class TestExactMoment:
-    @pytest.mark.parametrize("kind", ["weight", "stopping"])
-    def test_dispatches_on_moment(self, kind):
-        assert exact_moment(P36, 6, 2, kind, 1) == exact_first_moment(P36, 6, 2, kind)
-        assert exact_moment(P36, 6, 2, kind, 2) == exact_second_moment(P36, 6, 2, kind)
-
-    def test_rejects_other_moments(self):
-        with pytest.raises(ValueError):
-            exact_moment(P36, 6, 2, "weight", 3)
 
 
 class TestExactTerm:
