@@ -34,7 +34,6 @@ from .genfun import (
     KIND_STOPPING,
     KIND_WEIGHT,
     EnsembleParams,
-    SaddleStats1,
     pair_gf_stop,
     pair_gf_weight,
     saddle_stats_uni,

@@ -48,6 +48,8 @@ def run_growth_curve(params, kind, grid):
             row.update(x=gp.saddle_x, growth=gp.growth, curvature=gp.curvature_b)
         except (SolverError, ValueError) as exc:
             row["growth"] = _error_code(exc)
+        except ArithmeticError:  # phi(x*) past the float range
+            row["growth"] = "OVERFLOW"
         rows.append(row)
     return rows
 

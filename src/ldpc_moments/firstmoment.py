@@ -101,8 +101,9 @@ def grow_bracket(below, lo: float, hi: float, limit: float,
 
 
 def solve_saddle(params: EnsembleParams, kind: str, abscissa: float,
-                 seed: float | None = None) -> float:
-    """Unique positive root x of a_phi(x) = r * abscissa, phi in {p, beta}.
+                 seed: float | None = None) -> tuple[float, float]:
+    """Unique positive root x of a_phi(x) = r * abscissa, phi in {p, beta},
+    with the variance b_phi(x) there: returns (x, b).
 
     a_phi is strictly increasing from 0 to deg phi (r - 1 for the weight
     kind at odd r, where the x^r terms of p cancel; r otherwise), so the
@@ -125,15 +126,15 @@ def solve_saddle(params: EnsembleParams, kind: str, abscissa: float,
             f"abscissa {abscissa} above the attainable range of a/r")
     if seed is not None and seed > 0.0:
         try:
-            x, res = _newton_polish(params, kind, target, seed)
+            x, b, res = _newton_polish(params, kind, target, seed)
         except ArithmeticError:
             pass
         else:
             if res < _SADDLE_RESIDUAL_TOL and _BRACKET_START <= x <= _BRACKET_LIMIT:
-                return x
+                return x, b
 
     def resid(x: float) -> float:
-        return saddle_stats_uni(params, kind, x).a - target
+        return saddle_stats_uni(params, kind, x)[0] - target
 
     lo = _BRACKET_START
     if resid(lo) > 0.0:
@@ -142,38 +143,39 @@ def solve_saddle(params: EnsembleParams, kind: str, abscissa: float,
     lo, hi = grow_bracket(lambda v: resid(v) < 0.0, lo, 2.0 * lo,
                           _BRACKET_LIMIT, f"abscissa {abscissa}")
     x = bisect_root(lambda v: resid(v) < 0.0, lo, hi, 80)
-    x, res = _newton_polish(params, kind, target, x)
+    x, b, res = _newton_polish(params, kind, target, x)
     if not res < _SADDLE_RESIDUAL_TOL:
         raise NoBracketError(
             f"saddle residual above tolerance at abscissa {abscissa}")
-    return x
+    return x, b
 
 
 def _newton_polish(params: EnsembleParams, kind: str, target: float,
-                   x: float) -> tuple[float, float]:
+                   x: float) -> tuple[float, float, float]:
     """Up to 8 Newton steps on a(x) = target from x (a' = b/x).
 
     Returns the final iterate, or the best one seen if the final one is
-    worse, with its residual |a(x) - target| (NaN if the steps left the
-    finite range).
+    worse, with b there and its residual |a(x) - target| (NaN if the steps
+    left the finite range).
     """
-    best_x, best_f = x, math.inf
+    best_x, best_b, best_f = x, math.nan, math.inf
     for _ in range(8):
-        stats = saddle_stats_uni(params, kind, x)
-        f = stats.a - target
+        a, b = saddle_stats_uni(params, kind, x)
+        f = a - target
         if abs(f) < best_f:
-            best_x, best_f = x, abs(f)
+            best_x, best_b, best_f = x, b, abs(f)
         if abs(f) < 1e-15:
             break
-        x_new = x - f * x / stats.b  # a'(x) = b(x)/x
+        x_new = x - f * x / b  # a'(x) = b(x)/x
         if x_new <= 0.0:
             x_new = 0.5 * x
         x = x_new
     else:
-        f = saddle_stats_uni(params, kind, x).a - target
+        a, b = saddle_stats_uni(params, kind, x)
+        f = a - target
     if abs(f) > best_f:
-        return best_x, best_f
-    return x, abs(f)
+        return best_x, best_b, best_f
+    return x, b, abs(f)
 
 
 def growth_point(params: EnsembleParams, kind: str, abscissa: float,
@@ -182,14 +184,13 @@ def growth_point(params: EnsembleParams, kind: str, abscissa: float,
 
     ``seed`` is passed on to :func:`solve_saddle` as a Newton start.
     """
-    x = solve_saddle(params, kind, abscissa, seed)
+    x, b = solve_saddle(params, kind, abscissa, seed)
     l, r = params.left_degree, params.right_degree
-    stats = saddle_stats_uni(params, kind, x)
     growth = ((l / r) * math.log(gf_value(params, kind, x))
               - (l - 1) * binary_entropy(abscissa)
               - l * abscissa * math.log(x))
     return GrowthPoint(abscissa=abscissa, saddle_x=x, growth=growth,
-                       curvature_b=stats.b)
+                       curvature_b=b)
 
 
 def growth_rate(params: EnsembleParams, kind: str, abscissa: float) -> float:

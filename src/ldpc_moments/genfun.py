@@ -73,14 +73,6 @@ class EnsembleParams:
         return 1.0 - self.left_degree / self.right_degree
 
 
-@dataclass(frozen=True)
-class SaddleStats1:
-    """Univariate log-derivative pair: a(x) = x phi'/phi and b(x) = x a'(x)."""
-
-    a: float
-    b: float
-
-
 def weight_gf(params: EnsembleParams, x: float) -> float:
     """Evaluate p(x) = ((1+x)^r + (1-x)^r)/2 for x >= 0."""
     if x < 0:
@@ -125,8 +117,10 @@ def pair_gf_stop(params: EnsembleParams, pt) -> float:
             - r * x2 * ((1.0 + x3) ** (r - 1) - 1.0))
 
 
-def saddle_stats_uni(params: EnsembleParams, kind: str, x: float) -> SaddleStats1:
-    """Log-derivative statistics of p (weight) or beta (stopping) at x > 0.
+def saddle_stats_uni(params: EnsembleParams, kind: str,
+                     x: float) -> tuple[float, float]:
+    """Log-derivative pair (a, b) of p (weight) or beta (stopping) at x > 0:
+    a(x) = x phi'/phi and b(x) = x a'(x).
 
     Uses b = a + x^2 phi''/phi - a^2 with ratio forms of phi'/phi and
     phi''/phi that stay finite for large x (no overflowing powers).
@@ -144,8 +138,7 @@ def saddle_stats_uni(params: EnsembleParams, kind: str, x: float) -> SaddleStats
         u = (1.0 + x) ** (-(r - 1))
         a = r * x * (1.0 - u) / ((1.0 + x) - r * x * u)
         dpp = r * (r - 1) / ((1.0 + x) ** 2 - r * x * (1.0 + x) ** (-(r - 2)))
-    b = a + x * x * dpp - a * a
-    return SaddleStats1(a=a, b=b)
+    return a, a + x * x * dpp - a * a
 
 
 def pair_stats(params: EnsembleParams, kind: str, x1: float, x2: float,

@@ -30,7 +30,7 @@ from .errors import (
     SingularMatrixError,
     VarianceDegenerateError,
 )
-from .firstmoment import bisect_root, grow_bracket, growth_point, solve_saddle
+from .firstmoment import GrowthPoint, bisect_root, grow_bracket, growth_point, solve_saddle
 from .genfun import (
     KIND_WEIGHT,
     EnsembleParams,
@@ -38,7 +38,6 @@ from .genfun import (
     pair_ratios,
     pair_stats,
     pair_vgh,
-    saddle_stats_uni,
 )
 
 _NEWTON_TOL = 1e-13
@@ -68,7 +67,8 @@ class StationaryPoint:
 class ConditionReport:
     """Verdicts of the two dominance conditions plus scan diagnostics.
 
-    ``saddle_x`` is the univariate saddle x* at omega the scan was run with.
+    ``point`` is the growth point at omega (univariate saddle x* and its
+    variance b) the scan was run with.
     """
 
     condition1_ok: bool
@@ -76,7 +76,7 @@ class ConditionReport:
     stationary_points: list
     peak_exponent: float
     endpoint_exponent: float
-    saddle_x: float
+    point: GrowthPoint
     warnings: list = field(default_factory=list)
 
 
@@ -147,10 +147,11 @@ def verify_conditions(params: EnsembleParams, kind: str,
     exponent.  Failures are verdicts, not errors.
 
     The univariate saddle x* at omega is solved once and shared by every
-    overlap solve; the report carries it as ``saddle_x``.  psi(omega^2) = 0
-    holds exactly, so a sign change in the grid interval holding omega^2 is
-    that root: its stationary point comes from the one omega^2 solve that
-    gives the peak, and only the other sign changes are bisected.
+    overlap solve; the report carries its growth point as ``point``.
+    psi(omega^2) = 0 holds exactly, so a sign change in the grid interval
+    holding omega^2 is that root: its stationary point comes from the one
+    omega^2 solve that gives the peak, and only the other sign changes are
+    bisected.
     """
     check_kind(kind)
     gp = growth_point(params, kind, omega)
@@ -228,7 +229,7 @@ def verify_conditions(params: EnsembleParams, kind: str,
     cond2 = peak > endpoint
     return ConditionReport(condition1_ok=cond1, condition2_ok=cond2,
                            stationary_points=points, peak_exponent=peak,
-                           endpoint_exponent=endpoint, saddle_x=x_star,
+                           endpoint_exponent=endpoint, point=gp,
                            warnings=warnings)
 
 
@@ -252,7 +253,7 @@ def delta(params: EnsembleParams, kind: str, omega: float,
             condition1_ok=report.condition1_ok,
             condition2_ok=report.condition2_ok,
             diagnostics=report.stationary_points, warnings=report.warnings)
-    d = delta_value(params, kind, omega, report.saddle_x)
+    d = delta_value(params, kind, omega, report.point)
     return ConcentrationReport(
         abscissa=omega, epsilon=epsilon, delta=d, bound=1.0 - d / epsilon ** 2,
         condition1_ok=True, condition2_ok=True,
@@ -328,15 +329,17 @@ def overlap_exponent_d2(params: EnsembleParams, omega: float, alpha: float,
 
 
 def delta_value(params: EnsembleParams, kind: str, omega: float,
-                x_star: float | None = None) -> float:
+                point: GrowthPoint | None = None) -> float:
     """Bare variance ratio at the omega^2 saddle, without condition scans.
 
     This is the number :func:`delta` reports when both dominance conditions
-    hold; exposed separately for closed-form cross-checks.  ``x_star``, the
-    univariate saddle at omega, is solved for when not given.
+    hold; exposed separately for closed-form cross-checks.  The univariate
+    saddle x* at omega and its variance b are read from ``point``, the
+    growth point at omega, or solved for when it is not given.
     """
     l, r = params.left_degree, params.right_degree
-    x = solve_saddle(params, kind, omega) if x_star is None else x_star
+    x, b = (solve_saddle(params, kind, omega) if point is None
+            else (point.saddle_x, point.curvature_b))
     B = pair_stats(params, kind, x, x * x, x)[2]
     det = _det3(B)
     if abs(det) < _DET_FLOOR:
@@ -346,7 +349,6 @@ def delta_value(params: EnsembleParams, kind: str, omega: float,
     if core <= 0.0:
         raise VarianceDegenerateError(
             f"w^2(1-w)^2 - (l-1) sigma_c^2 = {core:g} <= 0 at omega = {omega}")
-    b = saddle_stats_uni(params, kind, x).b
     d = (b * math.sqrt(r) * omega * (1.0 - omega) * math.sqrt(sc2)
          / math.sqrt(det * core) - 1.0)
     return _snap_nonnegative(d)
@@ -374,13 +376,13 @@ def _inner_solve(params: EnsembleParams, kind: str, omega: float, alpha: float,
     did not pass it.  Returns (t1, t2, val, B) of the accepted point."""
     if seed is None:
         if x_star is None:
-            x_star = solve_saddle(params, kind, omega)
+            x_star = solve_saddle(params, kind, omega)[0]
         seed = (x_star, x_star * x_star)
     result = _newton_from(params, kind, omega, alpha, seed[0], seed[1])
     if result is not None and result[0] < _ACCEPT_TOL:
         return result[1:]
     if x_star is None:
-        x_star = solve_saddle(params, kind, omega)
+        x_star = solve_saddle(params, kind, omega)[0]
     result = _continuation_solve(params, kind, omega, alpha, x_star)
     if result is not None and result[0] < _ACCEPT_TOL:
         return result[1:]

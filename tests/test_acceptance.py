@@ -108,7 +108,7 @@ def test_criterion_06_square_overlap_saddle_identity():
         omega = float(rng.uniform(0.05, 0.6))
         if firstmoment.growth_rate(params, kind, omega) <= 0.0:
             continue
-        x = firstmoment.solve_saddle(params, kind, omega)
+        x = firstmoment.solve_saddle(params, kind, omega)[0]
         t1, t2, _, _ = secondmoment._inner_solve(params, kind, omega,
                                                  omega * omega, None)
         worst_t = max(worst_t, abs(t1 - x), abs(t2 - x * x))

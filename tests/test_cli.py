@@ -91,6 +91,19 @@ class TestNumericalFailure:
         assert captured.err.startswith("numerical failure [")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
+    def test_growth_overflow_is_a_row(self, capsys):
+        # beta(x*) = (1+x*)^64 - 64 x* leaves the float range near 1, where
+        # x* is about 1e5; the row reads OVERFLOW and the curve goes on
+        assert main(["growth", "--l", "3", "--r", "64", "--kind", "stopping",
+                     "--min", "0.99", "--max", "0.99999", "--steps", "2",
+                     "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert rows == [
+            {"abscissa": 0.99, "x": 99.00000000000045,
+             "growth": 0.05600153435484856, "curvature": 0.6336000000010245},
+            {"abscissa": 0.99999, "x": None, "growth": "OVERFLOW",
+             "curvature": None}]
+
 
 class TestOddCheckDegree:
     # at odd r the x^r terms of p cancel, so no codeword has relative weight

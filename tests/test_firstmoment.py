@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ldpc_moments import checks, exactcomb, genfun, secondmoment
+from ldpc_moments import checks, exactcomb, firstmoment, genfun, secondmoment
 from ldpc_moments.cli import main
 from ldpc_moments.errors import NoBracketError, NoRootError, UnsupportedPolyError
 from ldpc_moments.exactcomb import ExactPolynomial, exact_first_moment, power_coeff
@@ -30,7 +30,7 @@ TESTED_ENSEMBLES = [EnsembleParams(*lr)
 class TestSolveSaddle:
     @pytest.mark.parametrize("params", TESTED_ENSEMBLES)
     def test_weight_symmetry_gives_unit_saddle(self, params):
-        assert solve_saddle(params, "weight", 0.5) == pytest.approx(
+        assert solve_saddle(params, "weight", 0.5)[0] == pytest.approx(
             1.0, abs=1e-12)
 
     def test_agrees_with_plain_bisection(self):
@@ -38,15 +38,15 @@ class TestSolveSaddle:
         lo, hi = 1e-10, 10.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if saddle_stats_uni(P36, "weight", mid).a < target:
+            if saddle_stats_uni(P36, "weight", mid)[0] < target:
                 lo = mid
             else:
                 hi = mid
-        assert solve_saddle(P36, "weight", 0.1) == pytest.approx(
+        assert solve_saddle(P36, "weight", 0.1)[0] == pytest.approx(
             0.5 * (lo + hi), abs=1e-10)
 
     def test_stopping_root_grows_toward_one(self):
-        xs = [solve_saddle(P36, "stopping", s) for s in (0.5, 0.9, 0.99)]
+        xs = [solve_saddle(P36, "stopping", s)[0] for s in (0.5, 0.9, 0.99)]
         assert xs[0] < xs[1] < xs[2]
         assert math.isfinite(xs[2])
 
@@ -55,32 +55,32 @@ class TestSolveSaddle:
     def test_residual_tolerance_on_grid(self, params, kind):
         r = params.right_degree
         for w in np.linspace(0.005, 0.995, 200):
-            x = solve_saddle(params, kind, float(w))
-            assert abs(saddle_stats_uni(params, kind, x).a - r * w) < 1e-12
+            x = solve_saddle(params, kind, float(w))[0]
+            assert abs(saddle_stats_uni(params, kind, x)[0] - r * w) < 1e-12
 
     @pytest.mark.parametrize("kind", ["weight", "stopping"])
     def test_mean_statistic_increasing(self, kind):
         # monotonicity justifies the unique root
         xs = np.geomspace(1e-4, 1e3, 200)
-        vals = [saddle_stats_uni(P36, kind, float(x)).a for x in xs]
+        vals = [saddle_stats_uni(P36, kind, float(x))[0] for x in xs]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("kind", ["weight", "stopping"])
     def test_neighbour_seed_matches_cold_root(self, kind):
         r = P36.right_degree
         for w in (0.01, 0.1, 0.3, 0.7):
-            seed = solve_saddle(P36, kind, w - 1e-4)
-            x = solve_saddle(P36, kind, w, seed)
-            assert abs(saddle_stats_uni(P36, kind, x).a - r * w) < 1e-12
-            cold = solve_saddle(P36, kind, w)
+            seed = solve_saddle(P36, kind, w - 1e-4)[0]
+            x = solve_saddle(P36, kind, w, seed)[0]
+            assert abs(saddle_stats_uni(P36, kind, x)[0] - r * w) < 1e-12
+            cold = solve_saddle(P36, kind, w)[0]
             assert abs(x - cold) <= 8 * math.ulp(cold)
 
     @pytest.mark.parametrize("kind", ["weight", "stopping"])
     @pytest.mark.parametrize("scale", [1e3, 1e-3, 1e160, 1e300])
     def test_far_seed_falls_back_to_cold_root(self, kind, scale):
         # 1e160 and 1e300 overflow inside the Newton steps
-        cold = solve_saddle(P36, kind, 0.3)
-        x = solve_saddle(P36, kind, 0.3, scale * cold)
+        cold = solve_saddle(P36, kind, 0.3)[0]
+        x = solve_saddle(P36, kind, 0.3, scale * cold)[0]
         assert abs(x - cold) <= 8 * math.ulp(cold)
 
     @pytest.mark.parametrize("seed", [0.0, -1.0, -math.inf, math.nan, math.inf])
@@ -92,6 +92,90 @@ class TestSolveSaddle:
         for bad in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
                 solve_saddle(P36, "weight", bad)
+
+
+def _reuse_cases():
+    for r in (3, 4, 6, 7, 24, 64):
+        for kind in ("weight", "stopping"):
+            for w in (1e-3, 0.05, 0.3, 0.5, 0.9, 0.999):
+                if kind == "weight" and r % 2 and w >= (r - 1) / r:
+                    continue  # no saddle: p has degree r - 1
+                yield EnsembleParams(2, r), kind, w
+
+
+class TestSaddleVarianceReuse:
+    """b at the saddle comes from the solve's own last evaluation."""
+
+    @pytest.mark.parametrize("params,kind,w", list(_reuse_cases()))
+    def test_reused_b_is_exact(self, params, kind, w):
+        # cold, seeded from the abscissa 1e-4 below, and a seed whose
+        # Newton steps overflow, which falls back to the bracket path
+        near = solve_saddle(params, kind, w - 1e-4)[0]
+        for seed in (None, near, 1e300):
+            x, b = solve_saddle(params, kind, w, seed)
+            assert b == saddle_stats_uni(params, kind, x)[1]
+            gp = growth_point(params, kind, w, seed)
+            assert gp.saddle_x == x
+            assert gp.curvature_b == b
+
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    @pytest.mark.parametrize("scale", [1e-3, 1e3, 1e8])
+    def test_polish_returns_b_of_its_iterate(self, kind, scale):
+        # far starts run all eight steps (or keep an earlier best iterate)
+        cold = solve_saddle(P36, kind, 0.3)[0]
+        x, b, _ = firstmoment._newton_polish(P36, kind, 6 * 0.3, scale * cold)
+        assert b == saddle_stats_uni(P36, kind, x)[1]
+
+    def test_polish_returns_b_of_its_best_iterate(self):
+        # from 1e-6 the steps overshoot to x near 98, further from the root
+        # than the start, which is returned with its own b
+        params = EnsembleParams(2, 3)
+        x, b, _ = firstmoment._newton_polish(params, "weight", 3 * 0.05, 1e-6)
+        assert x == 1e-6
+        assert b == saddle_stats_uni(params, "weight", x)[1]
+
+
+def _count_uni_calls(monkeypatch):
+    """Count saddle_stats_uni calls made inside and outside solve_saddle,
+    through the firstmoment and secondmoment bindings of both."""
+    counts = {"inside": 0, "outside": 0}
+    depth = [0]
+    real_uni, real_solve = genfun.saddle_stats_uni, firstmoment.solve_saddle
+
+    def uni(*args):
+        counts["inside" if depth[0] else "outside"] += 1
+        return real_uni(*args)
+
+    def solve(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return real_solve(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    for module in (firstmoment, secondmoment):
+        monkeypatch.setattr(module, "saddle_stats_uni", uni, raising=False)
+        monkeypatch.setattr(module, "solve_saddle", solve)
+    return counts
+
+
+class TestSaddleEvaluations:
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_growth_point_evaluates_only_in_the_solve(self, monkeypatch, kind,
+                                                      seeded):
+        seed = solve_saddle(P36, kind, 0.3 - 1e-4)[0] if seeded else None
+        counts = _count_uni_calls(monkeypatch)
+        growth_point(P36, kind, 0.3, seed)
+        assert counts["inside"] > 0
+        assert counts["outside"] == 0
+
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    def test_delta_evaluates_only_in_the_solve(self, monkeypatch, kind):
+        counts = _count_uni_calls(monkeypatch)
+        assert secondmoment.delta(P36, kind, 0.3).delta is not None
+        assert counts["inside"] > 0
+        assert counts["outside"] == 0
 
 
 class TestHaymanCoeff:

@@ -35,13 +35,13 @@ def _reduced_residuals(params, kind, omega, alpha, t1, t2):
 
 class TestSolveOverlap:
     def test_square_overlap_reduces_to_univariate_saddle(self):
-        x = solve_saddle(P36, "weight", 0.3)
+        x = solve_saddle(P36, "weight", 0.3)[0]
         t1, t2, _, _ = _inner_solve(P36, "weight", 0.3, 0.09, None)
         assert t1 == pytest.approx(x, abs=1e-9)
         assert t2 == pytest.approx(x * x, abs=1e-9)
 
     def test_near_diagonal_limit(self):
-        x = solve_saddle(P36, "weight", 0.3)
+        x = solve_saddle(P36, "weight", 0.3)[0]
         t1, t2, _, _ = _inner_solve(P36, "weight", 0.3, 0.3 - 1e-5, None)
         assert t1 < 0.02
         assert t2 == pytest.approx(x, abs=0.01)
@@ -68,7 +68,7 @@ class TestSolveOverlap:
         for omega in (wmin + 0.02, 0.3, 0.45):
             if growth_rate(params, kind, omega) <= 0:
                 continue
-            x = solve_saddle(params, kind, omega)
+            x = solve_saddle(params, kind, omega)[0]
             t1, t2, val, _ = _inner_solve(params, kind, omega, omega * omega,
                                           None)
             assert t1 == pytest.approx(x, abs=1e-9)
@@ -238,7 +238,7 @@ SCAN_CASES = [((3, 6), "weight", 0.3), ((3, 6), "stopping", None),
 class TestScanGrid:
     @staticmethod
     def _compare(params, kind, omega):
-        x_star = solve_saddle(params, kind, omega)
+        x_star = solve_saddle(params, kind, omega)[0]
         alphas, t1, t2, val = secondmoment._scan_grid(params, kind, omega, x_star)
         rt1, rt2, rval = _sequential_grid(params, kind, omega, x_star, alphas)
         psi = secondmoment._psi(params, omega, alphas, t1, t2)
@@ -378,7 +378,7 @@ class TestContinuation:
         # a warm-started march down from omega^2 needs no continuation
         alphas = 0.998 + np.geomspace(1e-12, omega * omega - 0.998, 50)
         alphas[0] = alpha
-        x_star = solve_saddle(params, "weight", omega)
+        x_star = solve_saddle(params, "weight", omega)[0]
         t1, t2, val = _sequential_grid(params, "weight", omega, x_star, alphas)
         assert len(solved) == 1
         march = secondmoment._exponent(params, omega, alpha, t1[0], t2[0], val[0])
@@ -391,7 +391,7 @@ class TestFallback:
         # anchor (seven steps here) must land on the solution the warm start
         # would have found
         omega, alpha = 0.3, 0.001
-        x_star = solve_saddle(P36, "weight", omega)
+        x_star = solve_saddle(P36, "weight", omega)[0]
         want = _inner_solve(P36, "weight", omega, alpha, None, x_star)
         real_newton, real_march = (secondmoment._newton_from,
                                    secondmoment._continuation_solve)
@@ -525,7 +525,7 @@ class TestSecondMomentPrefactor:
         with d = 4 for the parity-constrained codeword pair function, 1 for
         the stopping pair function."""
         l, r = params.left_degree, params.right_degree
-        x = solve_saddle(params, kind, w)
+        x = solve_saddle(params, kind, w)[0]
         B = pair_stats(params, kind, x, x * x, x)[2]
         sc2 = _sigma_c2(params, B)
         core = w ** 2 * (1 - w) ** 2 - (l - 1) * sc2
