@@ -25,7 +25,6 @@ from .firstmoment import (
     GrowthPoint,
     avg_count,
     growth_point,
-    growth_rate,
     hayman_coeff,
     min_abscissa,
     solve_saddle,

@@ -44,9 +44,10 @@ def llt_errors(params, n, omega, alpha, offsets):
     pair = exactcomb.expand_pair_gf(params, KIND_WEIGHT)
     indices = [base] + [tuple(base[k] + o[k] for k in range(3)) for o in offsets]
     coeffs = exactcomb.power_coefficients(pair, n * l // r, indices)
+    point = firstmoment.growth_point(params, KIND_WEIGHT, omega)
     errors = {}
     for o, j in zip(offsets, indices[1:]):
-        pred = secondmoment.local_limit_ratio(params, KIND_WEIGHT, n, omega, alpha, o)
+        pred = secondmoment.local_limit_ratio(params, KIND_WEIGHT, point, n, alpha, o)
         errors[o] = abs(pred / (coeffs[j] / coeffs[base]) - 1.0)
     return errors
 
@@ -79,21 +80,24 @@ def _exact_pair(params, n, W, kind):
 def closed_form_gap(omegas):
     """Worst |delta_value - delta34_closed_form| of (3,4) weight over omegas."""
     params = EnsembleParams(3, 4)
-    gaps = [abs(secondmoment.delta_value(params, KIND_WEIGHT, w)
-                - secondmoment.delta34_closed_form(w)) for w in omegas]
+    points = [firstmoment.growth_point(params, KIND_WEIGHT, w) for w in omegas]
+    gaps = [abs(secondmoment.delta_value(params, KIND_WEIGHT, gp)
+                - secondmoment.delta34_closed_form(gp.abscissa)) for gp in points]
     return max(gaps, key=lambda g: math.inf if math.isnan(g) else g)  # NaN is worst
 
 
-def endpoint_gap(params, kind, omega):
-    """|saddle - extrapolated| endpoint exponent."""
-    sad = secondmoment._endpoint_reduced_saddle(params, kind, omega)
-    ext = secondmoment._endpoint_extrapolated(params, kind, omega, None)
+def endpoint_gap(params, kind, point):
+    """|saddle - extrapolated| endpoint exponent at the growth point's
+    abscissa."""
+    sad = secondmoment._endpoint_reduced_saddle(params, kind, point.abscissa)
+    ext = secondmoment._endpoint_extrapolated(params, kind, point)
     return abs(sad - ext)
 
 
 def disjoint_term_errors(params, omega, ns):
     """{n: |ln S_0 / n - endpoint exponent|} for the exact disjoint-support
     term S_0 of the weight-kind second moment at block length n."""
-    endpoint = secondmoment.endpoint_exponent(params, KIND_WEIGHT, omega)
+    point = firstmoment.growth_point(params, KIND_WEIGHT, omega)
+    endpoint = secondmoment.endpoint_exponent(params, KIND_WEIGHT, point)
     return {n: abs(math.log(float(exactcomb.exact_term(
         params, n, round(n * omega), 0, KIND_WEIGHT))) / n - endpoint) for n in ns}

@@ -71,7 +71,7 @@ def run_bound_curve(params, kind, grid, epsilon):
             if gp.growth <= 0.0:
                 row["bound"] = "markov"
             else:
-                rep = secondmoment.delta(params, kind, w, epsilon)
+                rep = secondmoment.delta(params, kind, gp, epsilon)
                 row.update(cond1=rep.condition1_ok, cond2=rep.condition2_ok,
                            delta=rep.delta, bound=rep.bound)
         except (SolverError, ValueError) as exc:
@@ -97,7 +97,8 @@ def run_table(pairs, kind, epsilon):
         try:
             wmin = firstmoment.min_abscissa(params, kind)
             row["min_abscissa"] = wmin
-            rep = secondmoment.delta(params, kind, wmin + MIN_ABSCISSA_OFFSET, epsilon)
+            gp = firstmoment.growth_point(params, kind, wmin + MIN_ABSCISSA_OFFSET)
+            rep = secondmoment.delta(params, kind, gp, epsilon)
             row["bound"] = rep.bound if rep.bound is not None else "conditions_failed"
         except (SolverError, ValueError) as exc:
             row["bound"] = _error_code(exc)
@@ -177,7 +178,8 @@ def _verify_locallimit(seed):
     e24, e48 = (checks.llt_errors(_P36, n, omega, alpha, offsets) for n in (24, 48))
     rows = [(f"offset_{o[0]}_{o[1]}_{o[2]}", e24[o] <= 0.30 and e48[o] < e24[o],
              f"{e24[o]:.4g}->{e48[o]:.4g}", "<=0.3 decreasing") for o in offsets]
-    ident = secondmoment.local_limit_ratio(_P36, KIND_WEIGHT, 24, omega, alpha, (0, 0, 0))
+    gp = firstmoment.growth_point(_P36, KIND_WEIGHT, omega)
+    ident = secondmoment.local_limit_ratio(_P36, KIND_WEIGHT, gp, 24, alpha, (0, 0, 0))
     return rows + [("identity_offset", ident == 1.0, ident, 1.0)]
 
 
@@ -189,9 +191,10 @@ def _verify_closedform(seed):
 
 
 def _verify_endpoint(seed):
-    diff = checks.endpoint_gap(_P36, KIND_WEIGHT, 0.3)
-    peak = secondmoment.exponent_curve(_P36, KIND_WEIGHT, 0.3, 0.09)
-    ident = abs(peak - 2.0 * firstmoment.growth_rate(_P36, KIND_WEIGHT, 0.3))
+    gp = firstmoment.growth_point(_P36, KIND_WEIGHT, 0.3)
+    diff = checks.endpoint_gap(_P36, KIND_WEIGHT, gp)
+    peak = secondmoment.exponent_curve(_P36, KIND_WEIGHT, gp, 0.09)
+    ident = abs(peak - 2.0 * gp.growth)
     errs = checks.disjoint_term_errors(_P36, 0.5, (24, 48))
     return [("saddle_vs_extrapolation", diff <= 1e-3, diff, 1e-3),
             ("peak_identity", ident <= 1e-8, ident, 1e-8),
@@ -326,6 +329,8 @@ def _parse_pairs(text):
 def _grid(args, parser):
     if not (math.isfinite(args.min) and math.isfinite(args.max)):
         parser.error("--min and --max must be finite")
+    if not (0.0 < args.min and args.max < 1.0):
+        parser.error("--min and --max must lie in (0, 1)")
     if not args.min < args.max:
         parser.error("--min must be smaller than --max")
     if args.steps < 2:

@@ -193,11 +193,6 @@ def growth_point(params: EnsembleParams, kind: str, abscissa: float,
                        curvature_b=b)
 
 
-def growth_rate(params: EnsembleParams, kind: str, abscissa: float) -> float:
-    """Exponential growth rate of the average count at the given abscissa."""
-    return growth_point(params, kind, abscissa).growth
-
-
 def hayman_coeff(poly: ExactPolynomial, m: int, k: int) -> float:
     """Saddle-point approximation of Coeff(poly^m, y^k).
 

@@ -11,6 +11,10 @@ saddle system (t3 = t1 by symmetry), evaluates the per-overlap exponent
 locates its stationary points, checks the two dominance conditions that make
 alpha = w^2 the global maximum, and assembles the variance ratio delta and
 the Chebyshev concentration bound 1 - delta/eps^2.
+
+Functions at one abscissa w take the growth point there, whose univariate
+saddle x* anchors the overlap saddle (x*, x*^2, x*) at alpha = w^2; the
+caller solves x* once (:func:`firstmoment.growth_point`) and passes it down.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .errors import (
     SingularMatrixError,
     VarianceDegenerateError,
 )
-from .firstmoment import GrowthPoint, bisect_root, grow_bracket, growth_point, solve_saddle
+from .firstmoment import GrowthPoint, bisect_root, grow_bracket
 from .genfun import (
     KIND_WEIGHT,
     EnsembleParams,
@@ -65,18 +69,13 @@ class StationaryPoint:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Verdicts of the two dominance conditions plus scan diagnostics.
-
-    ``point`` is the growth point at omega (univariate saddle x* and its
-    variance b) the scan was run with.
-    """
+    """Verdicts of the two dominance conditions plus scan diagnostics."""
 
     condition1_ok: bool
     condition2_ok: bool
     stationary_points: list
     peak_exponent: float
     endpoint_exponent: float
-    point: GrowthPoint
     warnings: list = field(default_factory=list)
 
 
@@ -98,42 +97,40 @@ class ConcentrationReport:
     warnings: list = field(default_factory=list)
 
 
-def exponent_curve(params: EnsembleParams, kind: str, omega: float,
-                   alpha: float, x_star: float | None = None) -> float:
-    """Exponential rate of the overlap-alpha term of the squared count.
-
-    ``x_star``, the univariate saddle at omega, is solved for when not given.
-    """
+def exponent_curve(params: EnsembleParams, kind: str, point: GrowthPoint,
+                   alpha: float) -> float:
+    """Exponential rate of the overlap-alpha term of the squared count at
+    the abscissa omega of ``point``."""
     check_kind(kind)
+    omega = point.abscissa
     _check_alpha(omega, alpha)
-    t1, t2, val, _ = _inner_solve(params, kind, omega, alpha, None, x_star)
+    t1, t2, val, _ = _inner_solve(params, kind, omega, alpha, None,
+                                  point.saddle_x)
     return float(_exponent(params, omega, alpha, t1, t2, val))
 
 
-def endpoint_exponent(params: EnsembleParams, kind: str, omega: float,
-                      x_star: float | None = None) -> float:
-    """Overlap exponent at the boundary alpha = max(0, 2*omega - 1).
+def endpoint_exponent(params: EnsembleParams, kind: str,
+                      point: GrowthPoint) -> float:
+    """Overlap exponent at the boundary alpha = max(0, 2*omega - 1), omega
+    the abscissa of ``point``.
 
     For omega <= 1/2 the boundary has no shared coordinates and the exponent
     comes from the reduced saddle of the overlap-free slice phi(x, 0, x),
     which the x1 = x3 symmetry makes univariate.  Otherwise (or when that
     saddle diverges) the interior curve is extrapolated one-sidedly with
-    steps 1e-3 and 1e-4, seeded from ``x_star`` (the univariate saddle at
-    omega) when given.
+    steps 1e-3 and 1e-4, seeded from the point's saddle x*.
     """
     check_kind(kind)
-    if not 0.0 < omega < 1.0:
-        raise ValueError(f"omega must lie in (0, 1), got {omega}")
-    if omega < 0.5:
+    if point.abscissa < 0.5:
         try:
-            return _endpoint_reduced_saddle(params, kind, omega)
+            return _endpoint_reduced_saddle(params, kind, point.abscissa)
         except NoBracketError:
             pass
-    return _endpoint_extrapolated(params, kind, omega, x_star)
+    return _endpoint_extrapolated(params, kind, point)
 
 
 def verify_conditions(params: EnsembleParams, kind: str,
-                      omega: float) -> ConditionReport:
+                      point: GrowthPoint) -> ConditionReport:
     """Scan the overlap range and check the two dominance conditions.
 
     Condition 1: alpha = omega^2 is a negative-curvature stationary point
@@ -146,23 +143,21 @@ def verify_conditions(params: EnsembleParams, kind: str,
     Condition 2: the exponent at omega^2 strictly exceeds the boundary
     exponent.  Failures are verdicts, not errors.
 
-    The univariate saddle x* at omega is solved once and shared by every
-    overlap solve; the report carries its growth point as ``point``.
-    psi(omega^2) = 0 holds exactly, so a sign change in the grid interval
-    holding omega^2 is that root: its stationary point comes from the one
-    omega^2 solve that gives the peak, and only the other sign changes are
-    bisected.
+    omega is the abscissa of ``point``, whose univariate saddle x* is shared
+    by every overlap solve.  psi(omega^2) = 0 holds exactly, so a sign
+    change in the grid interval holding omega^2 is that root: its stationary
+    point comes from the one omega^2 solve that gives the peak, and only the
+    other sign changes are bisected.
     """
     check_kind(kind)
-    gp = growth_point(params, kind, omega)
-    if gp.growth <= 0.0:
+    omega, x_star = point.abscissa, point.saddle_x
+    if point.growth <= 0.0:
         raise DomainError(
             f"positive growth rate required (Markov regime at {omega})")
-    x_star = gp.saddle_x
     alpha_sq = omega * omega
     t1, t2, val, B = _inner_solve(params, kind, omega, alpha_sq, None, x_star)
     peak = float(_exponent(params, omega, alpha_sq, t1, t2, val))
-    _anchor_check(params, kind, omega, gp.growth, peak, x_star)
+    _anchor_check(params, kind, point, peak)
 
     lo_edge, margin = _grid_window(omega)
     alphas, t1s, t2s, vals = _scan_grid(params, kind, omega, x_star)
@@ -191,10 +186,10 @@ def verify_conditions(params: EnsembleParams, kind: str,
             points.append(_stationary_point(params, kind, omega, root,
                                             warm_root, x_star))
 
-    endpoint = endpoint_exponent(params, kind, omega, x_star=x_star)
+    endpoint = endpoint_exponent(params, kind, point)
     warnings = []
     if omega < 0.5:
-        extrap = _endpoint_extrapolated(params, kind, omega, x_star)
+        extrap = _endpoint_extrapolated(params, kind, point)
         if abs(extrap - endpoint) > _ENDPOINT_DISAGREE:
             warnings.append(
                 f"endpoint methods disagree: saddle {endpoint:.6g} vs "
@@ -229,31 +224,32 @@ def verify_conditions(params: EnsembleParams, kind: str,
     cond2 = peak > endpoint
     return ConditionReport(condition1_ok=cond1, condition2_ok=cond2,
                            stationary_points=points, peak_exponent=peak,
-                           endpoint_exponent=endpoint, point=gp,
-                           warnings=warnings)
+                           endpoint_exponent=endpoint, warnings=warnings)
 
 
-def delta(params: EnsembleParams, kind: str, omega: float,
+def delta(params: EnsembleParams, kind: str, point: GrowthPoint,
           epsilon: float = 0.95) -> ConcentrationReport:
     """Asymptotic variance ratio delta and the bound 1 - delta/epsilon^2.
 
     delta = b(x*) sqrt(r) w(1-w) sigma_c / sqrt(|B|(w^2(1-w)^2-(l-1)sigma_c^2)) - 1
 
     evaluated at the overlap saddle t = (x*, x*^2, x*) that the alpha = w^2
-    stationary point provably reduces to.  When either dominance condition
-    fails the report carries verdicts and diagnostics but no numbers.
+    stationary point provably reduces to, w and x* from ``point``.  When
+    either dominance condition fails the report carries verdicts and
+    diagnostics but no numbers.
     """
     check_kind(kind)
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    report = verify_conditions(params, kind, omega)
+    report = verify_conditions(params, kind, point)
+    omega = point.abscissa
     if not (report.condition1_ok and report.condition2_ok):
         return ConcentrationReport(
             abscissa=omega, epsilon=epsilon, delta=None, bound=None,
             condition1_ok=report.condition1_ok,
             condition2_ok=report.condition2_ok,
             diagnostics=report.stationary_points, warnings=report.warnings)
-    d = delta_value(params, kind, omega, report.point)
+    d = delta_value(params, kind, point)
     return ConcentrationReport(
         abscissa=omega, epsilon=epsilon, delta=d, bound=1.0 - d / epsilon ** 2,
         condition1_ok=True, condition2_ok=True,
@@ -281,12 +277,13 @@ def delta34_closed_form(omega: float) -> float:
     return _snap_nonnegative(d)
 
 
-def local_limit_ratio(params: EnsembleParams, kind: str, n: int, omega: float,
-                      base_alpha: float, offset) -> float:
+def local_limit_ratio(params: EnsembleParams, kind: str, point: GrowthPoint,
+                      n: int, base_alpha: float, offset) -> float:
     """Predicted ratio of two nearby trivariate coefficients of phi^(n*l/r).
 
-    With base index i = (l(W-i0), l*i0, l(W-i0)), saddle t at i and
-    u = sqrt(r/(n*l)) * offset, the local limit theorem gives
+    With W = n*omega (omega the abscissa of ``point``), base index
+    i = (l(W-i0), l*i0, l(W-i0)), saddle t at i and u = sqrt(r/(n*l)) * offset,
+    the local limit theorem gives
 
         Coeff(i + offset) / Coeff(i) = t^(-offset) * exp(-u B^(-1) u^T / 2).
 
@@ -295,6 +292,7 @@ def local_limit_ratio(params: EnsembleParams, kind: str, n: int, omega: float,
     """
     check_kind(kind)
     l, r = params.left_degree, params.right_degree
+    omega = point.abscissa
     W = _as_int(n * omega, "n*omega")
     i0 = _as_int(n * base_alpha, "n*base_alpha")
     if not max(0, 2 * W - n) < i0 < W:
@@ -307,7 +305,8 @@ def local_limit_ratio(params: EnsembleParams, kind: str, n: int, omega: float,
     if min(target) < 0:
         raise ValueError(f"offset {off} leaves the nonnegative orthant")
     _check_lattice(kind, base, off)
-    t1, t2, _, B = _inner_solve(params, kind, omega, i0 / n, None)
+    t1, t2, _, B = _inner_solve(params, kind, omega, i0 / n, None,
+                                point.saddle_x)
     u = [math.sqrt(r / (n * l)) * v for v in off]
     quad = _quadform_inv(B, u)
     t = (t1, t2, t1)
@@ -328,18 +327,15 @@ def overlap_exponent_d2(params: EnsembleParams, omega: float, alpha: float,
             - 0.5 / sigma_c2)
 
 
-def delta_value(params: EnsembleParams, kind: str, omega: float,
-                point: GrowthPoint | None = None) -> float:
+def delta_value(params: EnsembleParams, kind: str, point: GrowthPoint) -> float:
     """Bare variance ratio at the omega^2 saddle, without condition scans.
 
     This is the number :func:`delta` reports when both dominance conditions
-    hold; exposed separately for closed-form cross-checks.  The univariate
-    saddle x* at omega and its variance b are read from ``point``, the
-    growth point at omega, or solved for when it is not given.
+    hold; exposed separately for closed-form cross-checks.  omega, the
+    univariate saddle x* and its variance b are read from ``point``.
     """
     l, r = params.left_degree, params.right_degree
-    x, b = (solve_saddle(params, kind, omega) if point is None
-            else (point.saddle_x, point.curvature_b))
+    omega, x, b = point.abscissa, point.saddle_x, point.curvature_b
     B = pair_stats(params, kind, x, x * x, x)[2]
     det = _det3(B)
     if abs(det) < _DET_FLOOR:
@@ -365,24 +361,20 @@ def _check_alpha(omega: float, alpha: float) -> None:
 
 
 def _inner_solve(params: EnsembleParams, kind: str, omega: float, alpha: float,
-                 seed, x_star=None):
+                 seed, x_star: float):
     """Damped Newton for the reduced system a1/r = omega - alpha, a2/r = alpha.
 
     Starts from the warm seed or, without one, from the omega^2 anchor
-    (x*, x*^2).  If that start fails, the one fallback is a geometric
-    continuation from the anchor toward the target (the solution scale blows
-    up like one over the distance to the overlap-range corners, so single
-    far jumps can stall).  x* is solved for only when needed and the caller
-    did not pass it.  Returns (t1, t2, val, B) of the accepted point."""
+    (x*, x*^2), x* the univariate saddle at omega.  If that start fails, the
+    one fallback is a geometric continuation from the anchor toward the
+    target (the solution scale blows up like one over the distance to the
+    overlap-range corners, so single far jumps can stall).  Returns
+    (t1, t2, val, B) of the accepted point."""
     if seed is None:
-        if x_star is None:
-            x_star = solve_saddle(params, kind, omega)[0]
         seed = (x_star, x_star * x_star)
     result = _newton_from(params, kind, omega, alpha, seed[0], seed[1])
     if result is not None and result[0] < _ACCEPT_TOL:
         return result[1:]
-    if x_star is None:
-        x_star = solve_saddle(params, kind, omega)[0]
     result = _continuation_solve(params, kind, omega, alpha, x_star)
     if result is not None and result[0] < _ACCEPT_TOL:
         return result[1:]
@@ -716,13 +708,14 @@ def _bisect_psi(params, kind, omega, lo, hi, psi_lo, warm, x_star):
     return root, warm
 
 
-def _anchor_check(params, kind, omega, growth, peak, x_star) -> None:
+def _anchor_check(params, kind, point: GrowthPoint, peak) -> None:
     """Anchor identities guarding the exponent bookkeeping.
 
     The alpha = omega^2 term ``peak`` must carry exactly twice the growth
-    rate, and the curve must approach the growth rate at the alpha -> omega
-    edge.
+    rate of ``point``, and the curve must approach that growth rate at the
+    alpha -> omega edge.
     """
+    omega, growth = point.abscissa, point.growth
     if abs(peak - 2.0 * growth) > 1e-8:
         raise ExponentMismatchError(
             f"E(omega^2) = {peak:.12g} vs 2*growth = {2 * growth:.12g}")
@@ -730,7 +723,7 @@ def _anchor_check(params, kind, omega, growth, peak, x_star) -> None:
     # with the left degree to keep it well below the 1e-2 bug guard
     h = min(3e-4 / params.left_degree,
             0.1 * (omega - max(0.0, 2.0 * omega - 1.0)))
-    edge = exponent_curve(params, kind, omega, omega - h, x_star)
+    edge = exponent_curve(params, kind, point, omega - h)
     if abs(edge - growth) > 1e-2:
         raise ExponentMismatchError(
             f"E(omega - {h:g}) = {edge:.12g} vs growth = {growth:.12g}")
@@ -756,14 +749,15 @@ def _endpoint_reduced_saddle(params: EnsembleParams, kind: str,
                  + (l / r) * math.log(val) - 2.0 * l * omega * math.log(t))
 
 
-def _endpoint_extrapolated(params: EnsembleParams, kind: str, omega: float,
-                           x_star: float | None) -> float:
+def _endpoint_extrapolated(params: EnsembleParams, kind: str,
+                           point: GrowthPoint) -> float:
+    omega = point.abscissa
     lo_edge = max(0.0, 2.0 * omega - 1.0)
     window = omega - lo_edge
     h1 = min(_ENDPOINT_STEPS[0], 0.05 * window)
     h2 = h1 * (_ENDPOINT_STEPS[1] / _ENDPOINT_STEPS[0])
-    e1 = exponent_curve(params, kind, omega, lo_edge + h1, x_star)
-    e2 = exponent_curve(params, kind, omega, lo_edge + h2, x_star)
+    e1 = exponent_curve(params, kind, point, lo_edge + h1)
+    e2 = exponent_curve(params, kind, point, lo_edge + h2)
     return e2 - h2 * (e1 - e2) / (h1 - h2)
 
 

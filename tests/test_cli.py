@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ldpc_moments import ensemble_oracle
+from ldpc_moments import ensemble_oracle, firstmoment, secondmoment
 from ldpc_moments.cli import (
     BOUND_HEADER,
     main,
@@ -70,16 +70,50 @@ class TestBoundCurve:
         assert rows[1]["cond1"] is False and rows[1]["bound"] is None
         assert isinstance(rows[2]["bound"], float)
 
+    @pytest.mark.parametrize("steps", [9, 99])
     @pytest.mark.parametrize("kind", ["weight", "stopping"])
-    def test_rows_do_not_depend_on_the_curve(self, kind):
-        # no seed or cached solve carries over from one row to the next: the
-        # 9-step curve of `bound --min 0.01 --max 0.99 --steps 9` renders the
-        # same bytes as its abscissas run one at a time
-        grid = np.linspace(0.01, 0.99, 9).tolist()
+    def test_rows_do_not_depend_on_the_curve(self, kind, steps):
+        # no seed, cached solve or growth point carries over from one row to
+        # the next: the curve of `bound --min 0.01 --max 0.99 --steps <steps>`
+        # renders the same bytes as its abscissas run one at a time
+        grid = np.linspace(0.01, 0.99, steps).tolist()
         curve = run_bound_curve(P36, kind, grid, 0.95)
         alone = [run_bound_curve(P36, kind, [w], 0.95)[0] for w in grid]
         for render in (render_csv, render_json):
             assert render(BOUND_HEADER, alone) == render(BOUND_HEADER, curve)
+
+
+@pytest.fixture
+def saddle_solves(monkeypatch):
+    """Arguments of every solve_saddle call made from here on, through the
+    firstmoment binding and any secondmoment binding."""
+    calls = []
+    real = firstmoment.solve_saddle
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (firstmoment, secondmoment):
+        monkeypatch.setattr(module, "solve_saddle", counted, raising=False)
+    return calls
+
+
+class TestSaddleSolves:
+    # the caller solves x* once per abscissa and passes its growth point
+    # down; no second-moment function solves it again
+
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    def test_bound_curve_solves_once_per_row(self, saddle_solves, kind):
+        grid = [0.1, 0.3, 0.6, 0.9]
+        run_bound_curve(P36, kind, grid, 0.95)
+        assert [args[2] for args in saddle_solves] == grid
+
+    @pytest.mark.parametrize("suite,solves", [("endpoint", 2), ("locallimit", 3)])
+    def test_verify_suite_solves_once_per_abscissa(self, saddle_solves, suite,
+                                                   solves):
+        run_verify(suite)
+        assert len(saddle_solves) == solves
 
 
 class TestNumericalFailure:
@@ -305,6 +339,18 @@ class TestUsageErrors:
                      "--steps", "3"]) == 2
         captured = capsys.readouterr()
         assert "--min and --max must be finite" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command", ["growth", "bound"])
+    @pytest.mark.parametrize("lo,hi", [("0", "0.5"), ("0.5", "1")])
+    def test_grid_outside_unit_interval(self, command, lo, hi, capsys):
+        # an abscissa of 0 or 1 has no saddle; it is a usage error, not an
+        # uncoded ERROR row
+        assert main([command, "--l", "3", "--r", "6", "--min", lo, "--max", hi,
+                     "--steps", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "ldpc-moments: error: --min and --max must lie in (0, 1)")
 
     @pytest.mark.parametrize("command", [
         ["growth", "--l", "3", "--r", "6", "--min", "0.2", "--max", "0.3",

@@ -14,7 +14,6 @@ from ldpc_moments.firstmoment import (
     bisect_root,
     grow_bracket,
     growth_point,
-    growth_rate,
     hayman_coeff,
     min_abscissa,
     solve_saddle,
@@ -137,7 +136,8 @@ class TestSaddleVarianceReuse:
 
 def _count_uni_calls(monkeypatch):
     """Count saddle_stats_uni calls made inside and outside solve_saddle,
-    through the firstmoment and secondmoment bindings of both."""
+    through the firstmoment and secondmoment bindings of saddle_stats_uni
+    and the firstmoment binding of solve_saddle, its one owner."""
     counts = {"inside": 0, "outside": 0}
     depth = [0]
     real_uni, real_solve = genfun.saddle_stats_uni, firstmoment.solve_saddle
@@ -155,7 +155,7 @@ def _count_uni_calls(monkeypatch):
 
     for module in (firstmoment, secondmoment):
         monkeypatch.setattr(module, "saddle_stats_uni", uni, raising=False)
-        monkeypatch.setattr(module, "solve_saddle", solve)
+    monkeypatch.setattr(firstmoment, "solve_saddle", solve)
     return counts
 
 
@@ -173,7 +173,8 @@ class TestSaddleEvaluations:
     @pytest.mark.parametrize("kind", ["weight", "stopping"])
     def test_delta_evaluates_only_in_the_solve(self, monkeypatch, kind):
         counts = _count_uni_calls(monkeypatch)
-        assert secondmoment.delta(P36, kind, 0.3).delta is not None
+        point = growth_point(P36, kind, 0.3)
+        assert secondmoment.delta(P36, kind, point).delta is not None
         assert counts["inside"] > 0
         assert counts["outside"] == 0
 
@@ -264,20 +265,20 @@ class TestAvgCount:
 class TestGrowthRate:
     @pytest.mark.parametrize("params", TESTED_ENSEMBLES)
     def test_half_abscissa_closed_form(self, params):
-        assert growth_rate(params, "weight", 0.5) == pytest.approx(
+        assert growth_point(params, "weight", 0.5).growth == pytest.approx(
             params.design_rate * math.log(2.0), abs=1e-12)
 
     def test_vanishes_at_min_abscissa(self):
         wmin = min_abscissa(P36, "weight")
-        assert abs(growth_rate(P36, "weight", wmin)) < 1e-8
+        assert abs(growth_point(P36, "weight", wmin).growth) < 1e-8
 
     def test_negative_below_typical_minimum(self):
-        assert growth_rate(P36, "weight", 0.001) < 0.0
+        assert growth_point(P36, "weight", 0.001).growth < 0.0
 
     def test_not_symmetric_for_odd_degree(self):
         params = EnsembleParams(3, 5)
-        assert growth_rate(params, "weight", 0.3) != pytest.approx(
-            growth_rate(params, "weight", 0.7), abs=1e-6)
+        assert growth_point(params, "weight", 0.3).growth != pytest.approx(
+            growth_point(params, "weight", 0.7).growth, abs=1e-6)
 
     def test_growth_point_curvature_positive(self):
         gp = growth_point(P36, "weight", 0.3)
@@ -297,8 +298,8 @@ class TestMinAbscissa:
 
     def test_stopping_root_is_growth_sign_change(self):
         smin = min_abscissa(P36, "stopping")
-        assert growth_rate(P36, "stopping", smin - 1e-6) < 0.0
-        assert growth_rate(P36, "stopping", smin + 1e-6) > 0.0
+        assert growth_point(P36, "stopping", smin - 1e-6).growth < 0.0
+        assert growth_point(P36, "stopping", smin + 1e-6).growth > 0.0
 
     @pytest.mark.parametrize("l,r", [(2, 4), (3, 48)])
     def test_no_root_at_left_edge(self, l, r):

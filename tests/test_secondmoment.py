@@ -8,7 +8,7 @@ import pytest
 from ldpc_moments import checks, exactcomb, firstmoment, secondmoment
 from ldpc_moments.cli import main
 from ldpc_moments.errors import DomainError, OffLatticeError
-from ldpc_moments.firstmoment import growth_rate, min_abscissa, solve_saddle
+from ldpc_moments.firstmoment import growth_point, min_abscissa, solve_saddle
 from ldpc_moments.genfun import EnsembleParams, pair_gf_stop, pair_gf_weight, pair_stats
 from ldpc_moments.secondmoment import (
     delta,
@@ -36,18 +36,19 @@ def _reduced_residuals(params, kind, omega, alpha, t1, t2):
 class TestSolveOverlap:
     def test_square_overlap_reduces_to_univariate_saddle(self):
         x = solve_saddle(P36, "weight", 0.3)[0]
-        t1, t2, _, _ = _inner_solve(P36, "weight", 0.3, 0.09, None)
+        t1, t2, _, _ = _inner_solve(P36, "weight", 0.3, 0.09, None, x)
         assert t1 == pytest.approx(x, abs=1e-9)
         assert t2 == pytest.approx(x * x, abs=1e-9)
 
     def test_near_diagonal_limit(self):
         x = solve_saddle(P36, "weight", 0.3)[0]
-        t1, t2, _, _ = _inner_solve(P36, "weight", 0.3, 0.3 - 1e-5, None)
+        t1, t2, _, _ = _inner_solve(P36, "weight", 0.3, 0.3 - 1e-5, None, x)
         assert t1 < 0.02
         assert t2 == pytest.approx(x, abs=0.01)
 
     def test_residuals_and_positivity(self):
-        t1, t2, val, _ = _inner_solve(P36, "weight", 0.3, 0.05, None)
+        t1, t2, val, _ = _inner_solve(P36, "weight", 0.3, 0.05, None,
+                                      solve_saddle(P36, "weight", 0.3)[0])
         r1, r2 = _reduced_residuals(P36, "weight", 0.3, 0.05, t1, t2)
         assert r1 < 1e-10 and r2 < 1e-10
         assert val > 0.0
@@ -55,7 +56,8 @@ class TestSolveOverlap:
     @pytest.mark.parametrize("kind,gf", [("weight", pair_gf_weight),
                                          ("stopping", pair_gf_stop)])
     def test_gf_value_consistent(self, kind, gf):
-        t1, t2, val, _ = _inner_solve(P36, kind, 0.3, 0.11, None)
+        t1, t2, val, _ = _inner_solve(P36, kind, 0.3, 0.11, None,
+                                      solve_saddle(P36, kind, 0.3)[0])
         assert val == pytest.approx(gf(P36, (t1, t2, t1)), rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["weight", "stopping"])
@@ -66,11 +68,11 @@ class TestSolveOverlap:
     def test_square_overlap_identity_across_ensembles(self, kind, params):
         wmin = min_abscissa(params, kind)
         for omega in (wmin + 0.02, 0.3, 0.45):
-            if growth_rate(params, kind, omega) <= 0:
+            if growth_point(params, kind, omega).growth <= 0:
                 continue
             x = solve_saddle(params, kind, omega)[0]
             t1, t2, val, _ = _inner_solve(params, kind, omega, omega * omega,
-                                          None)
+                                          None, x)
             assert t1 == pytest.approx(x, abs=1e-9)
             assert t2 == pytest.approx(x * x, abs=1e-9)
             # the pair function collapses to the squared single-check GF
@@ -80,7 +82,8 @@ class TestSolveOverlap:
 
     def test_b_matrix_positive_definite_and_sigma_positive(self):
         for alpha in (0.05, 0.09, 0.2, 0.28):
-            B = _inner_solve(P36, "weight", 0.3, alpha, None)[3]
+            B = _inner_solve(P36, "weight", 0.3, alpha, None,
+                             solve_saddle(P36, "weight", 0.3)[0])[3]
             assert abs(_det3(B)) >= secondmoment._DET_FLOOR
             np.linalg.cholesky(np.array(B))  # raises if not pd
             assert _sigma_c2(P36, B) > 0.0
@@ -90,20 +93,23 @@ class TestStationarity:
     @pytest.mark.parametrize("params,omega", [(P36, 0.3), (P34, 0.25)])
     def test_square_overlap_is_stationary(self, params, omega):
         alpha = omega * omega
-        t1, t2, _, _ = _inner_solve(params, "weight", omega, alpha, None)
+        t1, t2, _, _ = _inner_solve(params, "weight", omega, alpha, None,
+                                    solve_saddle(params, "weight", omega)[0])
         assert abs(_psi(params, omega, alpha, t1, t2)) < 1e-8
 
     def test_sign_change_across_square_overlap(self):
         psis = []
         for alpha in (0.09 - 1e-3, 0.09 + 1e-3):
-            t1, t2, _, _ = _inner_solve(P36, "weight", 0.3, alpha, None)
+            t1, t2, _, _ = _inner_solve(P36, "weight", 0.3, alpha, None,
+                                        solve_saddle(P36, "weight", 0.3)[0])
             psis.append(_psi(P36, 0.3, alpha, t1, t2))
         assert psis[0] > 0.0 > psis[1]
 
     def test_fine_grid_sign_pattern(self):
         signs = []
         for alpha in np.linspace(0.05, 0.13, 17).tolist():
-            t1, t2, _, _ = _inner_solve(P36, "weight", 0.3, alpha, None)
+            t1, t2, _, _ = _inner_solve(P36, "weight", 0.3, alpha, None,
+                                        solve_saddle(P36, "weight", 0.3)[0])
             signs.append(math.copysign(1.0, _psi(P36, 0.3, alpha, t1, t2)))
         flips = sum(s1 != s2 for s1, s2 in zip(signs, signs[1:]))
         assert flips == 1  # exactly one crossing in this window: at 0.09
@@ -112,37 +118,41 @@ class TestStationarity:
 class TestExponentCurve:
     def test_alpha_domain_enforced(self):
         with pytest.raises(ValueError):
-            exponent_curve(P36, "weight", 0.3, 0.3)
+            exponent_curve(P36, "weight", growth_point(P36, "weight", 0.3), 0.3)
         with pytest.raises(ValueError):
-            exponent_curve(P36, "weight", 0.3, 0.0)
+            exponent_curve(P36, "weight", growth_point(P36, "weight", 0.3), 0.0)
         with pytest.raises(ValueError):
-            exponent_curve(P36, "weight", 0.7, 0.39)  # below 2w-1
+            exponent_curve(P36, "weight", growth_point(P36, "weight", 0.7),
+                           0.39)  # below 2w-1
 
     def test_peak_identity(self):
-        peak = exponent_curve(P36, "weight", 0.3, 0.09)
+        peak = exponent_curve(P36, "weight", growth_point(P36, "weight", 0.3), 0.09)
         assert peak == pytest.approx(
-            2.0 * growth_rate(P36, "weight", 0.3), abs=1e-8)
+            2.0 * growth_point(P36, "weight", 0.3).growth, abs=1e-8)
 
     def test_diagonal_limit(self):
-        val = exponent_curve(P36, "weight", 0.3, 0.3 - 1e-4)
+        val = exponent_curve(P36, "weight", growth_point(P36, "weight", 0.3),
+                             0.3 - 1e-4)
         assert val == pytest.approx(
-            growth_rate(P36, "weight", 0.3), abs=1e-3)
+            growth_point(P36, "weight", 0.3).growth, abs=1e-3)
 
     def test_square_overlap_dominates_grid(self):
-        peak = exponent_curve(P36, "weight", 0.3, 0.09)
+        peak = exponent_curve(P36, "weight", growth_point(P36, "weight", 0.3), 0.09)
         for alpha in np.linspace(1e-3, 0.3 - 1e-3, 51):
             if abs(alpha - 0.09) < 1e-6:
                 continue
-            assert exponent_curve(P36, "weight", 0.3, float(alpha)) < peak
+            assert exponent_curve(P36, "weight", growth_point(P36, "weight", 0.3),
+                                  float(alpha)) < peak
 
 
 class TestEndpoint:
     def test_below_twice_growth(self):
-        assert (endpoint_exponent(P36, "weight", 0.3)
-                < 2.0 * growth_rate(P36, "weight", 0.3))
+        assert (endpoint_exponent(P36, "weight", growth_point(P36, "weight", 0.3))
+                < 2.0 * growth_point(P36, "weight", 0.3).growth)
 
     def test_methods_agree(self):
-        assert checks.endpoint_gap(P36, "weight", 0.3) <= 1e-3
+        assert checks.endpoint_gap(P36, "weight",
+                                   growth_point(P36, "weight", 0.3)) <= 1e-3
 
     def test_exact_disjoint_term_growth_converges(self):
         # at omega=0.5 the saddle path diverges; extrapolation serves it
@@ -150,7 +160,8 @@ class TestEndpoint:
         assert errs[48] < errs[24]
 
     def test_stopping_kind(self):
-        assert checks.endpoint_gap(P36, "stopping", 0.3) <= 1e-3
+        assert checks.endpoint_gap(P36, "stopping",
+                                   growth_point(P36, "stopping", 0.3)) <= 1e-3
 
     def test_verify_endpoint_rows_unchanged(self, capsys):
         assert main(["verify", "--suite", "endpoint", "--format", "json"]) == 0
@@ -185,19 +196,19 @@ ENDPOINT_JSON = """\
 
 class TestVerifyConditions:
     def test_weight_conditions_hold(self):
-        rep = verify_conditions(P36, "weight", 0.3)
+        rep = verify_conditions(P36, "weight", growth_point(P36, "weight", 0.3))
         assert rep.condition1_ok and rep.condition2_ok
 
     def test_half_abscissa_34(self):
-        rep = verify_conditions(P34, "weight", 0.5)
+        rep = verify_conditions(P34, "weight", growth_point(P34, "weight", 0.5))
         assert rep.condition1_ok and rep.condition2_ok
 
     def test_markov_regime_rejected(self):
         with pytest.raises(DomainError):
-            verify_conditions(P36, "weight", 0.01)
+            verify_conditions(P36, "weight", growth_point(P36, "weight", 0.01))
 
     def test_stationary_point_found_at_square(self):
-        rep = verify_conditions(P36, "weight", 0.3)
+        rep = verify_conditions(P36, "weight", growth_point(P36, "weight", 0.3))
         maxima = [p for p in rep.stationary_points if p.is_maximum]
         assert len(maxima) == 1
         assert maxima[0].alpha == pytest.approx(0.09, abs=1e-8)
@@ -206,11 +217,12 @@ class TestVerifyConditions:
     def test_stopping_near_minimum_size_fails_condition1(self):
         # boundary layer of near-identical pairs dominates near s_min
         smin = min_abscissa(P36, "stopping")
-        rep = verify_conditions(P36, "stopping", smin + 1e-6)
+        rep = verify_conditions(P36, "stopping",
+                                growth_point(P36, "stopping", smin + 1e-6))
         assert not rep.condition1_ok
 
     def test_stopping_moderate_size_passes(self):
-        rep = verify_conditions(P36, "stopping", 0.3)
+        rep = verify_conditions(P36, "stopping", growth_point(P36, "stopping", 0.3))
         assert rep.condition1_ok and rep.condition2_ok
 
 
@@ -298,7 +310,7 @@ class TestScanGrid:
 
         monkeypatch.setattr(secondmoment, "_newton_from", newton)
         monkeypatch.setattr(secondmoment, "_inner_solve", counted)
-        rep = verify_conditions(P36, "weight", 0.3)
+        rep = verify_conditions(P36, "weight", growth_point(P36, "weight", 0.3))
         assert rep.condition1_ok and rep.condition2_ok
         assert len(per_solve) <= 110
         assert set(per_solve) == {1}
@@ -325,7 +337,7 @@ class TestPredictedSeeds:
 
         monkeypatch.setattr(secondmoment, "pair_vgh", vgh)
         monkeypatch.setattr(secondmoment, "_newton_batch", batch)
-        rep = verify_conditions(P36, kind, 0.3)
+        rep = verify_conditions(P36, kind, growth_point(P36, kind, 0.3))
         assert rep.condition1_ok and rep.condition2_ok
         assert len(batches) == 1
         assert sizes.count(batches[0]) <= 2
@@ -338,7 +350,8 @@ class TestPredictedSeeds:
     def test_square_root_in_closed_form(self, pair, kind, omega):
         # psi(omega^2) = 0 exactly: the stationary point there is the peak
         # solve itself, at alpha = omega^2 to the bit
-        rep = verify_conditions(EnsembleParams(*pair), kind, omega)
+        params = EnsembleParams(*pair)
+        rep = verify_conditions(params, kind, growth_point(params, kind, omega))
         at_square = [p for p in rep.stationary_points
                      if p.alpha == omega * omega]
         assert len(at_square) == 1
@@ -352,7 +365,7 @@ class TestPredictedSeeds:
             raise AssertionError("psi bisected")
 
         monkeypatch.setattr(secondmoment, "_bisect_psi", bisect)
-        rep = verify_conditions(P36, "stopping", 0.3)
+        rep = verify_conditions(P36, "stopping", growth_point(P36, "stopping", 0.3))
         assert rep.condition1_ok and rep.condition2_ok
         assert [p.alpha for p in rep.stationary_points] == [0.3 * 0.3]
 
@@ -372,7 +385,8 @@ class TestContinuation:
             return result
 
         monkeypatch.setattr(secondmoment, "_continuation_solve", counted)
-        value = exponent_curve(params, "weight", omega, alpha)
+        value = exponent_curve(params, "weight",
+                               growth_point(params, "weight", omega), alpha)
         assert solved == [True]
         assert value == pytest.approx(0.0023782257585, abs=1e-12)
         # a warm-started march down from omega^2 needs no continuation
@@ -418,37 +432,39 @@ class TestFallback:
 
 class TestDelta:
     def test_half_abscissa_34_is_tight(self):
-        rep = delta(P34, "weight", 0.5, 0.95)
+        rep = delta(P34, "weight", growth_point(P34, "weight", 0.5), 0.95)
         assert rep.delta == pytest.approx(0.0, abs=1e-8)
         assert rep.bound == pytest.approx(1.0, abs=1e-8)
 
     def test_table_values_at_min_abscissa(self):
         for params, bound in ((P36, 0.740611), (EnsembleParams(6, 8), 0.989098)):
             wmin = min_abscissa(params, "weight")
-            rep = delta(params, "weight", wmin + 1e-6, 0.95)
+            rep = delta(params, "weight",
+                        growth_point(params, "weight", wmin + 1e-6), 0.95)
             assert rep.bound == pytest.approx(bound, abs=1e-4)
 
     def test_delta_never_meaningfully_negative(self):
         for omega in np.linspace(0.15, 0.85, 15):
-            val = delta_value(P34, "weight", float(omega))
+            val = delta_value(P34, "weight", growth_point(P34, "weight", float(omega)))
             assert val >= -1e-9
 
     def test_condition_failure_leaves_report_empty(self):
         smin = min_abscissa(P36, "stopping")
-        rep = delta(P36, "stopping", smin + 1e-6, 0.95)
+        rep = delta(P36, "stopping", growth_point(P36, "stopping", smin + 1e-6), 0.95)
         assert not rep.condition1_ok
         assert rep.delta is None and rep.bound is None
         assert rep.diagnostics  # stationary points still reported
 
     def test_epsilon_validated(self):
         with pytest.raises(ValueError):
-            delta(P34, "weight", 0.5, 0.0)
+            delta(P34, "weight", growth_point(P34, "weight", 0.5), 0.0)
 
     @pytest.mark.parametrize("kind,omega", [("weight", 0.3), ("stopping", 0.3),
                                             ("weight", 0.6)])
     def test_univariate_saddle_solved_once(self, monkeypatch, kind, omega):
-        # x* at omega seeds every overlap solve, the endpoint extrapolation
-        # (omega >= 1/2) and delta_value; none of them solves it again
+        # x* at omega, solved by the caller's growth point, seeds every
+        # overlap solve, the endpoint extrapolation (omega >= 1/2) and
+        # delta_value; none of them solves it again
         calls = []
         real = firstmoment.solve_saddle
 
@@ -457,8 +473,7 @@ class TestDelta:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(firstmoment, "solve_saddle", counted)
-        monkeypatch.setattr(secondmoment, "solve_saddle", counted)
-        rep = delta(P36, kind, omega, 0.95)
+        rep = delta(P36, kind, growth_point(P36, kind, omega), 0.95)
         assert rep.delta is not None
         assert len(calls) == 1
 
@@ -485,8 +500,8 @@ class TestClosedForm34:
 
 class TestLocalLimitRatio:
     def test_identity_offset(self):
-        assert local_limit_ratio(P36, "weight", 24, 1 / 3, 1 / 6,
-                                 (0, 0, 0)) == 1.0
+        assert local_limit_ratio(P36, "weight", growth_point(P36, "weight", 1 / 3),
+                                 24, 1 / 6, (0, 0, 0)) == 1.0
 
     def test_prediction_accuracy_and_convergence(self):
         offsets = [(-3, 3, -3), (2, 0, 0), (-1, 1, -1)]
@@ -497,10 +512,13 @@ class TestLocalLimitRatio:
 
     def test_mixed_parity_offset_off_lattice(self):
         with pytest.raises(OffLatticeError):
-            local_limit_ratio(P36, "weight", 24, 1 / 3, 1 / 6, (1, 0, 0))
+            local_limit_ratio(P36, "weight", growth_point(P36, "weight", 1 / 3),
+                              24, 1 / 6, (1, 0, 0))
 
     def test_stopping_kind_has_full_lattice(self):
-        val = local_limit_ratio(P36, "stopping", 24, 1 / 3, 1 / 6, (1, 0, 0))
+        val = local_limit_ratio(P36, "stopping",
+                                growth_point(P36, "stopping", 1 / 3), 24, 1 / 6,
+                                (1, 0, 0))
         assert val > 0.0
 
 
@@ -510,9 +528,10 @@ class TestLargeDegreeRobustness:
         # edge probes and continuation must all hold up
         params = EnsembleParams(24, 48)
         for omega in (0.54, 0.86):
-            rep = verify_conditions(params, "weight", omega)
+            rep = verify_conditions(params, "weight",
+                                    growth_point(params, "weight", omega))
             assert rep.condition1_ok and rep.condition2_ok
-        rep = delta(params, "weight", 0.7, 0.95)
+        rep = delta(params, "weight", growth_point(params, "weight", 0.7), 0.95)
         assert rep.bound is not None and 0.99 <= rep.bound <= 1.0
 
 
@@ -531,7 +550,7 @@ class TestSecondMomentPrefactor:
         core = w ** 2 * (1 - w) ** 2 - (l - 1) * sc2
         d = 4.0 if kind == "weight" else 1.0
         return (d * math.sqrt(sc2) * r ** 1.5 * w * (1 - w)
-                * math.exp(2 * n * growth_rate(params, kind, w))
+                * math.exp(2 * n * growth_point(params, kind, w).growth)
                 / (2 * math.pi * n * math.sqrt(core * _det3(B))))
 
     @pytest.mark.parametrize("kind,tol12,tol24", [("weight", 0.06, 0.01),
@@ -559,7 +578,8 @@ class TestSigmaCurvatureCrossCheck:
         for n in (48, 96):
             W = n // 3
             i0 = round(n * w * w)
-            B = _inner_solve(P36, "weight", w, i0 / n, None)[3]
+            B = _inner_solve(P36, "weight", w, i0 / n, None,
+                             solve_saddle(P36, "weight", w)[0])[3]
             sigma_c2 = _sigma_c2(P36, B)
             idx = [(3 * (W - i), 3 * i, 3 * (W - i)) for i in
                    (i0 - 1, i0, i0 + 1)]
