@@ -47,7 +47,7 @@ def llt_errors(params, n, omega, alpha, offsets):
     point = firstmoment.growth_point(params, KIND_WEIGHT, omega)
     errors = {}
     for o, j in zip(offsets, indices[1:]):
-        pred = secondmoment.local_limit_ratio(params, KIND_WEIGHT, point, n, alpha, o)
+        pred = secondmoment.local_limit_ratio(point, n, alpha, o)
         errors[o] = abs(pred / (coeffs[j] / coeffs[base]) - 1.0)
     return errors
 
@@ -81,16 +81,16 @@ def closed_form_gap(omegas):
     """Worst |delta_value - delta34_closed_form| of (3,4) weight over omegas."""
     params = EnsembleParams(3, 4)
     points = [firstmoment.growth_point(params, KIND_WEIGHT, w) for w in omegas]
-    gaps = [abs(secondmoment.delta_value(params, KIND_WEIGHT, gp)
+    gaps = [abs(secondmoment.delta_value(gp)
                 - secondmoment.delta34_closed_form(gp.abscissa)) for gp in points]
     return max(gaps, key=lambda g: math.inf if math.isnan(g) else g)  # NaN is worst
 
 
-def endpoint_gap(params, kind, point):
+def endpoint_gap(point):
     """|saddle - extrapolated| endpoint exponent at the growth point's
     abscissa."""
-    sad = secondmoment._endpoint_reduced_saddle(params, kind, point.abscissa)
-    ext = secondmoment._endpoint_extrapolated(params, kind, point)
+    sad = secondmoment._endpoint_reduced_saddle(point)
+    ext = secondmoment._endpoint_extrapolated(point)
     return abs(sad - ext)
 
 
@@ -98,6 +98,6 @@ def disjoint_term_errors(params, omega, ns):
     """{n: |ln S_0 / n - endpoint exponent|} for the exact disjoint-support
     term S_0 of the weight-kind second moment at block length n."""
     point = firstmoment.growth_point(params, KIND_WEIGHT, omega)
-    endpoint = secondmoment.endpoint_exponent(params, KIND_WEIGHT, point)
+    endpoint = secondmoment.endpoint_exponent(point)
     return {n: abs(math.log(float(exactcomb.exact_term(
         params, n, round(n * omega), 0, KIND_WEIGHT))) / n - endpoint) for n in ns}

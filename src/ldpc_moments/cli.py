@@ -71,7 +71,7 @@ def run_bound_curve(params, kind, grid, epsilon):
             if gp.growth <= 0.0:
                 row["bound"] = "markov"
             else:
-                rep = secondmoment.delta(params, kind, gp, epsilon)
+                rep = secondmoment.delta(gp, epsilon)
                 row.update(cond1=rep.condition1_ok, cond2=rep.condition2_ok,
                            delta=rep.delta, bound=rep.bound)
         except (SolverError, ValueError) as exc:
@@ -98,7 +98,7 @@ def run_table(pairs, kind, epsilon):
             wmin = firstmoment.min_abscissa(params, kind)
             row["min_abscissa"] = wmin
             gp = firstmoment.growth_point(params, kind, wmin + MIN_ABSCISSA_OFFSET)
-            rep = secondmoment.delta(params, kind, gp, epsilon)
+            rep = secondmoment.delta(gp, epsilon)
             row["bound"] = rep.bound if rep.bound is not None else "conditions_failed"
         except (SolverError, ValueError) as exc:
             row["bound"] = _error_code(exc)
@@ -179,7 +179,7 @@ def _verify_locallimit(seed):
     rows = [(f"offset_{o[0]}_{o[1]}_{o[2]}", e24[o] <= 0.30 and e48[o] < e24[o],
              f"{e24[o]:.4g}->{e48[o]:.4g}", "<=0.3 decreasing") for o in offsets]
     gp = firstmoment.growth_point(_P36, KIND_WEIGHT, omega)
-    ident = secondmoment.local_limit_ratio(_P36, KIND_WEIGHT, gp, 24, alpha, (0, 0, 0))
+    ident = secondmoment.local_limit_ratio(gp, 24, alpha, (0, 0, 0))
     return rows + [("identity_offset", ident == 1.0, ident, 1.0)]
 
 
@@ -192,8 +192,8 @@ def _verify_closedform(seed):
 
 def _verify_endpoint(seed):
     gp = firstmoment.growth_point(_P36, KIND_WEIGHT, 0.3)
-    diff = checks.endpoint_gap(_P36, KIND_WEIGHT, gp)
-    peak = secondmoment.exponent_curve(_P36, KIND_WEIGHT, gp, 0.09)
+    diff = checks.endpoint_gap(gp)
+    peak = secondmoment.exponent_curve(gp, 0.09)
     ident = abs(peak - 2.0 * gp.growth)
     errs = checks.disjoint_term_errors(_P36, 0.5, (24, 48))
     return [("saddle_vs_extrapolation", diff <= 1e-3, diff, 1e-3),
@@ -344,7 +344,15 @@ def _epsilon(args, parser):
     return args.epsilon
 
 
+def _seed(args, parser):
+    if args.seed < 0:
+        parser.error("--seed must be nonnegative")
+    return args.seed
+
+
 def _block_index(args, parser):
+    if args.n < 0:
+        parser.error("--n must be nonnegative")
     W = args.weight if args.kind == KIND_WEIGHT else args.size
     if W is None:
         flag = "--weight" if args.kind == KIND_WEIGHT else "--size"
@@ -389,10 +397,10 @@ def main(argv=None) -> int:
             if args.samples < 2:
                 parser.error("--samples must be at least 2")
             rows = run_mc(params, args.kind, args.n, _block_index(args, parser),
-                          args.samples, args.seed)
+                          args.samples, _seed(args, parser))
             _emit(args, MC_HEADER, rows)
         elif args.command == "verify":
-            rows, ok = run_verify(args.suite, seed=args.seed)
+            rows, ok = run_verify(args.suite, seed=_seed(args, parser))
             _emit(args, VERIFY_HEADER, rows)
             if not ok:
                 return 1

@@ -30,8 +30,14 @@ _MIN_SEARCH_STEP = 1e-4
 
 @dataclass(frozen=True)
 class GrowthPoint:
-    """One abscissa of the growth-rate curve."""
+    """One abscissa of the growth-rate curve of one ensemble and kind.
 
+    Built only by :func:`growth_point`, so the ensemble, the kind, the
+    abscissa and the saddle x* it carries always belong together.
+    """
+
+    params: EnsembleParams
+    kind: str
     abscissa: float
     saddle_x: float
     growth: float
@@ -60,11 +66,6 @@ def binary_entropy(w: float) -> float:
             return 0.0
         raise ValueError(f"entropy argument {w} outside [0, 1]")
     return -(w * math.log(w) + (1.0 - w) * math.log(1.0 - w))
-
-
-def gf_value(params: EnsembleParams, kind: str, x: float) -> float:
-    """Dispatch to p (weight) or beta (stopping)."""
-    return weight_gf(params, x) if kind == KIND_WEIGHT else stop_gf(params, x)
 
 
 def bisect_root(below, lo: float, hi: float, steps: int, tol: float = 0.0) -> float:
@@ -186,11 +187,12 @@ def growth_point(params: EnsembleParams, kind: str, abscissa: float,
     """
     x, b = solve_saddle(params, kind, abscissa, seed)
     l, r = params.left_degree, params.right_degree
-    growth = ((l / r) * math.log(gf_value(params, kind, x))
+    phi = weight_gf(params, x) if kind == KIND_WEIGHT else stop_gf(params, x)
+    growth = ((l / r) * math.log(phi)
               - (l - 1) * binary_entropy(abscissa)
               - l * abscissa * math.log(x))
-    return GrowthPoint(abscissa=abscissa, saddle_x=x, growth=growth,
-                       curvature_b=b)
+    return GrowthPoint(params=params, kind=kind, abscissa=abscissa, saddle_x=x,
+                       growth=growth, curvature_b=b)
 
 
 def hayman_coeff(poly: ExactPolynomial, m: int, k: int) -> float:
@@ -251,7 +253,6 @@ def avg_count(params: EnsembleParams, kind: str, n: int, abscissa: float) -> Avg
     phi, or 0 when the edge count n*l*abscissa falls off phi's support
     lattice (then the exact average is 0).
     """
-    check_kind(kind)
     l, r = params.left_degree, params.right_degree
     point = growth_point(params, kind, abscissa)
     k = n * l * abscissa
@@ -278,7 +279,6 @@ def min_abscissa(params: EnsembleParams, kind: str) -> float:
     zero lies below the grid's resolution, as for (3,48), (3,56) and
     (3,64)), or is negative on the whole grid.
     """
-    check_kind(kind)
     step = _MIN_SEARCH_STEP
     w_prev = step
     point = growth_point(params, kind, w_prev)

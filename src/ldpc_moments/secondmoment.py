@@ -12,9 +12,10 @@ locates its stationary points, checks the two dominance conditions that make
 alpha = w^2 the global maximum, and assembles the variance ratio delta and
 the Chebyshev concentration bound 1 - delta/eps^2.
 
-Functions at one abscissa w take the growth point there, whose univariate
-saddle x* anchors the overlap saddle (x*, x*^2, x*) at alpha = w^2; the
-caller solves x* once (:func:`firstmoment.growth_point`) and passes it down.
+Functions at one abscissa w take the growth point there and nothing it
+carries: the point names its ensemble, kind and w, and its univariate saddle
+x* anchors the overlap saddle (x*, x*^2, x*) at alpha = w^2.  The caller
+solves it once (:func:`firstmoment.growth_point`) and passes it down.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .firstmoment import GrowthPoint, bisect_root, grow_bracket
 from .genfun import (
     KIND_WEIGHT,
     EnsembleParams,
-    check_kind,
     pair_ratios,
     pair_stats,
     pair_vgh,
@@ -97,20 +97,15 @@ class ConcentrationReport:
     warnings: list = field(default_factory=list)
 
 
-def exponent_curve(params: EnsembleParams, kind: str, point: GrowthPoint,
-                   alpha: float) -> float:
+def exponent_curve(point: GrowthPoint, alpha: float) -> float:
     """Exponential rate of the overlap-alpha term of the squared count at
     the abscissa omega of ``point``."""
-    check_kind(kind)
-    omega = point.abscissa
-    _check_alpha(omega, alpha)
-    t1, t2, val, _ = _inner_solve(params, kind, omega, alpha, None,
-                                  point.saddle_x)
-    return float(_exponent(params, omega, alpha, t1, t2, val))
+    _check_alpha(point.abscissa, alpha)
+    t1, t2, val, _ = _inner_solve(point, alpha)
+    return float(_exponent(point, alpha, t1, t2, val))
 
 
-def endpoint_exponent(params: EnsembleParams, kind: str,
-                      point: GrowthPoint) -> float:
+def endpoint_exponent(point: GrowthPoint) -> float:
     """Overlap exponent at the boundary alpha = max(0, 2*omega - 1), omega
     the abscissa of ``point``.
 
@@ -120,17 +115,15 @@ def endpoint_exponent(params: EnsembleParams, kind: str,
     saddle diverges) the interior curve is extrapolated one-sidedly with
     steps 1e-3 and 1e-4, seeded from the point's saddle x*.
     """
-    check_kind(kind)
     if point.abscissa < 0.5:
         try:
-            return _endpoint_reduced_saddle(params, kind, point.abscissa)
+            return _endpoint_reduced_saddle(point)
         except NoBracketError:
             pass
-    return _endpoint_extrapolated(params, kind, point)
+    return _endpoint_extrapolated(point)
 
 
-def verify_conditions(params: EnsembleParams, kind: str,
-                      point: GrowthPoint) -> ConditionReport:
+def verify_conditions(point: GrowthPoint) -> ConditionReport:
     """Scan the overlap range and check the two dominance conditions.
 
     Condition 1: alpha = omega^2 is a negative-curvature stationary point
@@ -149,47 +142,44 @@ def verify_conditions(params: EnsembleParams, kind: str,
     point comes from the one omega^2 solve that gives the peak, and only the
     other sign changes are bisected.
     """
-    check_kind(kind)
-    omega, x_star = point.abscissa, point.saddle_x
+    omega = point.abscissa
     if point.growth <= 0.0:
         raise DomainError(
             f"positive growth rate required (Markov regime at {omega})")
     alpha_sq = omega * omega
-    t1, t2, val, B = _inner_solve(params, kind, omega, alpha_sq, None, x_star)
-    peak = float(_exponent(params, omega, alpha_sq, t1, t2, val))
-    _anchor_check(params, kind, point, peak)
+    t1, t2, val, B = _inner_solve(point, alpha_sq)
+    peak = float(_exponent(point, alpha_sq, t1, t2, val))
+    _anchor_check(point, peak)
 
     lo_edge, margin = _grid_window(omega)
-    alphas, t1s, t2s, vals = _scan_grid(params, kind, omega, x_star)
-    psis = _psi(params, omega, alphas, t1s, t2s).tolist()
-    exps = _exponent(params, omega, alphas, t1s, t2s, vals)
+    alphas, t1s, t2s, vals = _scan_grid(point)
+    psis = _psi(point, alphas, t1s, t2s).tolist()
+    exps = _exponent(point, alphas, t1s, t2s, vals)
     warm_by_idx = list(zip(t1s.tolist(), t2s.tolist()))
     grid = alphas.tolist()
 
-    points = []
+    stationary = []
     for idx in range(_GRID_POINTS - 1):
         if psis[idx] == 0.0:
-            points.append(_stationary_point(
-                params, kind, omega, grid[idx], warm_by_idx[idx], x_star))
+            stationary.append(
+                _stationary_point(point, grid[idx], warm_by_idx[idx]))
             continue
         if not psis[idx] * psis[idx + 1] < 0.0:
             continue
         if grid[idx] <= alpha_sq <= grid[idx + 1]:
-            points.append(StationaryPoint(
+            stationary.append(StationaryPoint(
                 alpha=alpha_sq, exponent=peak,
                 d2_coefficient=overlap_exponent_d2(
-                    params, omega, alpha_sq, _sigma_c2(params, B))))
+                    point, alpha_sq, _sigma_c2(point.params, B))))
         else:
-            root, warm_root = _bisect_psi(
-                params, kind, omega, grid[idx], grid[idx + 1], psis[idx],
-                warm_by_idx[idx], x_star)
-            points.append(_stationary_point(params, kind, omega, root,
-                                            warm_root, x_star))
+            root, warm_root = _bisect_psi(point, grid[idx], grid[idx + 1],
+                                          psis[idx], warm_by_idx[idx])
+            stationary.append(_stationary_point(point, root, warm_root))
 
-    endpoint = endpoint_exponent(params, kind, point)
+    endpoint = endpoint_exponent(point)
     warnings = []
     if omega < 0.5:
-        extrap = _endpoint_extrapolated(params, kind, point)
+        extrap = _endpoint_extrapolated(point)
         if abs(extrap - endpoint) > _ENDPOINT_DISAGREE:
             warnings.append(
                 f"endpoint methods disagree: saddle {endpoint:.6g} vs "
@@ -205,16 +195,15 @@ def verify_conditions(params: EnsembleParams, kind: str,
             alpha = edge_alpha + math.copysign(margin / shrink,
                                                alpha_sq - edge_alpha)
             try:
-                t1, t2, val, _ = _inner_solve(params, kind, omega, alpha, warm,
-                                              x_star)
+                t1, t2, val, _ = _inner_solve(point, alpha, warm)
             except NoConvergenceError:
                 warnings.append(f"edge probe failed at alpha = {alpha:.6g}")
                 continue
             warm = (t1, t2)
             edge_max = max(edge_max,
-                           float(_exponent(params, omega, alpha, t1, t2, val)))
+                           float(_exponent(point, alpha, t1, t2, val)))
 
-    maxima = [p for p in points if p.is_maximum]
+    maxima = [p for p in stationary if p.is_maximum]
     at_square = [p for p in maxima if abs(p.alpha - alpha_sq) < 1e-6]
     others = [p for p in maxima if abs(p.alpha - alpha_sq) >= 1e-6]
     slack = 1e-9 * max(1.0, abs(peak))
@@ -223,12 +212,11 @@ def verify_conditions(params: EnsembleParams, kind: str,
              and peak >= max(float(exps.max()), edge_max) - slack)
     cond2 = peak > endpoint
     return ConditionReport(condition1_ok=cond1, condition2_ok=cond2,
-                           stationary_points=points, peak_exponent=peak,
+                           stationary_points=stationary, peak_exponent=peak,
                            endpoint_exponent=endpoint, warnings=warnings)
 
 
-def delta(params: EnsembleParams, kind: str, point: GrowthPoint,
-          epsilon: float = 0.95) -> ConcentrationReport:
+def delta(point: GrowthPoint, epsilon: float = 0.95) -> ConcentrationReport:
     """Asymptotic variance ratio delta and the bound 1 - delta/epsilon^2.
 
     delta = b(x*) sqrt(r) w(1-w) sigma_c / sqrt(|B|(w^2(1-w)^2-(l-1)sigma_c^2)) - 1
@@ -238,10 +226,9 @@ def delta(params: EnsembleParams, kind: str, point: GrowthPoint,
     either dominance condition fails the report carries verdicts and
     diagnostics but no numbers.
     """
-    check_kind(kind)
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    report = verify_conditions(params, kind, point)
+    report = verify_conditions(point)
     omega = point.abscissa
     if not (report.condition1_ok and report.condition2_ok):
         return ConcentrationReport(
@@ -249,7 +236,7 @@ def delta(params: EnsembleParams, kind: str, point: GrowthPoint,
             condition1_ok=report.condition1_ok,
             condition2_ok=report.condition2_ok,
             diagnostics=report.stationary_points, warnings=report.warnings)
-    d = delta_value(params, kind, point)
+    d = delta_value(point)
     return ConcentrationReport(
         abscissa=omega, epsilon=epsilon, delta=d, bound=1.0 - d / epsilon ** 2,
         condition1_ok=True, condition2_ok=True,
@@ -277,8 +264,8 @@ def delta34_closed_form(omega: float) -> float:
     return _snap_nonnegative(d)
 
 
-def local_limit_ratio(params: EnsembleParams, kind: str, point: GrowthPoint,
-                      n: int, base_alpha: float, offset) -> float:
+def local_limit_ratio(point: GrowthPoint, n: int, base_alpha: float,
+                      offset) -> float:
     """Predicted ratio of two nearby trivariate coefficients of phi^(n*l/r).
 
     With W = n*omega (omega the abscissa of ``point``), base index
@@ -287,26 +274,24 @@ def local_limit_ratio(params: EnsembleParams, kind: str, point: GrowthPoint,
 
         Coeff(i + offset) / Coeff(i) = t^(-offset) * exp(-u B^(-1) u^T / 2).
 
-    Offsets must keep the index on the support lattice (for the codeword
-    pair function: all components changing parity together).
+    Offsets must be integral and keep the index on the support lattice (for
+    the codeword pair function: all components changing parity together).
     """
-    check_kind(kind)
-    l, r = params.left_degree, params.right_degree
+    l, r = point.params.left_degree, point.params.right_degree
     omega = point.abscissa
     W = _as_int(n * omega, "n*omega")
     i0 = _as_int(n * base_alpha, "n*base_alpha")
     if not max(0, 2 * W - n) < i0 < W:
         raise ValueError(f"base overlap {i0} not interior for n={n}, W={W}")
     base = (l * (W - i0), l * i0, l * (W - i0))
-    off = tuple(int(v) for v in offset)
+    off = tuple(_as_int(v, "offset") for v in offset)
     if len(off) != 3:
         raise ValueError("offset must have 3 components")
     target = tuple(base[k] + off[k] for k in range(3))
     if min(target) < 0:
         raise ValueError(f"offset {off} leaves the nonnegative orthant")
-    _check_lattice(kind, base, off)
-    t1, t2, _, B = _inner_solve(params, kind, omega, i0 / n, None,
-                                point.saddle_x)
+    _check_lattice(point.kind, base, off)
+    t1, t2, _, B = _inner_solve(point, i0 / n)
     u = [math.sqrt(r / (n * l)) * v for v in off]
     quad = _quadform_inv(B, u)
     t = (t1, t2, t1)
@@ -314,33 +299,33 @@ def local_limit_ratio(params: EnsembleParams, kind: str, point: GrowthPoint,
     return math.exp(log_ratio)
 
 
-def overlap_exponent_d2(params: EnsembleParams, omega: float, alpha: float,
+def overlap_exponent_d2(point: GrowthPoint, alpha: float,
                         sigma_c2: float) -> float:
     """n-normalized second-order coefficient of the overlap term expansion.
 
-    (l-1) [1/(w-a) + 1/(2a) + 1/(2(1-2w+a))] - 1/(2 sigma_c^2); negative at
-    a local maximum of the term sequence.
+    (l-1) [1/(w-a) + 1/(2a) + 1/(2(1-2w+a))] - 1/(2 sigma_c^2), w the
+    abscissa of ``point``; negative at a local maximum of the term sequence.
     """
-    l = params.left_degree
+    l, omega = point.params.left_degree, point.abscissa
     return ((l - 1) * (1.0 / (omega - alpha) + 0.5 / alpha
                        + 0.5 / (1.0 - 2.0 * omega + alpha))
             - 0.5 / sigma_c2)
 
 
-def delta_value(params: EnsembleParams, kind: str, point: GrowthPoint) -> float:
+def delta_value(point: GrowthPoint) -> float:
     """Bare variance ratio at the omega^2 saddle, without condition scans.
 
     This is the number :func:`delta` reports when both dominance conditions
-    hold; exposed separately for closed-form cross-checks.  omega, the
-    univariate saddle x* and its variance b are read from ``point``.
+    hold; exposed separately for closed-form cross-checks.  Every input,
+    x* and its variance b included, is read from ``point``.
     """
-    l, r = params.left_degree, params.right_degree
+    l, r = point.params.left_degree, point.params.right_degree
     omega, x, b = point.abscissa, point.saddle_x, point.curvature_b
-    B = pair_stats(params, kind, x, x * x, x)[2]
+    B = pair_stats(point.params, point.kind, x, x * x, x)[2]
     det = _det3(B)
     if abs(det) < _DET_FLOOR:
         raise SingularMatrixError(f"|B| = {det:g} at the omega^2 saddle")
-    sc2 = _sigma_c2(params, B)
+    sc2 = _sigma_c2(point.params, B)
     core = omega ** 2 * (1.0 - omega) ** 2 - (l - 1) * sc2
     if core <= 0.0:
         raise VarianceDegenerateError(
@@ -360,32 +345,32 @@ def _check_alpha(omega: float, alpha: float) -> None:
             f"alpha must lie in ({lo}, {omega}), got {alpha}")
 
 
-def _inner_solve(params: EnsembleParams, kind: str, omega: float, alpha: float,
-                 seed, x_star: float):
+def _inner_solve(point: GrowthPoint, alpha: float, seed=None):
     """Damped Newton for the reduced system a1/r = omega - alpha, a2/r = alpha.
 
     Starts from the warm seed or, without one, from the omega^2 anchor
-    (x*, x*^2), x* the univariate saddle at omega.  If that start fails, the
+    (x*, x*^2), x* the point's univariate saddle.  If that start fails, the
     one fallback is a geometric continuation from the anchor toward the
     target (the solution scale blows up like one over the distance to the
     overlap-range corners, so single far jumps can stall).  Returns
     (t1, t2, val, B) of the accepted point."""
     if seed is None:
-        seed = (x_star, x_star * x_star)
-    result = _newton_from(params, kind, omega, alpha, seed[0], seed[1])
+        seed = (point.saddle_x, point.saddle_x * point.saddle_x)
+    result = _newton_from(point, alpha, seed[0], seed[1])
     if result is not None and result[0] < _ACCEPT_TOL:
         return result[1:]
-    result = _continuation_solve(params, kind, omega, alpha, x_star)
+    result = _continuation_solve(point, alpha)
     if result is not None and result[0] < _ACCEPT_TOL:
         return result[1:]
     raise NoConvergenceError(
-        f"overlap solve failed at omega={omega}, alpha={alpha}"
+        f"overlap solve failed at omega={point.abscissa}, alpha={alpha}"
         + (f" (continuation residual {result[0]:g})" if result else ""))
 
 
-def _continuation_solve(params, kind, omega, alpha, x_star):
+def _continuation_solve(point, alpha):
     """Walk alpha from the omega^2 anchor to the target, halving the distance
     to the nearer corner of (max(0, 2w-1), w) at each step."""
+    omega, x_star = point.abscissa, point.saddle_x
     lo_edge = max(0.0, 2.0 * omega - 1.0)
     anchor = omega * omega
     edge = lo_edge if alpha < anchor else omega
@@ -401,24 +386,24 @@ def _continuation_solve(params, kind, omega, alpha, x_star):
         a_k = edge + math.copysign(gap, anchor - edge)
         if k == steps:
             a_k = alpha  # land exactly on the target
-        result = _newton_from(params, kind, omega, a_k, t1, t2)
+        result = _newton_from(point, a_k, t1, t2)
         if result is None or not result[0] < _ACCEPT_TOL:
             return result
         t1, t2 = result[1], result[2]
     return result
 
 
-def _newton_from(params, kind, omega, alpha, t1, t2):
+def _newton_from(point, alpha, t1, t2):
     """Damped Newton in log coordinates: steps are multiplicative, which
     keeps t positive and stays well-conditioned in the near-corner regime
     where the solution components are large.
 
     Returns (residual, t1, t2, val, B) of the last accepted point, or None
     if the start point or a Newton system is unusable."""
-    r = params.right_degree
-    c1, c2 = omega - alpha, alpha
+    r = point.params.right_degree
+    c1, c2 = point.abscissa - alpha, alpha
     try:
-        val, a, B = pair_stats(params, kind, t1, t2, t1)
+        val, a, B = pair_stats(point.params, point.kind, t1, t2, t1)
     except NonpositiveGFError:
         return None
     res = max(abs(a[0] / r - c1), abs(a[1] / r - c2))
@@ -442,7 +427,8 @@ def _newton_from(params, kind, omega, alpha, t1, t2):
             n1, n2 = t1 * math.exp(lam * d1), t2 * math.exp(lam * d2)
             if 0.0 < n1 < math.inf and 0.0 < n2 < math.inf:
                 try:
-                    valn, an, Bn = pair_stats(params, kind, n1, n2, n1)
+                    valn, an, Bn = pair_stats(point.params, point.kind,
+                                              n1, n2, n1)
                 except NonpositiveGFError:
                     valn = None
                 if valn is not None and math.isfinite(valn):
@@ -471,7 +457,7 @@ def _grid_window(omega: float):
     return lo_edge, min(_GRID_MARGIN, 0.01 * (omega - lo_edge))
 
 
-def _scan_grid(params, kind, omega, x_star):
+def _scan_grid(point):
     """Overlap saddles on the scan grid: (alphas, t1, t2, val) as arrays.
 
     A scalar warm-start chain marches outward from omega^2 over every
@@ -483,6 +469,7 @@ def _scan_grid(params, kind, omega, x_star):
     warm-started from its grid neighbour on the omega^2 side, so it ends in
     the same continuation as any failed solve.
     """
+    omega, x_star = point.abscissa, point.saddle_x
     lo_edge, margin = _grid_window(omega)
     alphas = np.linspace(lo_edge + margin, omega - margin, _GRID_POINTS)
     t1, t2, val = (np.empty(_GRID_POINTS) for _ in range(3))
@@ -490,7 +477,7 @@ def _scan_grid(params, kind, omega, x_star):
 
     def solve(idx, warm):
         t1[idx], t2[idx], val[idx], B = _inner_solve(
-            params, kind, omega, float(alphas[idx]), warm, x_star)
+            point, float(alphas[idx]), warm)
         return (float(t1[idx]), float(t2[idx])), B
 
     on_chain = np.zeros(_GRID_POINTS, dtype=bool)
@@ -503,10 +490,10 @@ def _scan_grid(params, kind, omega, x_star):
         warm = (x_star, x_star ** 2)
         for pos in chain:
             warm, B = solve(coarse[pos], warm)
-            jac[:, pos] = _jacobian(B, params.right_degree)
+            jac[:, pos] = _jacobian(B, point.params.right_degree)
 
     res, t1[rest], t2[rest], val[rest] = _newton_batch(
-        params, kind, omega, alphas[rest],
+        point, alphas[rest],
         *_hermite_seeds(alphas, coarse, rest, t1, t2, jac))
 
     failed = rest[~(res < _ACCEPT_TOL)]
@@ -549,7 +536,7 @@ def _hermite_seeds(alphas, coarse, rest, t1, t2, jac):
     return seeds
 
 
-def _newton_batch(params, kind, omega, alphas, t1, t2):
+def _newton_batch(point, alphas, t1, t2):
     """:func:`_newton_from` over arrays: one independent damped Newton per
     alpha, with the same 20 log-step cap, halving line search down to
     lambda = 1e-10 (strict residual drop only) and 120-iteration cap.
@@ -559,12 +546,12 @@ def _newton_batch(params, kind, omega, alphas, t1, t2):
     system) and wherever an evaluation overflowed, which the scalar kernel
     raises on; such points need the scalar path.
     """
-    r = params.right_degree
-    c1, c2 = omega - alphas, alphas
+    r = point.params.right_degree
+    c1, c2 = point.abscissa - alphas, alphas
 
     def evaluate(idx, n1, n2):
         # -> val, (r1, r2, j11, j12, j21, j22) stacked, usable, overflowed
-        v, grad, hess = pair_vgh(params, kind, n1, n2, n1)
+        v, grad, hess = pair_vgh(point.params, point.kind, n1, n2, n1)
         finite = np.isfinite(v)
         for h in (*grad, *{id(h): h for row in hess for h in row}.values()):
             finite &= np.isfinite(h)  # each shared Hessian entry once
@@ -622,9 +609,9 @@ def _newton_batch(params, kind, omega, alphas, t1, t2):
     return res, t1, t2, val
 
 
-def _psi(params: EnsembleParams, omega: float, alpha, t1, t2):
+def _psi(point: GrowthPoint, alpha, t1, t2):
     """Stationarity residual at one alpha (floats) or a grid of them (arrays)."""
-    l = params.left_degree
+    l, omega = point.params.left_degree, point.abscissa
     ratio = alpha * (1.0 - 2.0 * omega + alpha) / (omega - alpha) ** 2
     return (l - 1) * np.log(ratio) - l * np.log(t2 / (t1 * t1))
 
@@ -639,9 +626,10 @@ def _entropy_term(omega: float, alpha):
             + _xlogx(1.0 - 2.0 * omega + alpha))
 
 
-def _exponent(params: EnsembleParams, omega: float, alpha, t1, t2, val):
+def _exponent(point: GrowthPoint, alpha, t1, t2, val):
     """Overlap exponent E(alpha) at one alpha (floats) or a grid (arrays)."""
-    l, r = params.left_degree, params.right_degree
+    l, r = point.params.left_degree, point.params.right_degree
+    omega = point.abscissa
     return ((l - 1) * _entropy_term(omega, alpha)
             + (l / r) * np.log(val)
             - l * (2.0 * (omega - alpha) * np.log(t1) + alpha * np.log(t2)))
@@ -684,31 +672,29 @@ def _snap_nonnegative(d: float) -> float:
     return 0.0 if -1e-9 < d < 0.0 else d
 
 
-def _stationary_point(params, kind, omega, alpha, warm,
-                      x_star) -> StationaryPoint:
-    t1, t2, val, B = _inner_solve(params, kind, omega, alpha, warm, x_star)
-    sc2 = _sigma_c2(params, B)
+def _stationary_point(point, alpha, warm) -> StationaryPoint:
+    t1, t2, val, B = _inner_solve(point, alpha, warm)
+    sc2 = _sigma_c2(point.params, B)
     return StationaryPoint(
-        alpha=alpha,
-        exponent=float(_exponent(params, omega, alpha, t1, t2, val)),
-        d2_coefficient=overlap_exponent_d2(params, omega, alpha, sc2))
+        alpha=alpha, exponent=float(_exponent(point, alpha, t1, t2, val)),
+        d2_coefficient=overlap_exponent_d2(point, alpha, sc2))
 
 
-def _bisect_psi(params, kind, omega, lo, hi, psi_lo, warm, x_star):
+def _bisect_psi(point, lo, hi, psi_lo, warm):
     """Root of psi in (lo, hi); each solve warm-starts from the previous one."""
     sign_lo = psi_lo > 0.0
 
     def below(mid):
         nonlocal warm
-        t1, t2, _, _ = _inner_solve(params, kind, omega, mid, warm, x_star)
+        t1, t2, _, _ = _inner_solve(point, mid, warm)
         warm = (t1, t2)
-        return (_psi(params, omega, mid, t1, t2) > 0.0) == sign_lo
+        return (_psi(point, mid, t1, t2) > 0.0) == sign_lo
 
     root = bisect_root(below, lo, hi, 80, 1e-13)
     return root, warm
 
 
-def _anchor_check(params, kind, point: GrowthPoint, peak) -> None:
+def _anchor_check(point: GrowthPoint, peak) -> None:
     """Anchor identities guarding the exponent bookkeeping.
 
     The alpha = omega^2 term ``peak`` must carry exactly twice the growth
@@ -721,17 +707,17 @@ def _anchor_check(params, kind, point: GrowthPoint, peak) -> None:
             f"E(omega^2) = {peak:.12g} vs 2*growth = {2 * growth:.12g}")
     # the edge value carries an O(l * h * ln h) defect, so shrink the step
     # with the left degree to keep it well below the 1e-2 bug guard
-    h = min(3e-4 / params.left_degree,
+    h = min(3e-4 / point.params.left_degree,
             0.1 * (omega - max(0.0, 2.0 * omega - 1.0)))
-    edge = exponent_curve(params, kind, point, omega - h)
+    edge = exponent_curve(point, omega - h)
     if abs(edge - growth) > 1e-2:
         raise ExponentMismatchError(
             f"E(omega - {h:g}) = {edge:.12g} vs growth = {growth:.12g}")
 
 
-def _endpoint_reduced_saddle(params: EnsembleParams, kind: str,
-                             omega: float) -> float:
+def _endpoint_reduced_saddle(point: GrowthPoint) -> float:
     """Exponent at alpha = 0 via the univariate saddle of phi(x, 0, x)."""
+    params, kind, omega = point.params, point.kind, point.abscissa
     l, r = params.left_degree, params.right_degree
     target = 2.0 * r * omega
 
@@ -749,15 +735,14 @@ def _endpoint_reduced_saddle(params: EnsembleParams, kind: str,
                  + (l / r) * math.log(val) - 2.0 * l * omega * math.log(t))
 
 
-def _endpoint_extrapolated(params: EnsembleParams, kind: str,
-                           point: GrowthPoint) -> float:
+def _endpoint_extrapolated(point: GrowthPoint) -> float:
     omega = point.abscissa
     lo_edge = max(0.0, 2.0 * omega - 1.0)
     window = omega - lo_edge
     h1 = min(_ENDPOINT_STEPS[0], 0.05 * window)
     h2 = h1 * (_ENDPOINT_STEPS[1] / _ENDPOINT_STEPS[0])
-    e1 = exponent_curve(params, kind, point, lo_edge + h1)
-    e2 = exponent_curve(params, kind, point, lo_edge + h2)
+    e1 = exponent_curve(point, lo_edge + h1)
+    e2 = exponent_curve(point, lo_edge + h2)
     return e2 - h2 * (e1 - e2) / (h1 - h2)
 
 

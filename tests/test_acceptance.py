@@ -38,8 +38,7 @@ def _table_check(rows):
         params = EnsembleParams(l, r)
         wmin = firstmoment.min_abscissa(params, "weight")
         rep = secondmoment.delta(
-            params, "weight", firstmoment.growth_point(params, "weight", wmin + 1e-6),
-            EPSILON)
+            firstmoment.growth_point(params, "weight", wmin + 1e-6), EPSILON)
         results.append((abs(wmin - wmin_target) <= 1e-5
                         and rep.bound is not None
                         and abs(rep.bound - bound_target) <= 1e-3,
@@ -68,7 +67,7 @@ def test_criterion_03_bound_tight_at_half():
     for l, r in ((3, 4), (3, 6), (6, 8), (6, 12)):
         params = EnsembleParams(l, r)
         rep = secondmoment.delta(
-            params, "weight", firstmoment.growth_point(params, "weight", 0.5), EPSILON)
+            firstmoment.growth_point(params, "weight", 0.5), EPSILON)
         assert rep.delta is not None
         worst = max(worst, abs(rep.delta))
     assert _report("criterion 3: delta(0.5) = 0 for four ensembles",
@@ -81,7 +80,7 @@ def test_criterion_04_closed_form_cross_check():
     for k in range(15):
         w = 0.15 + 0.05 * k
         rep = secondmoment.delta(
-            params, "weight", firstmoment.growth_point(params, "weight", w), EPSILON)
+            firstmoment.growth_point(params, "weight", w), EPSILON)
         assert rep.delta is not None
         worst = max(worst, abs(rep.delta - secondmoment.delta34_closed_form(w)))
     spot = abs(secondmoment.delta34_closed_form(0.25) - 0.08059)
@@ -111,15 +110,14 @@ def test_criterion_06_square_overlap_saddle_identity():
         kind = "weight" if checked % 2 == 0 else "stopping"
         params = EnsembleParams(l, r)
         omega = float(rng.uniform(0.05, 0.6))
-        if firstmoment.growth_point(params, kind, omega).growth <= 0.0:
+        point = firstmoment.growth_point(params, kind, omega)
+        if point.growth <= 0.0:
             continue
-        x = firstmoment.solve_saddle(params, kind, omega)[0]
-        t1, t2, _, _ = secondmoment._inner_solve(params, kind, omega,
-                                                 omega * omega, None, x)
+        x = point.saddle_x
+        t1, t2, _, _ = secondmoment._inner_solve(point, omega * omega)
         worst_t = max(worst_t, abs(t1 - x), abs(t2 - x * x))
-        peak = secondmoment.exponent_curve(
-            params, kind, firstmoment.growth_point(params, kind, omega), omega * omega)
-        growth = firstmoment.growth_point(params, kind, omega).growth
+        peak = secondmoment.exponent_curve(point, omega * omega)
+        growth = point.growth
         worst_e = max(worst_e, abs(peak - 2.0 * growth))
         checked += 1
     ok = worst_t <= 1e-9 and worst_e <= 1e-8

@@ -394,6 +394,26 @@ class TestUsageErrors:
                      "--weight", "2"]) == 2
         assert "DIVISIBILITY" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["mc", "--l", "3", "--r", "6", "--n", "12", "--weight", "4"],
+        ["verify", "--suite", "mc"],
+    ], ids=["mc", "verify"])
+    def test_negative_seed(self, command, capsys):
+        assert main(command + ["--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "ldpc-moments: error: --seed must be nonnegative")
+
+    @pytest.mark.parametrize("command", ["exact", "mc"])
+    def test_negative_block_length(self, command, capsys):
+        assert main([command, "--l", "3", "--r", "6", "--n", "-6",
+                     "--weight", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "ldpc-moments: error: --n must be nonnegative")
+
     def test_unsupported_degree(self, capsys):
         assert main(["growth", "--l", "3", "--r", "100", "--min", "0.2",
                      "--max", "0.3", "--steps", "2"]) == 2

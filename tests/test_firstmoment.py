@@ -174,7 +174,7 @@ class TestSaddleEvaluations:
     def test_delta_evaluates_only_in_the_solve(self, monkeypatch, kind):
         counts = _count_uni_calls(monkeypatch)
         point = growth_point(P36, kind, 0.3)
-        assert secondmoment.delta(P36, kind, point).delta is not None
+        assert secondmoment.delta(point).delta is not None
         assert counts["inside"] > 0
         assert counts["outside"] == 0
 
@@ -286,6 +286,17 @@ class TestGrowthRate:
         assert gp.saddle_x > 0.0
 
 
+class TestUnknownKind:
+    @pytest.mark.parametrize("call", [
+        lambda: growth_point(P36, "bogus", 0.3),
+        lambda: min_abscissa(P36, "bogus"),
+        lambda: avg_count(P36, "bogus", 12, 1.0 / 3.0),
+    ], ids=["growth_point", "min_abscissa", "avg_count"])
+    def test_rejected_by_the_saddle_solve(self, call):
+        with pytest.raises(ValueError, match=r"^kind must be one of .*'bogus'$"):
+            call()
+
+
 class TestMinAbscissa:
     @pytest.mark.parametrize("params,target", [
         (EnsembleParams(3, 6), 0.0227334),
@@ -367,6 +378,7 @@ class TestBisectionStop:
     ])
     def test_endpoint_saddle_stops_early(self, l, r, kind, omega, value,
                                          monkeypatch):
+        point = growth_point(EnsembleParams(l, r), kind, omega)
         calls = []
 
         def counted(*args):
@@ -374,8 +386,7 @@ class TestBisectionStop:
             return genfun.pair_vgh(*args)
 
         monkeypatch.setattr(secondmoment, "pair_vgh", counted)
-        got = secondmoment._endpoint_reduced_saddle(EnsembleParams(l, r), kind,
-                                                    omega)
+        got = secondmoment._endpoint_reduced_saddle(point)
         assert repr(got) == value
         assert len(calls) <= 70  # 202 when all 200 steps ran
 

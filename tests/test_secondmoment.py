@@ -1,5 +1,6 @@
 """Overlap saddles, dominance conditions, delta bounds, local limit ratios."""
 
+import inspect
 import math
 
 import numpy as np
@@ -33,22 +34,46 @@ def _reduced_residuals(params, kind, omega, alpha, t1, t2):
             abs(a[1] / r - alpha))
 
 
+class TestPointOwnsEnsemble:
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    def test_point_carries_params_and_kind(self, kind):
+        point = growth_point(P36, kind, 0.3)
+        assert point.params == P36
+        assert point.kind == kind
+
+    @pytest.mark.parametrize("kind,value", [("stopping", "0.009078678513621652"),
+                                            ("weight", "0.002009841150425906")])
+    def test_delta_value_follows_the_point(self, kind, value):
+        # no separate ensemble or kind argument can contradict the point
+        assert repr(delta_value(growth_point(P36, kind, 0.3))) == value
+
+    @pytest.mark.parametrize("func", [verify_conditions, delta, delta_value,
+                                      exponent_curve, endpoint_exponent,
+                                      local_limit_ratio, checks.endpoint_gap],
+                             ids=lambda f: f.__name__)
+    def test_no_ensemble_or_kind_beside_the_point(self, func):
+        names = inspect.signature(func).parameters
+        assert "point" in names
+        assert not {"params", "kind"} & set(names)
+
+
 class TestSolveOverlap:
     def test_square_overlap_reduces_to_univariate_saddle(self):
-        x = solve_saddle(P36, "weight", 0.3)[0]
-        t1, t2, _, _ = _inner_solve(P36, "weight", 0.3, 0.09, None, x)
+        point = growth_point(P36, "weight", 0.3)
+        x = point.saddle_x
+        t1, t2, _, _ = _inner_solve(point, 0.09)
         assert t1 == pytest.approx(x, abs=1e-9)
         assert t2 == pytest.approx(x * x, abs=1e-9)
 
     def test_near_diagonal_limit(self):
-        x = solve_saddle(P36, "weight", 0.3)[0]
-        t1, t2, _, _ = _inner_solve(P36, "weight", 0.3, 0.3 - 1e-5, None, x)
+        point = growth_point(P36, "weight", 0.3)
+        x = point.saddle_x
+        t1, t2, _, _ = _inner_solve(point, 0.3 - 1e-5)
         assert t1 < 0.02
         assert t2 == pytest.approx(x, abs=0.01)
 
     def test_residuals_and_positivity(self):
-        t1, t2, val, _ = _inner_solve(P36, "weight", 0.3, 0.05, None,
-                                      solve_saddle(P36, "weight", 0.3)[0])
+        t1, t2, val, _ = _inner_solve(growth_point(P36, "weight", 0.3), 0.05)
         r1, r2 = _reduced_residuals(P36, "weight", 0.3, 0.05, t1, t2)
         assert r1 < 1e-10 and r2 < 1e-10
         assert val > 0.0
@@ -56,8 +81,7 @@ class TestSolveOverlap:
     @pytest.mark.parametrize("kind,gf", [("weight", pair_gf_weight),
                                          ("stopping", pair_gf_stop)])
     def test_gf_value_consistent(self, kind, gf):
-        t1, t2, val, _ = _inner_solve(P36, kind, 0.3, 0.11, None,
-                                      solve_saddle(P36, kind, 0.3)[0])
+        t1, t2, val, _ = _inner_solve(growth_point(P36, kind, 0.3), 0.11)
         assert val == pytest.approx(gf(P36, (t1, t2, t1)), rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["weight", "stopping"])
@@ -68,11 +92,11 @@ class TestSolveOverlap:
     def test_square_overlap_identity_across_ensembles(self, kind, params):
         wmin = min_abscissa(params, kind)
         for omega in (wmin + 0.02, 0.3, 0.45):
-            if growth_point(params, kind, omega).growth <= 0:
+            point = growth_point(params, kind, omega)
+            if point.growth <= 0:
                 continue
-            x = solve_saddle(params, kind, omega)[0]
-            t1, t2, val, _ = _inner_solve(params, kind, omega, omega * omega,
-                                          None, x)
+            x = point.saddle_x
+            t1, t2, val, _ = _inner_solve(point, omega * omega)
             assert t1 == pytest.approx(x, abs=1e-9)
             assert t2 == pytest.approx(x * x, abs=1e-9)
             # the pair function collapses to the squared single-check GF
@@ -82,8 +106,7 @@ class TestSolveOverlap:
 
     def test_b_matrix_positive_definite_and_sigma_positive(self):
         for alpha in (0.05, 0.09, 0.2, 0.28):
-            B = _inner_solve(P36, "weight", 0.3, alpha, None,
-                             solve_saddle(P36, "weight", 0.3)[0])[3]
+            B = _inner_solve(growth_point(P36, "weight", 0.3), alpha)[3]
             assert abs(_det3(B)) >= secondmoment._DET_FLOOR
             np.linalg.cholesky(np.array(B))  # raises if not pd
             assert _sigma_c2(P36, B) > 0.0
@@ -93,24 +116,24 @@ class TestStationarity:
     @pytest.mark.parametrize("params,omega", [(P36, 0.3), (P34, 0.25)])
     def test_square_overlap_is_stationary(self, params, omega):
         alpha = omega * omega
-        t1, t2, _, _ = _inner_solve(params, "weight", omega, alpha, None,
-                                    solve_saddle(params, "weight", omega)[0])
-        assert abs(_psi(params, omega, alpha, t1, t2)) < 1e-8
+        point = growth_point(params, "weight", omega)
+        t1, t2, _, _ = _inner_solve(point, alpha)
+        assert abs(_psi(point, alpha, t1, t2)) < 1e-8
 
     def test_sign_change_across_square_overlap(self):
         psis = []
+        point = growth_point(P36, "weight", 0.3)
         for alpha in (0.09 - 1e-3, 0.09 + 1e-3):
-            t1, t2, _, _ = _inner_solve(P36, "weight", 0.3, alpha, None,
-                                        solve_saddle(P36, "weight", 0.3)[0])
-            psis.append(_psi(P36, 0.3, alpha, t1, t2))
+            t1, t2, _, _ = _inner_solve(point, alpha)
+            psis.append(_psi(point, alpha, t1, t2))
         assert psis[0] > 0.0 > psis[1]
 
     def test_fine_grid_sign_pattern(self):
         signs = []
+        point = growth_point(P36, "weight", 0.3)
         for alpha in np.linspace(0.05, 0.13, 17).tolist():
-            t1, t2, _, _ = _inner_solve(P36, "weight", 0.3, alpha, None,
-                                        solve_saddle(P36, "weight", 0.3)[0])
-            signs.append(math.copysign(1.0, _psi(P36, 0.3, alpha, t1, t2)))
+            t1, t2, _, _ = _inner_solve(point, alpha)
+            signs.append(math.copysign(1.0, _psi(point, alpha, t1, t2)))
         flips = sum(s1 != s2 for s1, s2 in zip(signs, signs[1:]))
         assert flips == 1  # exactly one crossing in this window: at 0.09
 
@@ -118,41 +141,40 @@ class TestStationarity:
 class TestExponentCurve:
     def test_alpha_domain_enforced(self):
         with pytest.raises(ValueError):
-            exponent_curve(P36, "weight", growth_point(P36, "weight", 0.3), 0.3)
+            exponent_curve(growth_point(P36, "weight", 0.3), 0.3)
         with pytest.raises(ValueError):
-            exponent_curve(P36, "weight", growth_point(P36, "weight", 0.3), 0.0)
+            exponent_curve(growth_point(P36, "weight", 0.3), 0.0)
         with pytest.raises(ValueError):
-            exponent_curve(P36, "weight", growth_point(P36, "weight", 0.7),
+            exponent_curve(growth_point(P36, "weight", 0.7),
                            0.39)  # below 2w-1
 
     def test_peak_identity(self):
-        peak = exponent_curve(P36, "weight", growth_point(P36, "weight", 0.3), 0.09)
+        peak = exponent_curve(growth_point(P36, "weight", 0.3), 0.09)
         assert peak == pytest.approx(
             2.0 * growth_point(P36, "weight", 0.3).growth, abs=1e-8)
 
     def test_diagonal_limit(self):
-        val = exponent_curve(P36, "weight", growth_point(P36, "weight", 0.3),
+        val = exponent_curve(growth_point(P36, "weight", 0.3),
                              0.3 - 1e-4)
         assert val == pytest.approx(
             growth_point(P36, "weight", 0.3).growth, abs=1e-3)
 
     def test_square_overlap_dominates_grid(self):
-        peak = exponent_curve(P36, "weight", growth_point(P36, "weight", 0.3), 0.09)
+        peak = exponent_curve(growth_point(P36, "weight", 0.3), 0.09)
         for alpha in np.linspace(1e-3, 0.3 - 1e-3, 51):
             if abs(alpha - 0.09) < 1e-6:
                 continue
-            assert exponent_curve(P36, "weight", growth_point(P36, "weight", 0.3),
+            assert exponent_curve(growth_point(P36, "weight", 0.3),
                                   float(alpha)) < peak
 
 
 class TestEndpoint:
     def test_below_twice_growth(self):
-        assert (endpoint_exponent(P36, "weight", growth_point(P36, "weight", 0.3))
+        assert (endpoint_exponent(growth_point(P36, "weight", 0.3))
                 < 2.0 * growth_point(P36, "weight", 0.3).growth)
 
     def test_methods_agree(self):
-        assert checks.endpoint_gap(P36, "weight",
-                                   growth_point(P36, "weight", 0.3)) <= 1e-3
+        assert checks.endpoint_gap(growth_point(P36, "weight", 0.3)) <= 1e-3
 
     def test_exact_disjoint_term_growth_converges(self):
         # at omega=0.5 the saddle path diverges; extrapolation serves it
@@ -160,8 +182,7 @@ class TestEndpoint:
         assert errs[48] < errs[24]
 
     def test_stopping_kind(self):
-        assert checks.endpoint_gap(P36, "stopping",
-                                   growth_point(P36, "stopping", 0.3)) <= 1e-3
+        assert checks.endpoint_gap(growth_point(P36, "stopping", 0.3)) <= 1e-3
 
     def test_verify_endpoint_rows_unchanged(self, capsys):
         assert main(["verify", "--suite", "endpoint", "--format", "json"]) == 0
@@ -196,19 +217,19 @@ ENDPOINT_JSON = """\
 
 class TestVerifyConditions:
     def test_weight_conditions_hold(self):
-        rep = verify_conditions(P36, "weight", growth_point(P36, "weight", 0.3))
+        rep = verify_conditions(growth_point(P36, "weight", 0.3))
         assert rep.condition1_ok and rep.condition2_ok
 
     def test_half_abscissa_34(self):
-        rep = verify_conditions(P34, "weight", growth_point(P34, "weight", 0.5))
+        rep = verify_conditions(growth_point(P34, "weight", 0.5))
         assert rep.condition1_ok and rep.condition2_ok
 
     def test_markov_regime_rejected(self):
         with pytest.raises(DomainError):
-            verify_conditions(P36, "weight", growth_point(P36, "weight", 0.01))
+            verify_conditions(growth_point(P36, "weight", 0.01))
 
     def test_stationary_point_found_at_square(self):
-        rep = verify_conditions(P36, "weight", growth_point(P36, "weight", 0.3))
+        rep = verify_conditions(growth_point(P36, "weight", 0.3))
         maxima = [p for p in rep.stationary_points if p.is_maximum]
         assert len(maxima) == 1
         assert maxima[0].alpha == pytest.approx(0.09, abs=1e-8)
@@ -217,25 +238,25 @@ class TestVerifyConditions:
     def test_stopping_near_minimum_size_fails_condition1(self):
         # boundary layer of near-identical pairs dominates near s_min
         smin = min_abscissa(P36, "stopping")
-        rep = verify_conditions(P36, "stopping",
-                                growth_point(P36, "stopping", smin + 1e-6))
+        rep = verify_conditions(growth_point(P36, "stopping", smin + 1e-6))
         assert not rep.condition1_ok
 
     def test_stopping_moderate_size_passes(self):
-        rep = verify_conditions(P36, "stopping", growth_point(P36, "stopping", 0.3))
+        rep = verify_conditions(growth_point(P36, "stopping", 0.3))
         assert rep.condition1_ok and rep.condition2_ok
 
 
-def _sequential_grid(params, kind, omega, x_star, alphas):
+def _sequential_grid(point, alphas):
     """Reference scan: one scalar warm-started solve per grid point, marching
     outward from omega^2 (the scan before the grid solve was batched)."""
+    omega, x_star = point.abscissa, point.saddle_x
     t1, t2, val = (np.empty(alphas.size) for _ in range(3))
     start = int(np.argmin(np.abs(alphas - omega * omega)))
     for indices in (range(start, -1, -1), range(start + 1, alphas.size)):
         warm = (x_star, x_star ** 2)
         for idx in indices:
             t1[idx], t2[idx], val[idx], _ = secondmoment._inner_solve(
-                params, kind, omega, float(alphas[idx]), warm, x_star)
+                point, float(alphas[idx]), warm)
             warm = (float(t1[idx]), float(t2[idx]))
     return t1, t2, val
 
@@ -250,14 +271,14 @@ SCAN_CASES = [((3, 6), "weight", 0.3), ((3, 6), "stopping", None),
 class TestScanGrid:
     @staticmethod
     def _compare(params, kind, omega):
-        x_star = solve_saddle(params, kind, omega)[0]
-        alphas, t1, t2, val = secondmoment._scan_grid(params, kind, omega, x_star)
-        rt1, rt2, rval = _sequential_grid(params, kind, omega, x_star, alphas)
-        psi = secondmoment._psi(params, omega, alphas, t1, t2)
-        rpsi = secondmoment._psi(params, omega, alphas, rt1, rt2)
+        point = growth_point(params, kind, omega)
+        alphas, t1, t2, val = secondmoment._scan_grid(point)
+        rt1, rt2, rval = _sequential_grid(point, alphas)
+        psi = secondmoment._psi(point, alphas, t1, t2)
+        rpsi = secondmoment._psi(point, alphas, rt1, rt2)
         assert np.array_equal(np.sign(psi), np.sign(rpsi))
-        exps = secondmoment._exponent(params, omega, alphas, t1, t2, val)
-        rexps = secondmoment._exponent(params, omega, alphas, rt1, rt2, rval)
+        exps = secondmoment._exponent(point, alphas, t1, t2, val)
+        rexps = secondmoment._exponent(point, alphas, rt1, rt2, rval)
         assert np.max(np.abs(exps - rexps)) < 1e-12
         for got, want in ((t1, rt1), (t2, rt2)):
             assert np.max(np.abs(got / want - 1.0)) < 1e-8
@@ -310,7 +331,7 @@ class TestScanGrid:
 
         monkeypatch.setattr(secondmoment, "_newton_from", newton)
         monkeypatch.setattr(secondmoment, "_inner_solve", counted)
-        rep = verify_conditions(P36, "weight", growth_point(P36, "weight", 0.3))
+        rep = verify_conditions(growth_point(P36, "weight", 0.3))
         assert rep.condition1_ok and rep.condition2_ok
         assert len(per_solve) <= 110
         assert set(per_solve) == {1}
@@ -331,13 +352,13 @@ class TestPredictedSeeds:
                 sizes.append(x1.size)
             return real_vgh(params, kind, x1, x2, x3)
 
-        def batch(params, kind, omega, alphas, t1, t2):
+        def batch(point, alphas, t1, t2):
             batches.append(alphas.size)
-            return real_batch(params, kind, omega, alphas, t1, t2)
+            return real_batch(point, alphas, t1, t2)
 
         monkeypatch.setattr(secondmoment, "pair_vgh", vgh)
         monkeypatch.setattr(secondmoment, "_newton_batch", batch)
-        rep = verify_conditions(P36, kind, growth_point(P36, kind, 0.3))
+        rep = verify_conditions(growth_point(P36, kind, 0.3))
         assert rep.condition1_ok and rep.condition2_ok
         assert len(batches) == 1
         assert sizes.count(batches[0]) <= 2
@@ -351,7 +372,7 @@ class TestPredictedSeeds:
         # psi(omega^2) = 0 exactly: the stationary point there is the peak
         # solve itself, at alpha = omega^2 to the bit
         params = EnsembleParams(*pair)
-        rep = verify_conditions(params, kind, growth_point(params, kind, omega))
+        rep = verify_conditions(growth_point(params, kind, omega))
         at_square = [p for p in rep.stationary_points
                      if p.alpha == omega * omega]
         assert len(at_square) == 1
@@ -365,7 +386,7 @@ class TestPredictedSeeds:
             raise AssertionError("psi bisected")
 
         monkeypatch.setattr(secondmoment, "_bisect_psi", bisect)
-        rep = verify_conditions(P36, "stopping", growth_point(P36, "stopping", 0.3))
+        rep = verify_conditions(growth_point(P36, "stopping", 0.3))
         assert rep.condition1_ok and rep.condition2_ok
         assert [p.alpha for p in rep.stationary_points] == [0.3 * 0.3]
 
@@ -385,17 +406,16 @@ class TestContinuation:
             return result
 
         monkeypatch.setattr(secondmoment, "_continuation_solve", counted)
-        value = exponent_curve(params, "weight",
-                               growth_point(params, "weight", omega), alpha)
+        point = growth_point(params, "weight", omega)
+        value = exponent_curve(point, alpha)
         assert solved == [True]
         assert value == pytest.approx(0.0023782257585, abs=1e-12)
         # a warm-started march down from omega^2 needs no continuation
         alphas = 0.998 + np.geomspace(1e-12, omega * omega - 0.998, 50)
         alphas[0] = alpha
-        x_star = solve_saddle(params, "weight", omega)[0]
-        t1, t2, val = _sequential_grid(params, "weight", omega, x_star, alphas)
+        t1, t2, val = _sequential_grid(point, alphas)
         assert len(solved) == 1
-        march = secondmoment._exponent(params, omega, alpha, t1[0], t2[0], val[0])
+        march = secondmoment._exponent(point, alpha, t1[0], t2[0], val[0])
         assert march == pytest.approx(value, abs=1e-12)
 
 
@@ -405,8 +425,8 @@ class TestFallback:
         # anchor (seven steps here) must land on the solution the warm start
         # would have found
         omega, alpha = 0.3, 0.001
-        x_star = solve_saddle(P36, "weight", omega)[0]
-        want = _inner_solve(P36, "weight", omega, alpha, None, x_star)
+        point = growth_point(P36, "weight", omega)
+        want = _inner_solve(point, alpha)
         real_newton, real_march = (secondmoment._newton_from,
                                    secondmoment._continuation_solve)
         starts, marches = [], []
@@ -421,43 +441,42 @@ class TestFallback:
 
         monkeypatch.setattr(secondmoment, "_newton_from", failing_first)
         monkeypatch.setattr(secondmoment, "_continuation_solve", counted)
-        got = _inner_solve(P36, "weight", omega, alpha, want[:2], x_star)
+        got = _inner_solve(point, alpha, want[:2])
         assert len(marches) == 1 and len(starts) > 2
         for g, w in zip(got[:2], want[:2]):
             assert g == pytest.approx(w, rel=1e-10)
-        exps = [secondmoment._exponent(P36, omega, alpha, *v[:3])
+        exps = [secondmoment._exponent(point, alpha, *v[:3])
                 for v in (got, want)]
         assert exps[0] == pytest.approx(exps[1], abs=1e-12)
 
 
 class TestDelta:
     def test_half_abscissa_34_is_tight(self):
-        rep = delta(P34, "weight", growth_point(P34, "weight", 0.5), 0.95)
+        rep = delta(growth_point(P34, "weight", 0.5), 0.95)
         assert rep.delta == pytest.approx(0.0, abs=1e-8)
         assert rep.bound == pytest.approx(1.0, abs=1e-8)
 
     def test_table_values_at_min_abscissa(self):
         for params, bound in ((P36, 0.740611), (EnsembleParams(6, 8), 0.989098)):
             wmin = min_abscissa(params, "weight")
-            rep = delta(params, "weight",
-                        growth_point(params, "weight", wmin + 1e-6), 0.95)
+            rep = delta(growth_point(params, "weight", wmin + 1e-6), 0.95)
             assert rep.bound == pytest.approx(bound, abs=1e-4)
 
     def test_delta_never_meaningfully_negative(self):
         for omega in np.linspace(0.15, 0.85, 15):
-            val = delta_value(P34, "weight", growth_point(P34, "weight", float(omega)))
+            val = delta_value(growth_point(P34, "weight", float(omega)))
             assert val >= -1e-9
 
     def test_condition_failure_leaves_report_empty(self):
         smin = min_abscissa(P36, "stopping")
-        rep = delta(P36, "stopping", growth_point(P36, "stopping", smin + 1e-6), 0.95)
+        rep = delta(growth_point(P36, "stopping", smin + 1e-6), 0.95)
         assert not rep.condition1_ok
         assert rep.delta is None and rep.bound is None
         assert rep.diagnostics  # stationary points still reported
 
     def test_epsilon_validated(self):
         with pytest.raises(ValueError):
-            delta(P34, "weight", growth_point(P34, "weight", 0.5), 0.0)
+            delta(growth_point(P34, "weight", 0.5), 0.0)
 
     @pytest.mark.parametrize("kind,omega", [("weight", 0.3), ("stopping", 0.3),
                                             ("weight", 0.6)])
@@ -473,7 +492,7 @@ class TestDelta:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(firstmoment, "solve_saddle", counted)
-        rep = delta(P36, kind, growth_point(P36, kind, omega), 0.95)
+        rep = delta(growth_point(P36, kind, omega), 0.95)
         assert rep.delta is not None
         assert len(calls) == 1
 
@@ -500,7 +519,7 @@ class TestClosedForm34:
 
 class TestLocalLimitRatio:
     def test_identity_offset(self):
-        assert local_limit_ratio(P36, "weight", growth_point(P36, "weight", 1 / 3),
+        assert local_limit_ratio(growth_point(P36, "weight", 1 / 3),
                                  24, 1 / 6, (0, 0, 0)) == 1.0
 
     def test_prediction_accuracy_and_convergence(self):
@@ -512,12 +531,18 @@ class TestLocalLimitRatio:
 
     def test_mixed_parity_offset_off_lattice(self):
         with pytest.raises(OffLatticeError):
-            local_limit_ratio(P36, "weight", growth_point(P36, "weight", 1 / 3),
+            local_limit_ratio(growth_point(P36, "weight", 1 / 3),
                               24, 1 / 6, (1, 0, 0))
 
+    @pytest.mark.parametrize("offset", [(2.9, 0.5, 0), (2, 0, 0.5)])
+    def test_non_integral_offset_rejected(self, offset):
+        # a non-integral offset names no coefficient of the power
+        point = growth_point(P36, "weight", 1 / 3)
+        with pytest.raises(ValueError, match=r"offset = \S+ is not integral"):
+            local_limit_ratio(point, 24, 1 / 6, offset)
+
     def test_stopping_kind_has_full_lattice(self):
-        val = local_limit_ratio(P36, "stopping",
-                                growth_point(P36, "stopping", 1 / 3), 24, 1 / 6,
+        val = local_limit_ratio(growth_point(P36, "stopping", 1 / 3), 24, 1 / 6,
                                 (1, 0, 0))
         assert val > 0.0
 
@@ -528,10 +553,9 @@ class TestLargeDegreeRobustness:
         # edge probes and continuation must all hold up
         params = EnsembleParams(24, 48)
         for omega in (0.54, 0.86):
-            rep = verify_conditions(params, "weight",
-                                    growth_point(params, "weight", omega))
+            rep = verify_conditions(growth_point(params, "weight", omega))
             assert rep.condition1_ok and rep.condition2_ok
-        rep = delta(params, "weight", growth_point(params, "weight", 0.7), 0.95)
+        rep = delta(growth_point(params, "weight", 0.7), 0.95)
         assert rep.bound is not None and 0.99 <= rep.bound <= 1.0
 
 
@@ -578,8 +602,7 @@ class TestSigmaCurvatureCrossCheck:
         for n in (48, 96):
             W = n // 3
             i0 = round(n * w * w)
-            B = _inner_solve(P36, "weight", w, i0 / n, None,
-                             solve_saddle(P36, "weight", w)[0])[3]
+            B = _inner_solve(growth_point(P36, "weight", w), i0 / n)[3]
             sigma_c2 = _sigma_c2(P36, B)
             idx = [(3 * (W - i), 3 * i, 3 * (W - i)) for i in
                    (i0 - 1, i0, i0 + 1)]
