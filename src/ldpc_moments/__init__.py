@@ -15,8 +15,6 @@ from .exactcomb import (
     exact_second_moment,
     exact_term,
     expand_pair_gf,
-    poly_stop_check,
-    poly_weight_check,
     power_coeff,
     power_coefficients,
 )
@@ -40,7 +38,6 @@ from .genfun import (
     weight_gf,
 )
 from .secondmoment import (
-    ConcentrationReport,
     ConditionReport,
     StationaryPoint,
     delta,

@@ -26,7 +26,7 @@ def hayman_errors(params, omega, ns):
     """{n: relative error of hayman_coeff} on the check-polynomial power
     coefficient of relative weight omega at block length n."""
     l, r = params.left_degree, params.right_degree
-    poly = exactcomb.poly_weight_check(r)
+    poly = exactcomb.check_poly(r, KIND_WEIGHT)
     errs = {}
     for n in ns:
         m, k = n * l // r, round(n * l * omega)

@@ -152,7 +152,7 @@ _P36 = EnsembleParams(3, 6)
 def _verify_hayman(seed):
     binom = exactcomb.ExactPolynomial(1, {0: 1, 1: 1})
     err = abs(firstmoment.hayman_coeff(binom, 60, 18) / math.comb(60, 18) - 1.0)
-    p6 = exactcomb.poly_weight_check(6)
+    p6 = exactcomb.check_poly(6, KIND_WEIGHT)
     ratio = firstmoment.hayman_coeff(p6, 50, 10) / exactcomb.power_coeff(p6, 50, 10)
     errs = checks.hayman_errors(_P36, 0.3, (20, 40))
     off = firstmoment.hayman_coeff(p6, 9, 7)  # odd index off the even lattice
@@ -335,12 +335,17 @@ def _grid(args, parser):
         parser.error("--min must be smaller than --max")
     if args.steps < 2:
         parser.error("--steps must be at least 2")
-    return [float(v) for v in np.linspace(args.min, args.max, args.steps)]
+    try:
+        return [float(v) for v in np.linspace(args.min, args.max, args.steps)]
+    except MemoryError:
+        parser.error(f"--steps {args.steps} is too large to allocate")
 
 
 def _epsilon(args, parser):
     if not 0.0 < args.epsilon <= 1.0:
         parser.error("--epsilon must lie in (0, 1]")
+    if args.epsilon ** 2 < sys.float_info.min:  # the bound divides by it
+        parser.error("--epsilon squared underflows; use epsilon >= 1.5e-154")
     return args.epsilon
 
 

@@ -63,23 +63,15 @@ class ExactPolynomial:
         return d
 
 
-def poly_weight_check(r: int) -> ExactPolynomial:
-    """Exact expansion of p(x): even-index binomials of (1+x)^r."""
-    return ExactPolynomial(1, {k: math.comb(r, k) for k in range(0, r + 1, 2)})
-
-
-def poly_stop_check(r: int) -> ExactPolynomial:
-    """Exact expansion of beta(x) = (1+x)^r - r*x: all binomials but k=1."""
-    terms = {k: math.comb(r, k) for k in range(r + 1)}
-    del terms[1]
-    return ExactPolynomial(1, terms)
-
-
 @lru_cache(maxsize=None)
 def check_poly(r: int, kind: str) -> ExactPolynomial:
-    """The check polynomial of ``kind`` at check degree r: p or beta."""
+    """Exact check polynomial of ``kind`` at check degree r: for weight,
+    p(x), the even-index binomials of (1+x)^r; for stopping sets,
+    beta(x) = (1+x)^r - r*x, all binomials but k=1."""
     check_kind(kind)
-    return poly_weight_check(r) if kind == KIND_WEIGHT else poly_stop_check(r)
+    step = 2 if kind == KIND_WEIGHT else 1
+    terms = {k: math.comb(r, k) for k in range(0, r + 1, step) if k != 1}
+    return ExactPolynomial(1, terms)
 
 
 def expand_pair_gf(params: EnsembleParams, kind: str) -> ExactPolynomial:

@@ -21,7 +21,8 @@ solves it once (:func:`firstmoment.growth_point`) and passes it down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -69,7 +70,12 @@ class StationaryPoint:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Verdicts of the two dominance conditions plus scan diagnostics."""
+    """Verdicts of the two dominance conditions plus scan diagnostics.
+
+    ``delta``/``bound`` are None unless :func:`delta` filled them, which it
+    does only when both conditions hold: the numbers would not be justified
+    otherwise.
+    """
 
     condition1_ok: bool
     condition2_ok: bool
@@ -77,24 +83,8 @@ class ConditionReport:
     peak_exponent: float
     endpoint_exponent: float
     warnings: list = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class ConcentrationReport:
-    """Variance ratio delta and the concentration bound at one abscissa.
-
-    ``delta``/``bound`` are None when either dominance condition failed; the
-    numbers would not be justified in that case.
-    """
-
-    abscissa: float
-    epsilon: float
-    delta: float | None
-    bound: float | None
-    condition1_ok: bool
-    condition2_ok: bool
-    diagnostics: list
-    warnings: list = field(default_factory=list)
+    delta: float | None = None
+    bound: float | None = None
 
 
 def exponent_curve(point: GrowthPoint, alpha: float) -> float:
@@ -153,27 +143,27 @@ def verify_conditions(point: GrowthPoint) -> ConditionReport:
 
     lo_edge, margin = _grid_window(omega)
     alphas, t1s, t2s, vals = _scan_grid(point)
-    psis = _psi(point, alphas, t1s, t2s).tolist()
+    psis = _psi(point, alphas, t1s, t2s)
     exps = _exponent(point, alphas, t1s, t2s, vals)
-    warm_by_idx = list(zip(t1s.tolist(), t2s.tolist()))
-    grid = alphas.tolist()
+
+    def grid_saddle(idx):  # warm start from the scan, as floats
+        return float(t1s[idx]), float(t2s[idx])
 
     stationary = []
-    for idx in range(_GRID_POINTS - 1):
-        if psis[idx] == 0.0:
-            stationary.append(
-                _stationary_point(point, grid[idx], warm_by_idx[idx]))
-            continue
-        if not psis[idx] * psis[idx + 1] < 0.0:
-            continue
-        if grid[idx] <= alpha_sq <= grid[idx + 1]:
+    # grid zeros of psi and sign changes to the next grid point, in order
+    for idx in np.flatnonzero((psis[:-1] == 0.0) | (psis[:-1] * psis[1:] < 0.0)):
+        alpha, hi = float(alphas[idx]), float(alphas[idx + 1])
+        psi = float(psis[idx])
+        if psi == 0.0:
+            stationary.append(_stationary_point(point, alpha, grid_saddle(idx)))
+        elif alpha <= alpha_sq <= hi:
             stationary.append(StationaryPoint(
                 alpha=alpha_sq, exponent=peak,
                 d2_coefficient=overlap_exponent_d2(
                     point, alpha_sq, _sigma_c2(point.params, B))))
         else:
-            root, warm_root = _bisect_psi(point, grid[idx], grid[idx + 1],
-                                          psis[idx], warm_by_idx[idx])
+            root, warm_root = _bisect_psi(point, alpha, hi, psi,
+                                          grid_saddle(idx))
             stationary.append(_stationary_point(point, root, warm_root))
 
     endpoint = endpoint_exponent(point)
@@ -189,8 +179,8 @@ def verify_conditions(point: GrowthPoint) -> ConditionReport:
     # near-disjoint) pairs can spike within 1e-4 of the edges; continue the
     # warm-start chains from the outermost grid solutions
     edge_max = -math.inf
-    for edge_alpha, warm in ((lo_edge, warm_by_idx[0]),
-                             (omega, warm_by_idx[-1])):
+    for edge_alpha, warm in ((lo_edge, grid_saddle(0)),
+                             (omega, grid_saddle(-1))):
         for shrink in (3.0, 10.0, 30.0, 100.0):
             alpha = edge_alpha + math.copysign(margin / shrink,
                                                alpha_sq - edge_alpha)
@@ -216,31 +206,26 @@ def verify_conditions(point: GrowthPoint) -> ConditionReport:
                            endpoint_exponent=endpoint, warnings=warnings)
 
 
-def delta(point: GrowthPoint, epsilon: float = 0.95) -> ConcentrationReport:
+def delta(point: GrowthPoint, epsilon: float = 0.95) -> ConditionReport:
     """Asymptotic variance ratio delta and the bound 1 - delta/epsilon^2.
 
     delta = b(x*) sqrt(r) w(1-w) sigma_c / sqrt(|B|(w^2(1-w)^2-(l-1)sigma_c^2)) - 1
 
     evaluated at the overlap saddle t = (x*, x*^2, x*) that the alpha = w^2
-    stationary point provably reduces to, w and x* from ``point``.  When
-    either dominance condition fails the report carries verdicts and
-    diagnostics but no numbers.
+    stationary point provably reduces to, w and x* from ``point``.  Returns
+    the :func:`verify_conditions` report of ``point``, with ``delta`` and
+    ``bound`` filled in only when both dominance conditions hold.  epsilon^2
+    must be a normal float, so that the bound is finite wherever delta is.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    if epsilon ** 2 < sys.float_info.min:
+        raise ValueError(f"epsilon = {epsilon} has a subnormal or zero square")
     report = verify_conditions(point)
-    omega = point.abscissa
     if not (report.condition1_ok and report.condition2_ok):
-        return ConcentrationReport(
-            abscissa=omega, epsilon=epsilon, delta=None, bound=None,
-            condition1_ok=report.condition1_ok,
-            condition2_ok=report.condition2_ok,
-            diagnostics=report.stationary_points, warnings=report.warnings)
+        return report
     d = delta_value(point)
-    return ConcentrationReport(
-        abscissa=omega, epsilon=epsilon, delta=d, bound=1.0 - d / epsilon ** 2,
-        condition1_ok=True, condition2_ok=True,
-        diagnostics=report.stationary_points, warnings=report.warnings)
+    return replace(report, delta=d, bound=1.0 - d / epsilon ** 2)
 
 
 def delta34_closed_form(omega: float) -> float:

@@ -378,6 +378,38 @@ class TestUsageErrors:
             assert main(command + ["--epsilon", epsilon]) == 2
         assert "--epsilon must lie in (0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["bound", "--l", "3", "--r", "6", "--min", "0.3", "--max", "0.4",
+         "--steps", "2"],
+        ["table", "--pairs", "3:6"],
+    ], ids=["bound", "table"])
+    @pytest.mark.parametrize("epsilon", ["1e-300", "1e-160"])
+    def test_epsilon_square_underflows(self, command, epsilon, capsys):
+        # epsilon^2 is 0.0 (division by zero) or subnormal (bound -inf,
+        # which JSON cannot hold)
+        assert main(command + ["--epsilon", epsilon]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "ldpc-moments: error: --epsilon squared underflows; "
+            "use epsilon >= 1.5e-154")
+
+    def test_smallest_epsilon_accepted(self, capsys):
+        assert main(["bound", "--l", "3", "--r", "6", "--min", "0.3", "--max",
+                     "0.4", "--steps", "2", "--epsilon", "1.5e-154"]) == 0
+        assert "inf" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["growth", "bound"])
+    def test_steps_too_large_to_allocate(self, command, capsys):
+        # 10**18 float64 values need 6.94 EiB, beyond any 64-bit address
+        # space, so the allocation fails without taking memory
+        assert main([command, "--l", "3", "--r", "6", "--min", "0.3", "--max",
+                     "0.4", "--steps", str(10 ** 18)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"ldpc-moments: error: --steps {10 ** 18} is too large to allocate")
+
     @pytest.mark.parametrize("pairs", ["6:3", "3:0"])
     def test_bad_table_pair(self, pairs, capsys):
         assert main(["table", "--pairs", pairs]) == 2

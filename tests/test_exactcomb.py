@@ -14,8 +14,6 @@ from ldpc_moments.exactcomb import (
     exact_second_moment,
     exact_term,
     expand_pair_gf,
-    poly_stop_check,
-    poly_weight_check,
     power_coeff,
     power_coefficients,
 )
@@ -105,12 +103,13 @@ class TestExactPolynomial:
 
     def test_univariate_support(self):
         # p holds the even binomials, beta everything but the linear term
-        assert sorted(poly_weight_check(6).terms) == [0, 2, 4, 6]
-        assert sorted(poly_stop_check(6).terms) == [0, 2, 3, 4, 5, 6]
+        assert sorted(check_poly(6, "weight").terms) == [0, 2, 4, 6]
+        assert sorted(check_poly(6, "stopping").terms) == [0, 2, 3, 4, 5, 6]
 
     def test_check_poly_by_kind(self):
-        assert check_poly(6, "weight") == poly_weight_check(6)
-        assert check_poly(6, "stopping") == poly_stop_check(6)
+        assert check_poly(6, "weight").terms == {0: 1, 2: 15, 4: 15, 6: 1}
+        assert check_poly(6, "stopping").terms == {
+            0: 1, 2: 15, 3: 20, 4: 15, 5: 6, 6: 1}
         assert check_poly(6, "weight") is check_poly(6, "weight")
         # the x^r terms of p cancel at odd r
         assert check_poly(7, "weight").degree() == 6
@@ -119,12 +118,12 @@ class TestExactPolynomial:
             check_poly(6, "bogus")
 
     def test_support_period(self):
-        assert poly_weight_check(6).support_period() == 2
-        assert poly_stop_check(6).support_period() == 1
+        assert check_poly(6, "weight").support_period() == 2
+        assert check_poly(6, "stopping").support_period() == 1
 
     def test_exact_evaluation_matches_float_forms(self):
-        p = poly_weight_check(6)
-        b = poly_stop_check(6)
+        p = check_poly(6, "weight")
+        b = check_poly(6, "stopping")
         assert sum(p.terms.values()) == genfun.weight_gf(P36, 1.0)
         assert sum(b.terms.values()) == genfun.stop_gf(P36, 1.0)
         assert sum(c * Fraction(1, 2) ** e for e, c in p.terms.items()) == Fraction(
@@ -161,17 +160,17 @@ class TestExpandPairGF:
 
 class TestPowerCoeff:
     def test_weight_cube(self):
-        assert power_coeff(poly_weight_check(6), 3, 6) == 4728
+        assert power_coeff(check_poly(6, "weight"), 3, 6) == 4728
 
     def test_stop_cube(self):
-        assert power_coeff(poly_stop_check(6), 3, 6) == 5928
+        assert power_coeff(check_poly(6, "stopping"), 3, 6) == 5928
 
     def test_empty_product(self):
-        assert power_coeff(poly_weight_check(6), 0, 0) == 1
-        assert power_coeff(poly_weight_check(6), 0, 3) == 0
+        assert power_coeff(check_poly(6, "weight"), 0, 0) == 1
+        assert power_coeff(check_poly(6, "weight"), 0, 3) == 0
 
     def test_off_support_is_zero(self):
-        assert power_coeff(poly_weight_check(6), 3, 5) == 0
+        assert power_coeff(check_poly(6, "weight"), 3, 5) == 0
 
     def test_trivariate_matches_bulk_helper(self):
         poly = expand_pair_gf(P24, "weight")

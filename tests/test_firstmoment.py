@@ -186,11 +186,11 @@ class TestHaymanCoeff:
         assert approx == pytest.approx(math.comb(60, 18), rel=0.02)
 
     def test_off_lattice_index_is_zero(self):
-        p6 = exactcomb.poly_weight_check(6)
+        p6 = exactcomb.check_poly(6, "weight")
         assert hayman_coeff(p6, 50, 11) == 0.0
 
     def test_ratio_tightens_with_power(self):
-        p6 = exactcomb.poly_weight_check(6)
+        p6 = exactcomb.check_poly(6, "weight")
         ratios = {}
         for m in (50, 100):
             k = m // 5
@@ -199,7 +199,7 @@ class TestHaymanCoeff:
         assert abs(ratios[100] - 1.0) < abs(ratios[50] - 1.0)
 
     def test_stopping_polynomial_full_lattice(self):
-        b6 = exactcomb.poly_stop_check(6)
+        b6 = exactcomb.check_poly(6, "stopping")
         approx = hayman_coeff(b6, 40, 30)
         assert approx == pytest.approx(power_coeff(b6, 40, 30), rel=0.05)
 

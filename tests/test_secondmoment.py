@@ -1,5 +1,6 @@
 """Overlap saddles, dominance conditions, delta bounds, local limit ratios."""
 
+import dataclasses
 import inspect
 import math
 
@@ -245,6 +246,25 @@ class TestVerifyConditions:
         rep = verify_conditions(growth_point(P36, "stopping", 0.3))
         assert rep.condition1_ok and rep.condition2_ok
 
+    @pytest.mark.parametrize("kind,omega,points", [
+        ("weight", 0.3, [("0.09", "0.5324305699445315", "-11.26984837945228"),
+                         ("0.2950912444828983", "0.2614090515383657",
+                          "97.5535867029642")]),
+        ("weight", 0.9, [("0.81", "0.1310425527142023", "-46.50237813807384"),
+                         ("0.8926273622238359", "0.05848083076188004",
+                          "61.53258327697242")]),
+        ("stopping", 0.05, [("0.0025000000000000005", "0.054913959527033596",
+                             "-111.81135202864937")]),
+        ("stopping", 0.3, [("0.09", "0.8199647098078939",
+                            "-11.035929111513685")]),
+    ])
+    def test_stationary_points_pinned(self, kind, omega, points):
+        # every grid sign change in order: the maximum at omega^2 (closed
+        # form) and, for weight, the bisected minimum between it and omega
+        rep = verify_conditions(growth_point(P36, kind, omega))
+        assert [(repr(p.alpha), repr(p.exponent), repr(p.d2_coefficient))
+                for p in rep.stationary_points] == points
+
 
 def _sequential_grid(point, alphas):
     """Reference scan: one scalar warm-started solve per grid point, marching
@@ -472,11 +492,47 @@ class TestDelta:
         rep = delta(growth_point(P36, "stopping", smin + 1e-6), 0.95)
         assert not rep.condition1_ok
         assert rep.delta is None and rep.bound is None
-        assert rep.diagnostics  # stationary points still reported
+        assert rep.stationary_points  # stationary points still reported
 
     def test_epsilon_validated(self):
         with pytest.raises(ValueError):
             delta(growth_point(P34, "weight", 0.5), 0.0)
+
+    @pytest.mark.parametrize("epsilon", [1e-300, 1e-160])
+    def test_epsilon_square_must_be_normal(self, epsilon):
+        # 1e-300 squares to 0.0 (division by zero), 1e-160 to a subnormal
+        # (bound -inf); the check comes before the scan
+        with pytest.raises(ValueError, match="subnormal or zero square"):
+            delta(growth_point(P36, "weight", 0.3), epsilon)
+
+    def test_smallest_epsilon_accepted(self):
+        rep = delta(growth_point(P36, "weight", 0.3), 1.5e-154)
+        assert math.isfinite(rep.bound)
+
+    @pytest.mark.parametrize("kind,value", [("weight", "0.002009841150425906"),
+                                            ("stopping", "0.009078678513621652")])
+    def test_report_is_the_checked_report(self, kind, value):
+        point = growth_point(P36, kind, 0.3)
+        rep = delta(point, 0.95)
+        assert isinstance(rep, secondmoment.ConditionReport)
+        assert dataclasses.replace(rep, delta=None, bound=None) == (
+            verify_conditions(point))
+        assert repr(rep.delta) == value
+        assert rep.bound == 1 - rep.delta / 0.95 ** 2
+
+    def test_failed_condition_returns_the_checked_report(self):
+        # (3,6) stopping just above s_min: the near-identical layer breaks
+        # condition 1, and delta adds nothing to the verdicts
+        point = growth_point(P36, "stopping", 0.0181)
+        rep = delta(point, 0.95)
+        assert not rep.condition1_ok
+        assert rep.delta is None and rep.bound is None
+        assert rep == verify_conditions(point)
+
+    def test_one_report_type(self):
+        import ldpc_moments
+        assert not hasattr(ldpc_moments, "ConcentrationReport")
+        assert not hasattr(secondmoment, "ConcentrationReport")
 
     @pytest.mark.parametrize("kind,omega", [("weight", 0.3), ("stopping", 0.3),
                                             ("weight", 0.6)])
