@@ -83,8 +83,10 @@ def run_bound_curve(params, kind, grid, epsilon):
 def run_table(pairs, kind, epsilon):
     """One row per degree pair: typical minimum abscissa and bound there.
 
-    Raises ValueError before any computation when a pair is not a supported
-    degree pair or the pairs do not share one design rate.
+    Per-pair numerical failures, overflow included, are recorded in the
+    bound column and never abort the table.  Raises ValueError before any
+    computation when a pair is not a supported degree pair or the pairs do
+    not share one design rate.
     """
     ensembles = [EnsembleParams(l, r) for l, r in pairs]
     rates = {round(p.design_rate, 12) for p in ensembles}
@@ -102,6 +104,8 @@ def run_table(pairs, kind, epsilon):
             row["bound"] = rep.bound if rep.bound is not None else "conditions_failed"
         except (SolverError, ValueError) as exc:
             row["bound"] = _error_code(exc)
+        except ArithmeticError:  # the pair kernel past the float range
+            row["bound"] = "OVERFLOW"
         rows.append(row)
     return rows
 

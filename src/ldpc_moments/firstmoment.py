@@ -14,7 +14,9 @@ zero of the growth rate).
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass
 
 from . import exactcomb
@@ -267,38 +269,62 @@ def avg_count(params: EnsembleParams, kind: str, n: int, abscissa: float) -> Avg
                     exponent=point.growth, prefactor=prefactor)
 
 
+@functools.cache
+def _search_grid() -> array:
+    """The abscissas 1e-4, 2e-4, ... below 0.5 that :func:`min_abscissa`
+    searches, accumulated by repeated addition of the step and with the
+    last one clamped to 0.5 - 1e-12.  Built at the first call, as packed
+    doubles (40 kB, a quarter of a list of floats)."""
+    step = _MIN_SEARCH_STEP
+    grid = array("d", [step])
+    w = step + step
+    while w < 0.5 + 0.5 * step:
+        grid.append(min(w, 0.5 - 1e-12))
+        w += step
+    return grid
+
+
 def min_abscissa(params: EnsembleParams, kind: str) -> float:
     """Smallest zero of the growth rate in (0, 0.5): the typical minimum
     relative weight (or stopping-set size).
 
-    Scans with step 1e-4 for the first sign change, then bisects to absolute
-    tolerance 1e-9.  Each grid point's saddle is a Newton seed for the next,
-    and each bisection midpoint is seeded from the saddle of the bracket's
-    lower end (both ends are equally near).  Raises NoRootError when the
+    Searches the 1e-4 grid of :func:`_search_grid` for its first cell with
+    a sign change: gallops over the grid indices (steps 1, 2, 4, ... up from
+    the last negative point), halves the index bracket down to one cell,
+    and bisects that cell to absolute tolerance 1e-9.  The search assumes that the
+    growth rate changes sign once on (0, 0.5), from negative to nonnegative.
+    Each point is seeded from the saddle of the highest point evaluated so
+    far with negative growth, the lower end of the current bracket (in the
+    final cell both ends are equally near).  Raises NoRootError when the
     growth rate is already nonnegative at the first grid point, 1e-4 (the
-    zero lies below the grid's resolution, as for (3,48), (3,56) and
-    (3,64)), or is negative on the whole grid.
+    zero lies below the grid's resolution, as for weight (3, r) with
+    32 <= r <= 64 and stopping (3, r) with 31 <= r <= 64, or there is none,
+    as for every (2, r) down to 1e-12), or is still negative at the last one.
     """
-    step = _MIN_SEARCH_STEP
-    w_prev = step
-    point = growth_point(params, kind, w_prev)
-    if point.growth >= 0.0:
+    grid = _search_grid()
+    lo_point = growth_point(params, kind, grid[0])
+    if lo_point.growth >= 0.0:
         raise NoRootError("growth rate nonnegative at the left edge of the grid")
-    w = w_prev + step
-    while w < 0.5 + 0.5 * step:
-        w_cur = min(w, 0.5 - 1e-12)
-        lo_x = point.saddle_x
-        point = growth_point(params, kind, w_cur, lo_x)
-        if point.growth >= 0.0:
-            def below(v):
-                nonlocal lo_x
-                mid = growth_point(params, kind, v, lo_x)
-                if mid.growth < 0.0:
-                    lo_x = mid.saddle_x
-                return mid.growth < 0.0
 
-            # 1e-4-wide bracket: 17 halvings reach the 1e-9 tolerance
-            return bisect_root(below, w_prev, w_cur, 64, 1e-9)
-        w_prev = w_cur
-        w += step
-    raise NoRootError("no growth-rate sign change on (0, 0.5)")
+    def below(v):
+        nonlocal lo_point
+        point = growth_point(params, kind, v, lo_point.saddle_x)
+        if point.growth < 0.0:
+            lo_point = point
+        return point.growth < 0.0
+
+    last = len(grid) - 1
+    lo, hi, gallop = 0, 1, 1
+    while below(grid[hi]):
+        if hi == last:
+            raise NoRootError("no growth-rate sign change on (0, 0.5)")
+        lo, gallop = hi, 2 * gallop
+        hi = min(hi + gallop, last)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below(grid[mid]):
+            lo = mid
+        else:
+            hi = mid
+    # 1e-4-wide bracket: 17 halvings reach the 1e-9 tolerance
+    return bisect_root(below, grid[lo], grid[hi], 64, 1e-9)

@@ -192,6 +192,16 @@ class TestTable:
         assert rows[0]["min_abscissa"] == pytest.approx(0.017990, abs=1e-5)
         assert rows[0]["bound"] == "conditions_failed"
 
+    def test_overflowing_pair_is_a_row(self, capsys):
+        # at 32:64 the pair kernel overflows in delta's overlap solve: the row
+        # keeps its omega_min, reads OVERFLOW, and the other rows are kept
+        assert main(["table", "--pairs", "3:6,6:12,12:24,24:48,32:64",
+                     "--kind", "stopping"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6
+        assert lines[1] == "3:6,0.0179904858,conditions_failed"
+        assert lines[5] == "32:64,0.0351013493,OVERFLOW"
+
     def test_mixed_rates_exit_code(self, capsys):
         assert main(["table", "--pairs", "3:6,3:4"]) == 2
         capsys.readouterr()

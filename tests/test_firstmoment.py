@@ -1,5 +1,6 @@
 """Univariate saddle solving, coefficient asymptotics, growth rates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -318,6 +319,107 @@ class TestMinAbscissa:
         with pytest.raises(NoRootError,
                            match="growth rate nonnegative at the left edge"):
             min_abscissa(EnsembleParams(l, r), "weight")
+
+
+def _scan_min_abscissa(params, kind):
+    """Reference for min_abscissa: the linear scan it replaced.  It visits
+    every point of the 1e-4 grid in turn, each seeded from the one before,
+    and bisects the first cell where the growth rate is nonnegative."""
+    step = 1e-4
+    w_prev = step
+    point = firstmoment.growth_point(params, kind, w_prev)
+    if point.growth >= 0.0:
+        raise NoRootError("growth rate nonnegative at the left edge of the grid")
+    w = w_prev + step
+    while w < 0.5 + 0.5 * step:
+        w_cur = min(w, 0.5 - 1e-12)
+        lo_x = point.saddle_x
+        point = firstmoment.growth_point(params, kind, w_cur, lo_x)
+        if point.growth >= 0.0:
+            def below(v):
+                nonlocal lo_x
+                mid = firstmoment.growth_point(params, kind, v, lo_x)
+                if mid.growth < 0.0:
+                    lo_x = mid.saddle_x
+                return mid.growth < 0.0
+
+            return bisect_root(below, w_prev, w_cur, 64, 1e-9)
+        w_prev = w_cur
+        w += step
+    raise NoRootError("no growth-rate sign change on (0, 0.5)")
+
+
+def _outcome(search, params, kind):
+    """repr of the result, or the type and message of the exception."""
+    try:
+        return repr(search(params, kind))
+    except Exception as exc:  # compared, not handled
+        return f"{type(exc).__name__}: {exc}"
+
+
+# (l, r) with l in {2, 3, 4, 6, r // 2, r - 1}, for odd and even r: every
+# (2, r) has no zero, and (3, r) has its zero below the grid for
+# 31 <= r <= 64 (stopping) and 32 <= r <= 64 (weight)
+_SEARCH_RS = (3, 4, 5, 6, 7, 8, 12, 16, 17, 24, 25, 31, 32, 33, 48, 63, 64)
+SEARCH_CASES = sorted(
+    {(l, r, kind)
+     for r in range(3, 65)
+     for l in ((2, 3, 4, 6, r // 2, r - 1) if r in _SEARCH_RS else (3,))
+     if 2 <= l < r
+     for kind in ("weight", "stopping")})
+TABLE_CASES = [(l, r, kind)
+               for l, r in ((3, 6), (6, 12), (12, 24), (24, 48), (3, 4), (6, 8),
+                            (12, 16))
+               for kind in ("weight", "stopping")]
+
+
+class TestMinAbscissaSearch:
+    """min_abscissa searches the grid of the linear scan it replaced and
+    returns the same float, or raises the same error."""
+
+    @pytest.mark.parametrize("l,r,kind", SEARCH_CASES,
+                             ids=[f"{l}:{r}-{k}" for l, r, k in SEARCH_CASES])
+    def test_same_outcome_as_the_scan(self, l, r, kind):
+        params = EnsembleParams(l, r)
+        assert (_outcome(min_abscissa, params, kind)
+                == _outcome(_scan_min_abscissa, params, kind))
+
+    @pytest.mark.parametrize("shift", [0.1, 0.3, 0.346573585, 1.0])
+    def test_same_outcome_with_the_zero_moved(self, monkeypatch, shift):
+        # growth - shift on (3,6) weight, whose growth at 1/2 is ln(2)/2:
+        # the zero moves up into the last grid cell (0.4999, 0.5) for
+        # shift 0.346573585, and off the grid for shift 1
+        real = firstmoment.growth_point
+
+        def shifted(*args):
+            point = real(*args)
+            return dataclasses.replace(point, growth=point.growth - shift)
+
+        monkeypatch.setattr(firstmoment, "growth_point", shifted)
+        outcome = _outcome(min_abscissa, P36, "weight")
+        assert outcome == _outcome(_scan_min_abscissa, P36, "weight")
+        if shift == 1.0:
+            assert outcome == "NoRootError: no growth-rate sign change on (0, 0.5)"
+        elif shift > 0.3465:
+            assert float(outcome) > 0.4999
+
+    def test_few_growth_points(self, monkeypatch):
+        calls = [0]
+        real = firstmoment.growth_point
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(firstmoment, "growth_point", counted)
+        for l, r, kind in TABLE_CASES + SEARCH_CASES:
+            calls[0] = 0
+            try:
+                min_abscissa(EnsembleParams(l, r), kind)
+            except NoRootError:
+                pass
+            # the scan made up to 5,000; the search makes at most 41 here
+            assert calls[0] <= 50, (l, r, kind, calls[0])
 
 
 class TestGrowBracket:
