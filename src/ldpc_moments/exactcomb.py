@@ -1,10 +1,11 @@
 """Exact integer/rational oracle for the moment formulas.
 
 Expands the check-node generating functions with arbitrary-precision integer
-coefficients, extracts coefficients of their large powers by sparse
-multiplication with truncation, and evaluates the ensemble-average first and
-second moments exactly as reduced rationals at small block length.  This is
-the ground truth the asymptotic pipeline is tested against.
+coefficients, extracts coefficients of their large powers in one pass of
+Miller's recurrence over the exponents that can reach a wanted coefficient,
+and evaluates the ensemble-average first and second moments exactly as
+reduced rationals at small block length.  This is the ground truth the
+asymptotic pipeline is tested against.
 """
 
 from __future__ import annotations
@@ -37,13 +38,16 @@ class ExactPolynomial:
         if self.variable_count not in (1, 3):
             raise ValueError("variable_count must be 1 or 3")
         for e, c in self.terms.items():
+            if not isinstance(c, int):
+                raise ValueError(f"coefficient {c!r} is not an int")
             if c == 0:
                 raise ValueError("zero coefficients must not be stored")
             if self.variable_count == 1:
                 if not isinstance(e, int) or e < 0:
                     raise ValueError(f"bad exponent {e!r}")
             else:
-                if len(e) != 3 or min(e) < 0:
+                if (not isinstance(e, tuple) or len(e) != 3
+                        or not all(isinstance(k, int) for k in e) or min(e) < 0):
                     raise ValueError(f"bad exponent {e!r}")
 
     def degree(self) -> int:
@@ -126,18 +130,28 @@ def power_coeff(poly: ExactPolynomial, m: int, index) -> int:
 def power_coefficients(poly: ExactPolynomial, m: int, indices) -> dict:
     """Coefficients of ``poly**m`` at several trivariate indices at once.
 
-    One expansion serves every lookup, and it keeps only what can reach a
-    wanted index:
+    J. C. P. Miller's recurrence for the power of a series (Knuth, TAOCP
+    Vol. 2, 4.7), in the form the Euler operator E = x1 d1 + x2 d2 + x3 d3
+    gives it: P * E(P**m) = m * E(P) * P**m.  With P = sum c_d x^d, c_0 = p0
+    and a_k the coefficient of P**m at k, every coefficient satisfies
 
-    * staircase truncation: a partial product keeps a term only if it lies
-      componentwise at or below some wanted index (exponents only grow, so
-      no other term can contribute), so the cut is the union of the boxes
-      below the wanted indices;
-    * a split power: A = poly**(m // 2) is expanded once, B = poly**(m - m // 2)
-      is A itself for even m and A * poly for odd m, and each wanted
-      coefficient is the sum over j of A[j] * B[index - j].
+        p0 * |k| * a_k = sum over d != 0 of (m |d| - |k - d|) * c_d * a_(k-d),
 
-    Every coefficient is an exact int.
+    where |k| = k1 + k2 + k3 and a_0 = p0**m.  One pass finds them all:
+
+    * only the staircase of the wanted indices is computed (the union of
+      the boxes below them, see :func:`_staircase`), since every k - d lies
+      componentwise below k;
+    * its cells are visited once, in (k1, k3, k2) order, which puts every
+      k - d before k; a_k is the exact integer quotient of the sum pushed
+      into cell k by the cells before it, and a nonzero a_k is then pushed
+      on to its successors k + d, so cells no term reaches cost nothing.
+
+    The recurrence divides by p0.  A polynomial whose constant term is zero
+    is powered if its componentwise-minimum exponent mu is itself one of its
+    terms (always true in one variable): P = x^mu * Q with Q(0) != 0, and
+    the coefficient of P**m at k is that of Q**m at k - m * mu.  Any other
+    polynomial raises ``ValueError``.  Every coefficient is an exact int.
     """
     if poly.variable_count != 3:
         raise ValueError("power_coefficients is trivariate-only")
@@ -146,19 +160,64 @@ def power_coefficients(poly: ExactPolynomial, m: int, indices) -> dict:
     wanted = [tuple(ix) for ix in indices]
     if not wanted:
         return {}
-    if any(len(ix) != 3 or min(ix) < 0 for ix in wanted):
-        raise ValueError("indices must be nonnegative triples")
-    lim = _staircase(wanted)
-    base = sorted(poly.terms.items())
-    half = {(0, 0, 0): 1}
-    for _ in range(m // 2):
-        half = _times_trunc(half, base, lim)
-    rest = _times_trunc(half, base, lim) if m % 2 else half
-    out = {}
-    for ix in dict.fromkeys(wanted):
-        i1, i2, i3 = ix
-        out[ix] = sum(c * rest[k] for (j1, j2, j3), c in half.items()
-                      if (k := (i1 - j1, i2 - j2, i3 - j3)) in rest)
+    if any(len(ix) != 3 or not all(isinstance(k, int) for k in ix) or min(ix) < 0
+           for ix in wanted):
+        raise ValueError("indices must be triples of nonnegative ints")
+    mu = tuple(map(min, zip(*poly.terms)))
+    p0 = poly.terms.get(mu)
+    if p0 is None:
+        raise ValueError(
+            "power_coefficients needs a nonzero constant term, or a term x^mu at "
+            "the componentwise-minimum exponent mu to divide out")
+    out = dict.fromkeys(wanted, 0)
+    shifted = {ix: tuple(i - m * u for i, u in zip(ix, mu)) for ix in out}
+    reach = [k for k in shifted.values() if min(k) >= 0]
+    if not reach:
+        return out
+    lim = _staircase(reach)
+    off, size = [], 0  # cell (k1, k2, k3) of the staircase is a[off[k1][k3] + k2]
+    for row in lim:
+        row_off = []
+        for top in row:
+            row_off.append(size)
+            size += top + 1
+        off.append(row_off)
+    steps = {}  # d1 -> [(d3, d2, c_d, m |d|)] over the terms of Q but its constant
+    for e, c in poly.terms.items():
+        if e != mu:
+            d1, d2, d3 = (i - u for i, u in zip(e, mu))
+            steps.setdefault(d1, []).append((d3, d2, c, m * (d1 + d2 + d3)))
+    steps = sorted(steps.items())
+    a = [0] * size
+    a[0] = p0 ** m
+    n1 = len(lim)
+    for j1, (row, row_off) in enumerate(zip(lim, off)):
+        for j3, top in enumerate(row):
+            start = row_off[j3]
+            for j2 in range(top + 1):
+                v = a[start + j2]
+                if not v:
+                    continue
+                s = j1 + j2 + j3
+                if s:
+                    v, rem = divmod(v, p0 * s)
+                    if rem:
+                        raise ArithmeticError(f"inexact Miller step at {(j1, j2, j3)}")
+                    a[start + j2] = v
+                for d1, group in steps:
+                    k1 = j1 + d1
+                    if k1 >= n1:
+                        break  # steps are sorted: d1 only grows from here
+                    krow, krow_off = lim[k1], off[k1]
+                    for d3, d2, c, md in group:
+                        k3 = j3 + d3
+                        if k3 < len(krow):
+                            k2 = j2 + d2
+                            if k2 <= krow[k3]:
+                                a[krow_off[k3] + k2] += (md - s) * c * v
+    for ix, (k1, k2, k3) in shifted.items():
+        if min(k1, k2, k3) >= 0:
+            out[ix] = a[off[k1][k3] + k2]
     return out
 
 
@@ -264,26 +323,3 @@ def _staircase(wanted) -> list:
             row[:] = map(max, row, lim[k1 + 1])
     # lim is nonincreasing in k3, so the reachable k3 of a row are a prefix
     return [row[:sum(v >= 0 for v in row)] for row in lim]
-
-
-def _times_trunc(cur: dict, base: list, lim: list) -> dict:
-    """Sparse product of ``cur`` and the sorted ``base`` terms, keeping only
-    the terms under the staircase ``lim`` (see :func:`_staircase`)."""
-    nxt = {}
-    get = nxt.get
-    n1 = len(lim)
-    for (e1, e2, e3), c in cur.items():
-        for (d1, d2, d3), cb in base:
-            k1 = e1 + d1
-            if k1 >= n1:
-                break  # base is sorted: d1 only grows from here
-            row = lim[k1]
-            k3 = e3 + d3
-            if k3 >= len(row):
-                continue
-            k2 = e2 + d2
-            if k2 > row[k3]:
-                continue
-            key = (k1, k2, k3)
-            nxt[key] = get(key, 0) + c * cb
-    return nxt

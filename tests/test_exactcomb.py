@@ -69,8 +69,52 @@ def _naive_univariate(terms, m, k):
     return cur[k] if k < len(cur) else 0
 
 
+def _times_trunc(cur, base, lim):
+    """Sparse product of ``cur`` and the sorted ``base`` terms, keeping only
+    the terms under the staircase ``lim`` (see ``exactcomb._staircase``)."""
+    nxt = {}
+    get = nxt.get
+    n1 = len(lim)
+    for (e1, e2, e3), c in cur.items():
+        for (d1, d2, d3), cb in base:
+            k1 = e1 + d1
+            if k1 >= n1:
+                break  # base is sorted: d1 only grows from here
+            row = lim[k1]
+            k3 = e3 + d3
+            if k3 >= len(row):
+                continue
+            k2 = e2 + d2
+            if k2 > row[k3]:
+                continue
+            key = (k1, k2, k3)
+            nxt[key] = get(key, 0) + c * cb
+    return nxt
+
+
+def _split_power_coefficients(poly, m, indices):
+    """Coefficients of poly**m at ``indices`` by a split power: every
+    partial product cut at the staircase of the indices, A = poly**(m // 2)
+    expanded once, B = A or A * poly, and each coefficient the sum of
+    A[j] * B[index - j] (the routine that Miller's recurrence replaced in
+    :func:`power_coefficients`, kept as its reference)."""
+    wanted = [tuple(ix) for ix in indices]
+    lim = exactcomb._staircase(wanted)
+    base = sorted(poly.terms.items())
+    half = {(0, 0, 0): 1}
+    for _ in range(m // 2):
+        half = _times_trunc(half, base, lim)
+    rest = _times_trunc(half, base, lim) if m % 2 else half
+    out = {}
+    for ix in dict.fromkeys(wanted):
+        i1, i2, i3 = ix
+        out[ix] = sum(c * rest[k] for (j1, j2, j3), c in half.items()
+                      if (k := (i1 - j1, i2 - j2, i3 - j3)) in rest)
+    return out
+
+
 class _CountedInt(int):
-    """An int that counts the products it takes part in as left factor."""
+    """An int that counts the products it takes part in."""
 
     products = 0
 
@@ -78,17 +122,21 @@ class _CountedInt(int):
         _CountedInt.products += 1
         return int(self) * other
 
+    __rmul__ = __mul__
+
 
 def _count_products(monkeypatch):
-    """Make every partial product of :func:`power_coefficients` count its
-    coefficient products (including the final A[j] * B[index - j] sums)."""
-    step = exactcomb._times_trunc
+    """Make :func:`exact_second_moment` power a pair polynomial whose
+    coefficients count every product they take part in: one per push of a
+    coefficient a_j to a successor j + d, whose big-int product a_j times
+    (m |d| - |j|) c_d it scales, and one per divisor p0 |k|."""
+    expand = exactcomb.expand_pair_gf
 
-    def counted(cur, base, lim):
-        out = step({k: _CountedInt(c) for k, c in cur.items()}, base, lim)
-        return {k: _CountedInt(c) for k, c in out.items()}
+    def counted(params, kind):
+        poly = expand(params, kind)
+        return ExactPolynomial(3, {e: _CountedInt(c) for e, c in poly.terms.items()})
 
-    monkeypatch.setattr(exactcomb, "_times_trunc", counted)
+    monkeypatch.setattr(exactcomb, "expand_pair_gf", counted)
     _CountedInt.products = 0
 
 
@@ -100,6 +148,17 @@ class TestExactPolynomial:
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
             ExactPolynomial(1, {-1: 3})
+
+    @pytest.mark.parametrize("count,terms", [
+        (1, {0: 1, 1: 0.5}),
+        (3, {(0, 0, 0): 1, (1, 0, 0): Fraction(1, 2)}),
+        (3, {(0, 0, 0): 1, (1.5, 0, 0): 1}),
+        (3, {(0, 0, 0): 1, 1: 1}),
+        (1, {0: 1, 1.0: 1}),
+    ])
+    def test_rejects_non_int_coefficient_or_exponent(self, count, terms):
+        with pytest.raises(ValueError):
+            ExactPolynomial(count, terms)
 
     def test_univariate_support(self):
         # p holds the even binomials, beta everything but the linear term
@@ -181,8 +240,8 @@ class TestPowerCoeff:
 
 
 class TestPowerMatchesNaive:
-    """power_coefficients (staircase cut, split power) against plain
-    multiplication cut at the componentwise box."""
+    """power_coefficients (Miller's recurrence over the staircase) against
+    plain multiplication cut at the componentwise box."""
 
     @pytest.mark.parametrize("kind", ["weight", "stopping"])
     @pytest.mark.parametrize("r", [3, 4, 5, 6, 8, 10])
@@ -219,6 +278,42 @@ class TestPowerMatchesNaive:
                 assert power_coeff(poly, m, k) == _naive_univariate(poly.terms, m, k)
 
 
+class TestPowerMatchesSplitPower:
+    """Every coefficient of the recurrence equals the split power's."""
+
+    @pytest.mark.parametrize("kind,n,W", [("weight", 36, 12), ("stopping", 24, 8)])
+    def test_benchmark_overlaps(self, kind, n, W):
+        # every overlap i of exact_second_moment: 2W <= n, so i runs over 0..W
+        pair = expand_pair_gf(P36, kind)
+        idx = [(3 * (W - i), 3 * i, 3 * (W - i)) for i in range(W + 1)]
+        want = _split_power_coefficients(pair, n // 2, idx)
+        assert power_coefficients(pair, n // 2, idx) == want
+        assert all(want.values())
+
+    def test_local_limit_indices(self):
+        # the base index and the six offsets of ``verify --suite locallimit``
+        n, W, i0 = 48, 16, 8
+        base = (3 * (W - i0), 3 * i0, 3 * (W - i0))
+        offsets = [(-3, 3, -3), (3, -3, 3), (2, 0, 0), (0, 2, 0), (-1, 1, -1), (1, 1, 1)]
+        idx = [base] + [tuple(b + o for b, o in zip(base, off)) for off in offsets]
+        pair = expand_pair_gf(P36, "weight")
+        assert power_coefficients(pair, n // 2, idx) == _split_power_coefficients(
+            pair, n // 2, idx)
+
+    @pytest.mark.parametrize("p0", [-3, 2])
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    @pytest.mark.parametrize("r", [3, 4, 6])
+    def test_signed_pair_polynomials(self, r, kind, p0):
+        rng = random.Random(100 * r + 10 * p0 + len(kind))
+        pair = expand_pair_gf(EnsembleParams(2, r), kind)
+        poly = ExactPolynomial(3, {e: p0 if e == (0, 0, 0) else c * rng.choice((-3, -1, 1, 2))
+                                   for e, c in pair.terms.items()})
+        for m in range(13):
+            top = min(r * m, 12) + 2
+            idx = [tuple(rng.randrange(top) for _ in range(3)) for _ in range(4)]
+            assert power_coefficients(poly, m, idx) == _split_power_coefficients(poly, m, idx)
+
+
 class TestPowerWork:
     """Coefficient products of the overlap powers of the benchmark rows;
     counts, not times, so they hold on any machine."""
@@ -226,12 +321,61 @@ class TestPowerWork:
     def test_weight_products(self, monkeypatch):
         _count_products(monkeypatch)
         exact_second_moment(P36, 36, 12, "weight")
-        assert _CountedInt.products <= 300_000
+        assert 0 < _CountedInt.products <= 80_000
 
     def test_stopping_products(self, monkeypatch):
         _count_products(monkeypatch)
         exact_second_moment(P36, 24, 8, "stopping")
-        assert _CountedInt.products <= 500_000
+        assert 0 < _CountedInt.products <= 200_000
+
+
+class TestPowerInputs:
+    def test_minimum_exponent_term_is_divided_out(self):
+        # (x^2 + 2 x^3)^3 = x^6 (1 + 2x)^3
+        assert power_coeff(ExactPolynomial(1, {2: 1, 3: 2}), 3, 7) == 6
+        assert power_coeff(ExactPolynomial(1, {2: 1, 3: 2}), 3, 5) == 0
+        # x1 x3 (1 + x1 + 2 x2 - x3), powered past and short of m * mu
+        poly = ExactPolynomial(3, {(1, 0, 1): 1, (2, 0, 1): 1, (1, 1, 1): 2, (1, 0, 2): -1})
+        idx = [(4, 1, 3), (3, 0, 3), (2, 2, 4), (6, 1, 5), (0, 0, 0)]
+        for m in range(5):
+            assert power_coefficients(poly, m, idx) == _naive_coefficients(poly, m, idx)
+
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    def test_univariate_without_constant_term(self, kind):
+        rng = random.Random(len(kind))
+        for r in (3, 6):
+            terms = {e + 2: c for e, c in check_poly(r, kind).terms.items() if e}
+            poly = ExactPolynomial(1, terms)
+            for m in range(6):
+                for k in {0, 4 * m, 4 * m + 1, rng.randrange(6 * m + 3)}:
+                    assert power_coeff(poly, m, k) == _naive_univariate(terms, m, k)
+
+    @pytest.mark.parametrize("terms", [
+        {(1, 0, 0): 1, (0, 1, 0): 1},   # x1 + x2, whose cube has 3 at (1, 2, 0)
+        {(1, 1, 0): 2, (0, 1, 1): 3, (1, 1, 1): 1},
+        {},
+    ])
+    def test_no_minimum_exponent_term_rejected(self, terms):
+        with pytest.raises(ValueError, match="nonzero constant term"):
+            power_coefficients(ExactPolynomial(3, terms), 3, [(1, 2, 0)])
+
+    @pytest.mark.parametrize("index", [(2.0, 2, 2), (2, 2, 2.5), (2, "2", 2)])
+    def test_non_int_index_rejected(self, index):
+        pair = expand_pair_gf(P24, "weight")
+        with pytest.raises(ValueError, match="nonnegative ints"):
+            power_coefficients(pair, 2, [(0, 0, 0), index])
+        with pytest.raises(ValueError, match="nonnegative ints"):
+            power_coeff(pair, 2, index)
+
+    def test_inexact_step_raises(self):
+        class OffByOne(int):
+            def __rmul__(self, other):
+                return int(self) * other + 1
+
+        poly = ExactPolynomial(3, {(0, 0, 0): 1, (1, 0, 0): OffByOne(2)})
+        assert power_coefficients(poly, 3, [(1, 0, 0)]) != {(1, 0, 0): 6}
+        with pytest.raises(ArithmeticError, match="inexact"):
+            power_coefficients(poly, 3, [(3, 0, 0)])
 
 
 class TestFirstMoment:
