@@ -29,7 +29,7 @@ def hayman_errors(params, omega, ns):
     poly = exactcomb.check_poly(r, KIND_WEIGHT)
     errs = {}
     for n in ns:
-        m, k = n * l // r, round(n * l * omega)
+        m, k = params.check_count(n), round(n * l * omega)
         errs[n] = abs(firstmoment.hayman_coeff(poly, m, k)
                       / exactcomb.power_coeff(poly, m, k) - 1.0)
     return errs
@@ -38,12 +38,12 @@ def hayman_errors(params, omega, ns):
 def llt_errors(params, n, omega, alpha, offsets):
     """{offset: relative error of local_limit_ratio} against the ratio of
     exact pair-GF power coefficients (weight kind, block length n)."""
-    l, r = params.left_degree, params.right_degree
+    l = params.left_degree
     W, i0 = round(n * omega), round(n * alpha)
     base = (l * (W - i0), l * i0, l * (W - i0))
     pair = exactcomb.expand_pair_gf(params, KIND_WEIGHT)
     indices = [base] + [tuple(base[k] + o[k] for k in range(3)) for o in offsets]
-    coeffs = exactcomb.power_coefficients(pair, n * l // r, indices)
+    coeffs = exactcomb.power_coefficients(pair, params.check_count(n), indices)
     point = firstmoment.growth_point(params, KIND_WEIGHT, omega)
     errors = {}
     for o, j in zip(offsets, indices[1:]):

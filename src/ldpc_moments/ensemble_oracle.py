@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DivisibilityError, TooLargeError
+from .errors import TooLargeError
 from .genfun import KIND_STOPPING, KIND_WEIGHT, EnsembleParams, check_kind
 
 _EXHAUSTIVE_N_CAP = 28
@@ -60,8 +60,7 @@ def sample_graph(params: EnsembleParams, n: int, seed: int) -> TannerGraph:
     seed per sample, so execution order never matters.
     """
     l, r = params.left_degree, params.right_degree
-    if (n * l) % r != 0:
-        raise DivisibilityError(f"r={r} must divide n*l={n * l}")
+    params.check_count(n)
     rng = np.random.Generator(np.random.PCG64(seed))
     perm = rng.permutation(n * l)
     return TannerGraph(n=n, left_degree=l, right_degree=r, socket_perm=perm)
@@ -133,8 +132,7 @@ def exhaustive_moment(params: EnsembleParams, n: int, W: int,
     permutations.  Only feasible for (n*l)! up to about 4e7."""
     check_kind(kind)
     l, r = params.left_degree, params.right_degree
-    if (n * l) % r != 0:
-        raise DivisibilityError(f"r={r} must divide n*l={n * l}")
+    params.check_count(n)
     if math.factorial(n * l) > _PERM_CAP:
         raise TooLargeError(f"({n}*{l})! exceeds the exhaustive cap")
     if not 0 <= W <= n:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DivisibilityError, TooLargeError
+from .errors import TooLargeError
 from .genfun import KIND_WEIGHT, EnsembleParams, check_kind
 
 # Trivariate expansion is kept exact; beyond this the term count explodes.
@@ -278,12 +278,10 @@ def _pair_prefactor(params: EnsembleParams, n: int, W: int, i: int) -> Fraction:
 
 
 def _check_counts(params: EnsembleParams, n: int, W: int) -> int:
-    l, r = params.left_degree, params.right_degree
-    if (n * l) % r != 0:
-        raise DivisibilityError(f"r={r} must divide n*l={n * l}")
+    m = params.check_count(n)
     if not 0 <= W <= n:
         raise ValueError(f"W={W} outside [0, {n}]")
-    return n * l // r
+    return m
 
 
 def _add_term(terms: dict, key, c: int) -> None:

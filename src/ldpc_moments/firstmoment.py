@@ -253,8 +253,11 @@ def avg_count(params: EnsembleParams, kind: str, n: int, abscissa: float) -> Avg
     Exponent: (l/r) ln phi(x*) - (l-1) h(abscissa) - l*abscissa*ln x*.
     Prefactor: d*sqrt(r)/sqrt(2*pi*n*b_phi(x*)) with d the support period of
     phi, or 0 when the edge count n*l*abscissa falls off phi's support
-    lattice (then the exact average is 0).
+    lattice (then the exact average is 0).  Needs n >= 1, r dividing n*l.
     """
+    if n < 1:
+        raise ValueError(f"block length n must be positive, got {n}")
+    params.check_count(n)
     l, r = params.left_degree, params.right_degree
     point = growth_point(params, kind, abscissa)
     k = n * l * abscissa

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonpositiveGFError
+from .errors import DivisibilityError, NonpositiveGFError
 
 # Largest supported check degree: keeps (1+x)^r within double range on the
 # abscissa domains exercised by the asymptotic pipeline.
@@ -71,6 +71,13 @@ class EnsembleParams:
     @property
     def design_rate(self) -> float:
         return 1.0 - self.left_degree / self.right_degree
+
+    def check_count(self, n: int) -> int:
+        """Number n*l/r of check nodes at block length n; r must divide n*l."""
+        l, r = self.left_degree, self.right_degree
+        if (n * l) % r != 0:
+            raise DivisibilityError(f"r={r} must divide n*l={n * l}")
+        return n * l // r
 
 
 def weight_gf(params: EnsembleParams, x: float) -> float:

@@ -52,7 +52,6 @@ _GRID_POINTS = 2000
 _COARSE_STRIDE = 32  # grid spacing of the scalar warm-start chain
 _GRID_MARGIN = 1e-4
 _ENDPOINT_STEPS = (1e-3, 1e-4)
-_ENDPOINT_DISAGREE = 1e-2
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,9 @@ class ConditionReport:
 def exponent_curve(point: GrowthPoint, alpha: float) -> float:
     """Exponential rate of the overlap-alpha term of the squared count at
     the abscissa omega of ``point``."""
-    _check_alpha(point.abscissa, alpha)
+    lo, hi = _overlap_range(point)
+    if not lo < alpha < hi:
+        raise ValueError(f"alpha must lie in ({lo}, {hi}), got {alpha}")
     t1, t2, val, _ = _inner_solve(point, alpha)
     return float(_exponent(point, alpha, t1, t2, val))
 
@@ -99,7 +100,7 @@ def endpoint_exponent(point: GrowthPoint) -> float:
     """Overlap exponent at the boundary alpha = max(0, 2*omega - 1), omega
     the abscissa of ``point``.
 
-    For omega <= 1/2 the boundary has no shared coordinates and the exponent
+    For omega < 1/2 the boundary has no shared coordinates and the exponent
     comes from the reduced saddle of the overlap-free slice phi(x, 0, x),
     which the x1 = x3 symmetry makes univariate.  Otherwise (or when that
     saddle diverges) the interior curve is extrapolated one-sidedly with
@@ -141,7 +142,7 @@ def verify_conditions(point: GrowthPoint) -> ConditionReport:
     peak = float(_exponent(point, alpha_sq, t1, t2, val))
     _anchor_check(point, peak)
 
-    lo_edge, margin = _grid_window(omega)
+    lo_edge, margin = _grid_window(point)
     alphas, t1s, t2s, vals = _scan_grid(point)
     psis = _psi(point, alphas, t1s, t2s)
     exps = _exponent(point, alphas, t1s, t2s, vals)
@@ -168,12 +169,6 @@ def verify_conditions(point: GrowthPoint) -> ConditionReport:
 
     endpoint = endpoint_exponent(point)
     warnings = []
-    if omega < 0.5:
-        extrap = _endpoint_extrapolated(point)
-        if abs(extrap - endpoint) > _ENDPOINT_DISAGREE:
-            warnings.append(
-                f"endpoint methods disagree: saddle {endpoint:.6g} vs "
-                f"extrapolated {extrap:.6g}")
 
     # probe inside the grid margins: boundary layers of near-identical (and
     # near-disjoint) pairs can spike within 1e-4 of the edges; continue the
@@ -323,11 +318,11 @@ def delta_value(point: GrowthPoint) -> float:
 # ---------------------------------------------------------------------------
 # internals
 
-def _check_alpha(omega: float, alpha: float) -> None:
-    lo = max(0.0, 2.0 * omega - 1.0)
-    if not lo < alpha < omega:
-        raise ValueError(
-            f"alpha must lie in ({lo}, {omega}), got {alpha}")
+def _overlap_range(point: GrowthPoint):
+    """Ends (lo, hi) of the open overlap range (max(0, 2w-1), w) at the
+    abscissa w of ``point``."""
+    omega = point.abscissa
+    return max(0.0, 2.0 * omega - 1.0), omega
 
 
 def _inner_solve(point: GrowthPoint, alpha: float, seed=None):
@@ -355,8 +350,8 @@ def _inner_solve(point: GrowthPoint, alpha: float, seed=None):
 def _continuation_solve(point, alpha):
     """Walk alpha from the omega^2 anchor to the target, halving the distance
     to the nearer corner of (max(0, 2w-1), w) at each step."""
-    omega, x_star = point.abscissa, point.saddle_x
-    lo_edge = max(0.0, 2.0 * omega - 1.0)
+    lo_edge, omega = _overlap_range(point)
+    x_star = point.saddle_x
     anchor = omega * omega
     edge = lo_edge if alpha < anchor else omega
     gap_anchor = abs(anchor - edge)
@@ -435,10 +430,10 @@ def _jacobian(B, r):
             (B[1][0] + B[1][2]) / r, B[1][1] / r)
 
 
-def _grid_window(omega: float):
+def _grid_window(point: GrowthPoint):
     """Lower end of the overlap range and the margin the scan grid keeps
     from both ends."""
-    lo_edge = max(0.0, 2.0 * omega - 1.0)
+    lo_edge, omega = _overlap_range(point)
     return lo_edge, min(_GRID_MARGIN, 0.01 * (omega - lo_edge))
 
 
@@ -455,7 +450,7 @@ def _scan_grid(point):
     the same continuation as any failed solve.
     """
     omega, x_star = point.abscissa, point.saddle_x
-    lo_edge, margin = _grid_window(omega)
+    lo_edge, margin = _grid_window(point)
     alphas = np.linspace(lo_edge + margin, omega - margin, _GRID_POINTS)
     t1, t2, val = (np.empty(_GRID_POINTS) for _ in range(3))
     start = int(np.argmin(np.abs(alphas - omega * omega)))
@@ -686,14 +681,14 @@ def _anchor_check(point: GrowthPoint, peak) -> None:
     rate of ``point``, and the curve must approach that growth rate at the
     alpha -> omega edge.
     """
-    omega, growth = point.abscissa, point.growth
+    lo_edge, omega = _overlap_range(point)
+    growth = point.growth
     if abs(peak - 2.0 * growth) > 1e-8:
         raise ExponentMismatchError(
             f"E(omega^2) = {peak:.12g} vs 2*growth = {2 * growth:.12g}")
     # the edge value carries an O(l * h * ln h) defect, so shrink the step
     # with the left degree to keep it well below the 1e-2 bug guard
-    h = min(3e-4 / point.params.left_degree,
-            0.1 * (omega - max(0.0, 2.0 * omega - 1.0)))
+    h = min(3e-4 / point.params.left_degree, 0.1 * (omega - lo_edge))
     edge = exponent_curve(point, omega - h)
     if abs(edge - growth) > 1e-2:
         raise ExponentMismatchError(
@@ -721,8 +716,7 @@ def _endpoint_reduced_saddle(point: GrowthPoint) -> float:
 
 
 def _endpoint_extrapolated(point: GrowthPoint) -> float:
-    omega = point.abscissa
-    lo_edge = max(0.0, 2.0 * omega - 1.0)
+    lo_edge, omega = _overlap_range(point)
     window = omega - lo_edge
     h1 = min(_ENDPOINT_STEPS[0], 0.05 * window)
     h2 = h1 * (_ENDPOINT_STEPS[1] / _ENDPOINT_STEPS[0])

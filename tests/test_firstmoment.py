@@ -8,7 +8,12 @@ import pytest
 
 from ldpc_moments import checks, exactcomb, firstmoment, genfun, secondmoment
 from ldpc_moments.cli import main
-from ldpc_moments.errors import NoBracketError, NoRootError, UnsupportedPolyError
+from ldpc_moments.errors import (
+    DivisibilityError,
+    NoBracketError,
+    NoRootError,
+    UnsupportedPolyError,
+)
 from ldpc_moments.exactcomb import ExactPolynomial, exact_first_moment, power_coeff
 from ldpc_moments.firstmoment import (
     avg_count,
@@ -255,6 +260,20 @@ class TestAvgCount:
         ac = avg_count(P36, "weight", 12, 1.0 / 3.0)
         assert ac.count == pytest.approx(
             ac.prefactor * math.exp(ac.n * ac.exponent), rel=1e-12)
+
+    def test_block_length_must_fit_the_degrees(self):
+        # r = 6 does not divide n*l = 15: no graph, as the exact oracle says
+        for call in (lambda: avg_count(P36, "weight", 5, 0.4),
+                     lambda: exact_first_moment(P36, 5, 2, "weight"),
+                     lambda: checks.hayman_errors(P36, 0.4, (5,)),
+                     lambda: checks.llt_errors(P36, 5, 0.4, 0.2, [(2, 0, 2)])):
+            with pytest.raises(DivisibilityError, match=r"^r=6 must divide n\*l=15$"):
+                call()
+
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_nonpositive_block_length_rejected(self, n):
+        with pytest.raises(ValueError, match=rf"^block length n must be positive, got {n}$"):
+            avg_count(P36, "weight", n, 0.4)
 
     def test_boundary_rejected_but_oracle_covers_it(self):
         with pytest.raises(ValueError):

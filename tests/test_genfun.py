@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ldpc_moments import exactcomb
+from ldpc_moments.errors import DivisibilityError
 from ldpc_moments.genfun import (
     EnsembleParams,
     pair_gf_stop,
@@ -37,6 +38,12 @@ class TestEnsembleParams:
         EnsembleParams(32, 64)  # at the cap
         with pytest.raises(ValueError):
             EnsembleParams(32, 65)
+
+    def test_check_count(self):
+        assert P36.check_count(12) == 6
+        assert EnsembleParams(3, 4).check_count(8) == 6
+        with pytest.raises(DivisibilityError, match=r"^r=6 must divide n\*l=15$"):
+            P36.check_count(5)
 
 
 class TestWeightGF:

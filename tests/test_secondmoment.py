@@ -9,7 +9,7 @@ import pytest
 
 from ldpc_moments import checks, exactcomb, firstmoment, secondmoment
 from ldpc_moments.cli import main
-from ldpc_moments.errors import DomainError, OffLatticeError
+from ldpc_moments.errors import DomainError, NoConvergenceError, OffLatticeError
 from ldpc_moments.firstmoment import growth_point, min_abscissa, solve_saddle
 from ldpc_moments.genfun import EnsembleParams, pair_gf_stop, pair_gf_weight, pair_stats
 from ldpc_moments.secondmoment import (
@@ -174,16 +174,33 @@ class TestEndpoint:
         assert (endpoint_exponent(growth_point(P36, "weight", 0.3))
                 < 2.0 * growth_point(P36, "weight", 0.3).growth)
 
-    def test_methods_agree(self):
-        assert checks.endpoint_gap(growth_point(P36, "weight", 0.3)) <= 1e-3
+    @pytest.mark.parametrize("omega", [0.1, 0.3, 0.45])
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    @pytest.mark.parametrize("params", [P36, EnsembleParams(12, 24), P34],
+                             ids=["3-6", "12-24", "3-4"])
+    def test_methods_agree(self, params, kind, omega):
+        # the reduced saddle and the extrapolated curve agree to 2.6e-4 on
+        # every row here; verify_conditions computes only the former
+        point = growth_point(params, kind, omega)
+        if point.growth <= 0.0:
+            pytest.skip("Markov regime: no second-moment row")
+        assert checks.endpoint_gap(point) <= 1e-3
+
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    def test_conditions_take_one_endpoint_below_half(self, monkeypatch, kind):
+        def extrapolated(point):
+            raise AssertionError("extrapolated endpoint computed below 1/2")
+
+        point = growth_point(P36, kind, 0.3)
+        expected = endpoint_exponent(point)
+        monkeypatch.setattr(secondmoment, "_endpoint_extrapolated", extrapolated)
+        rep = verify_conditions(point)
+        assert rep.endpoint_exponent == expected
 
     def test_exact_disjoint_term_growth_converges(self):
         # at omega=0.5 the saddle path diverges; extrapolation serves it
         errs = checks.disjoint_term_errors(P36, 0.5, (24, 48))
         assert errs[48] < errs[24]
-
-    def test_stopping_kind(self):
-        assert checks.endpoint_gap(growth_point(P36, "stopping", 0.3)) <= 1e-3
 
     def test_verify_endpoint_rows_unchanged(self, capsys):
         assert main(["verify", "--suite", "endpoint", "--format", "json"]) == 0
@@ -244,6 +261,28 @@ class TestVerifyConditions:
 
     def test_stopping_moderate_size_passes(self):
         rep = verify_conditions(growth_point(P36, "stopping", 0.3))
+        assert rep.condition1_ok and rep.condition2_ok
+
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    def test_no_warnings_on_pinned_rows(self, kind):
+        assert verify_conditions(growth_point(P36, kind, 0.3)).warnings == []
+
+    def test_failed_edge_probe_is_a_warning(self, monkeypatch):
+        # the first probe above the lower grid margin fails to converge: the
+        # row still gets its verdicts, and the report names the probe
+        point = growth_point(P36, "weight", 0.3)
+        lo_edge, margin = secondmoment._grid_window(point)
+        probe = lo_edge + margin / 3.0
+        real_solve = secondmoment._inner_solve
+
+        def solve(point, alpha, seed=None):
+            if alpha == probe:
+                raise NoConvergenceError(f"forced at alpha = {alpha}")
+            return real_solve(point, alpha, seed)
+
+        monkeypatch.setattr(secondmoment, "_inner_solve", solve)
+        rep = verify_conditions(point)
+        assert rep.warnings == [f"edge probe failed at alpha = {probe:.6g}"]
         assert rep.condition1_ok and rep.condition2_ok
 
     @pytest.mark.parametrize("kind,omega,points", [
@@ -333,8 +372,8 @@ class TestScanGrid:
 
     def test_scan_makes_few_scalar_solves(self, monkeypatch):
         # the sequential scan made 2,076 scalar solves for this row; the
-        # omega^2 solve, coarse chain, one bisection, probes and endpoints
-        # now need 108, and each is accepted from its first Newton start:
+        # omega^2 solve, coarse chain, one bisection, probes and the anchor
+        # check now need 106, and each is accepted from its first Newton start:
         # no continuation
         starts, per_solve = [], []
         real_solve, real_newton = secondmoment._inner_solve, secondmoment._newton_from
@@ -353,7 +392,7 @@ class TestScanGrid:
         monkeypatch.setattr(secondmoment, "_inner_solve", counted)
         rep = verify_conditions(growth_point(P36, "weight", 0.3))
         assert rep.condition1_ok and rep.condition2_ok
-        assert len(per_solve) <= 110
+        assert len(per_solve) <= 106
         assert set(per_solve) == {1}
 
 
