@@ -60,6 +60,8 @@ def sample_graph(params: EnsembleParams, n: int, seed: int) -> TannerGraph:
     seed per sample, so execution order never matters.
     """
     l, r = params.left_degree, params.right_degree
+    if n < 1:
+        raise ValueError(f"block length n must be positive, got {n}")
     params.check_count(n)
     rng = np.random.Generator(np.random.PCG64(seed))
     perm = rng.permutation(n * l)
@@ -128,10 +130,15 @@ def _estimate(values: np.ndarray, seed: int) -> MomentEstimate:
 
 def exhaustive_moment(params: EnsembleParams, n: int, W: int,
                       kind: str) -> tuple:
-    """Exact ensemble averages (E[count], E[count^2]) by iterating all socket
-    permutations.  Only feasible for (n*l)! up to about 4e7."""
+    """Exact ensemble averages (E[count], E[count^2]) over all (n*l)! socket
+    permutations.  A permutation matters only through the check each
+    variable socket meets, so the work is the E!/(r!)^m maps of the E = n*l
+    sockets onto the m checks (70 for (2,4) at n=4); the cap still bounds
+    (n*l)! at 4e7."""
     check_kind(kind)
     l, r = params.left_degree, params.right_degree
+    if n < 1:
+        raise ValueError(f"block length n must be positive, got {n}")
     params.check_count(n)
     if math.factorial(n * l) > _PERM_CAP:
         raise TooLargeError(f"({n}*{l})! exceeds the exhaustive cap")
@@ -147,15 +154,12 @@ def exhaustive_moment(params: EnsembleParams, n: int, W: int,
 # counting internals
 
 def _parity_rows(graph: TannerGraph) -> list:
-    """Bit-packed GF(2) parity rows (bit v set iff multiplicity odd)."""
-    mult = graph.multiplicity
-    rows = []
-    for c in range(graph.check_count):
-        row = 0
-        for v in range(graph.n):
-            if mult[c, v] & 1:
-                row |= 1 << v
-        rows.append(row)
+    """Bit-packed GF(2) parity rows (bit v set iff multiplicity odd), read
+    straight off the socket permutation: each edge toggles its bit once."""
+    l, r = graph.left_degree, graph.right_degree
+    rows = [0] * graph.check_count
+    for vs, cs in enumerate(graph.socket_perm.tolist()):
+        rows[cs // r] ^= 1 << (vs // l)
     return rows
 
 
@@ -263,19 +267,36 @@ def _profile_from_mult(mult_rows: tuple, n: int, kind: str) -> tuple:
     return tuple(counts)
 
 
+def _check_assignments(sockets: tuple, r: int):
+    """Every way to deal the sockets to consecutive checks, r sockets each:
+    one tuple of socket groups, check by check, per map of the sockets onto
+    the len(sockets) // r labeled checks."""
+    if not sockets:
+        yield ()
+        return
+    for group in itertools.combinations(sockets, r):
+        rest = tuple(s for s in sockets if s not in group)
+        for tail in _check_assignments(rest, r):
+            yield (group,) + tail
+
+
 @lru_cache(maxsize=None)
 def _exhaustive_tallies(l: int, r: int, n: int):
-    """Per-W sums of counts and squared counts over all socket permutations."""
+    """Per-W sums of counts and squared counts over all (n*l)! socket
+    permutations.  Permutation perm sends variable socket vs to check
+    perm[vs] // r, and each of the E!/(r!)^m socket-to-check maps arises
+    from exactly (r!)^m permutations, so each map is counted once and its
+    sums are scaled by (r!)^m."""
     E = n * l
     m = E // r
     weight_sums = [[0, 0] for _ in range(n + 1)]
     stop_sums = [[0, 0] for _ in range(n + 1)]
     profiles = {}
-    for perm in itertools.permutations(range(E)):
+    for groups in _check_assignments(tuple(range(E)), r):
         mult = [[0] * n for _ in range(m)]
-        for v in range(n):
-            for j in range(l):
-                mult[perm[v * l + j] // r][v] += 1
+        for c, group in enumerate(groups):
+            for vs in group:
+                mult[c][vs // l] += 1
         key = tuple(tuple(row) for row in mult)
         prof = profiles.get(key)
         if prof is None:
@@ -289,5 +310,6 @@ def _exhaustive_tallies(l: int, r: int, n: int):
             weight_sums[W][1] += cw * cw
             stop_sums[W][0] += cs
             stop_sums[W][1] += cs * cs
-    return (tuple((a, b) for a, b in weight_sums),
-            tuple((a, b) for a, b in stop_sums))
+    scale = math.factorial(r) ** m  # permutations per map
+    return (tuple((scale * a, scale * b) for a, b in weight_sums),
+            tuple((scale * a, scale * b) for a, b in stop_sums))

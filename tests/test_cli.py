@@ -456,6 +456,13 @@ class TestUsageErrors:
         assert captured.err.splitlines()[-1] == (
             "ldpc-moments: error: --n must be nonnegative")
 
+    def test_mc_empty_block_rejected(self, capsys):
+        assert main(["mc", "--l", "3", "--r", "6", "--n", "0", "--weight", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "invalid input [INVALID]: block length n must be positive, got 0")
+
     def test_unsupported_degree(self, capsys):
         assert main(["growth", "--l", "3", "--r", "100", "--min", "0.2",
                      "--max", "0.3", "--steps", "2"]) == 2

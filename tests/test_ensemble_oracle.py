@@ -38,6 +38,68 @@ def _chunked_stopping_count(graph, W, chunk=4096):
     return total
 
 
+def _permutation_tallies(l, r, n):
+    """Per-W sums of counts and squared counts by walking every one of the
+    (n*l)! socket permutations (the loop that counting each socket-to-check
+    map once replaced)."""
+    E = n * l
+    m = E // r
+    weight_sums = [[0, 0] for _ in range(n + 1)]
+    stop_sums = [[0, 0] for _ in range(n + 1)]
+    profiles = {}
+    for perm in itertools.permutations(range(E)):
+        mult = [[0] * n for _ in range(m)]
+        for v in range(n):
+            for j in range(l):
+                mult[perm[v * l + j] // r][v] += 1
+        key = tuple(tuple(row) for row in mult)
+        prof = profiles.get(key)
+        if prof is None:
+            prof = (ensemble_oracle._profile_from_mult(key, n, "weight"),
+                    ensemble_oracle._profile_from_mult(key, n, "stopping"))
+            profiles[key] = prof
+        wprof, sprof = prof
+        for W in range(n + 1):
+            cw, cs = wprof[W], sprof[W]
+            weight_sums[W][0] += cw
+            weight_sums[W][1] += cw * cw
+            stop_sums[W][0] += cs
+            stop_sums[W][1] += cs * cs
+    return (tuple((a, b) for a, b in weight_sums),
+            tuple((a, b) for a, b in stop_sums))
+
+
+class _SquaredCount(int):
+    """A per-graph count that tallies the products it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _SquaredCount.products += 1
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
+
+
+def _count_visits(monkeypatch, n):
+    """Make every profile hold counts that tally their products, and return
+    a function giving the configurations visited so far: each visit squares
+    its weight and stopping count at every W once, 2(n+1) products."""
+    profile = ensemble_oracle._profile_from_mult
+
+    def counted(mult_rows, size, kind):
+        return tuple(_SquaredCount(c) for c in profile(mult_rows, size, kind))
+
+    monkeypatch.setattr(ensemble_oracle, "_profile_from_mult", counted)
+    _SquaredCount.products = 0
+    return lambda: _SquaredCount.products / (2 * (n + 1))
+
+
+def _packed_parity(mult):
+    """Rows of a multiplicity matrix mod 2, bit v per variable."""
+    return [sum(1 << v for v, k in enumerate(row) if k % 2) for row in mult.tolist()]
+
+
 def _lehmer_rank(perm):
     """Rank of a permutation in lexicographic order."""
     perm = list(perm)
@@ -77,6 +139,31 @@ class TestSampleGraph:
         expected = samples / 64.0
         chi2 = float(((buckets - expected) ** 2 / expected).sum())
         assert chi2 < stats.chi2.ppf(0.99, 63)
+
+
+@pytest.mark.parametrize("n", [0, -4])
+def test_nonpositive_block_length_rejected(n):
+    message = f"block length n must be positive, got {n}"
+    with pytest.raises(ValueError, match=message):
+        sample_graph(P36, n, 1)
+    with pytest.raises(ValueError, match=message):
+        exhaustive_moment(P36, n, 0, "weight")
+
+
+class TestParityRows:
+    def test_sampled_graphs_match_multiplicity_mod_2(self):
+        for seed in range(200):
+            g = sample_graph(P36, 12, 3000 + seed)
+            assert ensemble_oracle._parity_rows(g) == _packed_parity(g.multiplicity)
+
+    def test_double_and_triple_edges(self):
+        # v0 meets check 0 three times, v1 check 1 twice, v2 check 0 twice
+        # and v3 check 1 three times: only the odd multiplicities survive
+        perm = np.array([0, 1, 2, 6, 7, 3, 4, 5, 8, 9, 10, 11])
+        g = TannerGraph(n=4, left_degree=3, right_degree=6, socket_perm=perm)
+        assert g.multiplicity.tolist() == [[3, 1, 2, 0], [0, 2, 1, 3]]
+        assert ensemble_oracle._parity_rows(g) == _packed_parity(g.multiplicity)
+        assert ensemble_oracle._parity_rows(g) == [0b0011, 0b1100]
 
 
 class TestCountWords:
@@ -192,3 +279,24 @@ class TestExhaustiveMoment:
     def test_size_cap(self):
         with pytest.raises(TooLargeError):
             exhaustive_moment(P36, 4, 2, "weight")  # 12! permutations
+
+
+class TestExhaustiveTallies:
+    @pytest.mark.parametrize("l,r,n", [(2, 3, 3), (2, 4, 4), (2, 6, 3), (3, 6, 2)])
+    def test_matches_permutation_loop(self, l, r, n):
+        assert ensemble_oracle._exhaustive_tallies(l, r, n) == _permutation_tallies(l, r, n)
+
+    def test_visits_each_assignment_once(self, monkeypatch):
+        # 8!/(4!)^2 = 70 maps of 8 sockets onto 2 checks of 4 sockets each
+        visits = _count_visits(monkeypatch, 4)
+        ensemble_oracle._exhaustive_tallies.cache_clear()
+        try:
+            exhaustive_moment(P24, 4, 2, "weight")
+        finally:
+            ensemble_oracle._exhaustive_tallies.cache_clear()
+        assert visits() == math.factorial(8) // math.factorial(4) ** 2 == 70
+
+    def test_permutation_loop_visits_every_permutation(self, monkeypatch):
+        visits = _count_visits(monkeypatch, 4)
+        _permutation_tallies(2, 4, 4)
+        assert visits() == math.factorial(8) > 70
