@@ -23,7 +23,7 @@ from .genfun import KIND_STOPPING, KIND_WEIGHT, EnsembleParams, check_kind
 
 _EXHAUSTIVE_N_CAP = 28
 _NULLITY_CAP = 24  # 2^24 null-space vectors at most
-_PERM_CAP = 40_000_000  # (n*l)! bound for exhaustive ensemble averages
+_EXHAUSTIVE_WORK_CAP = 10_000_000  # socket-to-check maps times 2^n subsets
 _SUBSET_CHUNK = 4096
 
 
@@ -133,15 +133,17 @@ def exhaustive_moment(params: EnsembleParams, n: int, W: int,
     """Exact ensemble averages (E[count], E[count^2]) over all (n*l)! socket
     permutations.  A permutation matters only through the check each
     variable socket meets, so the work is the E!/(r!)^m maps of the E = n*l
-    sockets onto the m checks (70 for (2,4) at n=4); the cap still bounds
-    (n*l)! at 4e7."""
+    sockets onto the m checks (70 for (2,4) at n=4), each followed by a
+    loop over the 2^n subsets; TooLargeError once maps * 2^n exceeds 1e7."""
     check_kind(kind)
     l, r = params.left_degree, params.right_degree
     if n < 1:
         raise ValueError(f"block length n must be positive, got {n}")
     params.check_count(n)
-    if math.factorial(n * l) > _PERM_CAP:
-        raise TooLargeError(f"({n}*{l})! exceeds the exhaustive cap")
+    if _exhaustive_work(n * l, r, n) > _EXHAUSTIVE_WORK_CAP:
+        raise TooLargeError(
+            f"({n}*{l})!/({r}!)^{n * l // r} maps times 2^{n} subsets exceed the "
+            f"exhaustive cap {_EXHAUSTIVE_WORK_CAP:g}")
     if not 0 <= W <= n:
         raise ValueError(f"W={W} outside [0, {n}]")
     weight_sums, stop_sums = _exhaustive_tallies(l, r, n)
@@ -247,7 +249,7 @@ def _incidence(subsets: list, n: int) -> np.ndarray:
 def _profile_from_mult(mult_rows: tuple, n: int, kind: str) -> tuple:
     """Counts for every W at once by brute force over all 2^n subsets.
 
-    Only used in the exhaustive regime where n <= 5.
+    Only used in the exhaustive regime, where maps * 2^n stays below 1e7.
     """
     counts = [0] * (n + 1)
     m = len(mult_rows)
@@ -265,6 +267,19 @@ def _profile_from_mult(mult_rows: tuple, n: int, kind: str) -> tuple:
         if ok:
             counts[mask.bit_count()] += 1
     return tuple(counts)
+
+
+def _exhaustive_work(E: int, r: int, n: int) -> int:
+    """E!/(r!)^m * 2^n, the socket-to-check maps times the subsets of each,
+    as a product of binomials C(E, r) C(E-r, r) ... that stops once it
+    passes the cap, so that past the cap it is only a lower bound (2^n
+    itself is clamped at a power of two above the cap)."""
+    work = 2 ** min(n, _EXHAUSTIVE_WORK_CAP.bit_length())
+    for left in range(E, 0, -r):
+        if work > _EXHAUSTIVE_WORK_CAP:
+            break
+        work *= math.comb(left, r)
+    return work
 
 
 def _check_assignments(sockets: tuple, r: int):

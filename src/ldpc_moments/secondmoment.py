@@ -8,7 +8,7 @@ saddle system (t3 = t1 by symmetry), evaluates the per-overlap exponent
     E(alpha) = (l-1) T(alpha) + (l/r) ln phi(t) - l (2(w-a) ln t1 + a ln t2),
     T(alpha) = a ln a + 2(w-a) ln(w-a) + (1-2w+a) ln(1-2w+a),
 
-locates its stationary points, checks the two dominance conditions that make
+locates its local maxima, checks the two dominance conditions that make
 alpha = w^2 the global maximum, and assembles the variance ratio delta and
 the Chebyshev concentration bound 1 - delta/eps^2.
 
@@ -56,21 +56,19 @@ _ENDPOINT_STEPS = (1e-3, 1e-4)
 
 @dataclass(frozen=True)
 class StationaryPoint:
-    """A root of the stationarity residual, with curvature diagnosis."""
+    """A local maximum of the exponent curve: a root of psi = dE/dalpha
+    where psi falls from + to -."""
 
     alpha: float
     exponent: float
-    d2_coefficient: float
-
-    @property
-    def is_maximum(self) -> bool:
-        return self.d2_coefficient < 0.0
 
 
 @dataclass(frozen=True)
 class ConditionReport:
     """Verdicts of the two dominance conditions plus scan diagnostics.
 
+    ``stationary_points`` lists the local maxima of the exponent curve, one
+    per grid interval where psi = dE/dalpha falls, in order of alpha.
     ``delta``/``bound`` are None unless :func:`delta` filled them, which it
     does only when both conditions hold: the numbers would not be justified
     otherwise.
@@ -117,28 +115,32 @@ def endpoint_exponent(point: GrowthPoint) -> float:
 def verify_conditions(point: GrowthPoint) -> ConditionReport:
     """Scan the overlap range and check the two dominance conditions.
 
-    Condition 1: alpha = omega^2 is a negative-curvature stationary point
-    and the unique global maximum of the exponent curve: every other
-    detected local maximum lies strictly below it, and no grid or
-    edge-probe value exceeds it.  (For stopping sets a subdominant local
-    maximum always exists in a thin layer of near-identical pairs; it only
-    invalidates the method when it reaches the omega^2 level, which happens
-    near the typical minimum size.)
+    psi = dE/dalpha, so a grid interval where psi falls from + to - holds a
+    local maximum of the exponent curve and one where it rises holds a
+    minimum; only the falling ones are solved and listed.
+    Condition 1: alpha = omega^2 is the unique global maximum of the
+    exponent curve: psi falls through it, every other local maximum lies
+    strictly below it, and no grid or edge-probe value exceeds it.  (For
+    stopping sets a subdominant local maximum always exists in a thin layer
+    of near-identical pairs; it only invalidates the method when it reaches
+    the omega^2 level, which happens near the typical minimum size.)
     Condition 2: the exponent at omega^2 strictly exceeds the boundary
-    exponent.  Failures are verdicts, not errors.
+    exponent.  Failures are verdicts, not errors.  Negative curvature at
+    omega^2 is checked by :func:`delta_value`, which raises
+    VarianceDegenerateError where it fails.
 
     omega is the abscissa of ``point``, whose univariate saddle x* is shared
-    by every overlap solve.  psi(omega^2) = 0 holds exactly, so a sign
-    change in the grid interval holding omega^2 is that root: its stationary
-    point comes from the one omega^2 solve that gives the peak, and only the
-    other sign changes are bisected.
+    by every overlap solve.  psi(omega^2) = 0 holds exactly, so a falling
+    grid interval holding omega^2 is that root: its stationary point comes
+    from the one omega^2 solve that gives the peak, and only the other
+    falling intervals are bisected.
     """
     omega = point.abscissa
     if point.growth <= 0.0:
         raise DomainError(
             f"positive growth rate required (Markov regime at {omega})")
     alpha_sq = omega * omega
-    t1, t2, val, B = _inner_solve(point, alpha_sq)
+    t1, t2, val, _ = _inner_solve(point, alpha_sq)
     peak = float(_exponent(point, alpha_sq, t1, t2, val))
     _anchor_check(point, peak)
 
@@ -151,20 +153,13 @@ def verify_conditions(point: GrowthPoint) -> ConditionReport:
         return float(t1s[idx]), float(t2s[idx])
 
     stationary = []
-    # grid zeros of psi and sign changes to the next grid point, in order
-    for idx in np.flatnonzero((psis[:-1] == 0.0) | (psis[:-1] * psis[1:] < 0.0)):
+    # psi falls through zero: a local maximum (a rise is a minimum, unread)
+    for idx in np.flatnonzero((psis[:-1] > 0.0) & (psis[1:] <= 0.0)):
         alpha, hi = float(alphas[idx]), float(alphas[idx + 1])
-        psi = float(psis[idx])
-        if psi == 0.0:
-            stationary.append(_stationary_point(point, alpha, grid_saddle(idx)))
-        elif alpha <= alpha_sq <= hi:
-            stationary.append(StationaryPoint(
-                alpha=alpha_sq, exponent=peak,
-                d2_coefficient=overlap_exponent_d2(
-                    point, alpha_sq, _sigma_c2(point.params, B))))
+        if alpha <= alpha_sq <= hi:
+            stationary.append(StationaryPoint(alpha=alpha_sq, exponent=peak))
         else:
-            root, warm_root = _bisect_psi(point, alpha, hi, psi,
-                                          grid_saddle(idx))
+            root, warm_root = _bisect_psi(point, alpha, hi, grid_saddle(idx))
             stationary.append(_stationary_point(point, root, warm_root))
 
     endpoint = endpoint_exponent(point)
@@ -188,9 +183,8 @@ def verify_conditions(point: GrowthPoint) -> ConditionReport:
             edge_max = max(edge_max,
                            float(_exponent(point, alpha, t1, t2, val)))
 
-    maxima = [p for p in stationary if p.is_maximum]
-    at_square = [p for p in maxima if abs(p.alpha - alpha_sq) < 1e-6]
-    others = [p for p in maxima if abs(p.alpha - alpha_sq) >= 1e-6]
+    at_square = [p for p in stationary if abs(p.alpha - alpha_sq) < 1e-6]
+    others = [p for p in stationary if abs(p.alpha - alpha_sq) >= 1e-6]
     slack = 1e-9 * max(1.0, abs(peak))
     cond1 = (len(at_square) == 1
              and all(p.exponent < peak - slack for p in others)
@@ -277,19 +271,6 @@ def local_limit_ratio(point: GrowthPoint, n: int, base_alpha: float,
     t = (t1, t2, t1)
     log_ratio = -sum(off[k] * math.log(t[k]) for k in range(3)) - 0.5 * quad
     return math.exp(log_ratio)
-
-
-def overlap_exponent_d2(point: GrowthPoint, alpha: float,
-                        sigma_c2: float) -> float:
-    """n-normalized second-order coefficient of the overlap term expansion.
-
-    (l-1) [1/(w-a) + 1/(2a) + 1/(2(1-2w+a))] - 1/(2 sigma_c^2), w the
-    abscissa of ``point``; negative at a local maximum of the term sequence.
-    """
-    l, omega = point.params.left_degree, point.abscissa
-    return ((l - 1) * (1.0 / (omega - alpha) + 0.5 / alpha
-                       + 0.5 / (1.0 - 2.0 * omega + alpha))
-            - 0.5 / sigma_c2)
 
 
 def delta_value(point: GrowthPoint) -> float:
@@ -653,22 +634,20 @@ def _snap_nonnegative(d: float) -> float:
 
 
 def _stationary_point(point, alpha, warm) -> StationaryPoint:
-    t1, t2, val, B = _inner_solve(point, alpha, warm)
-    sc2 = _sigma_c2(point.params, B)
+    t1, t2, val, _ = _inner_solve(point, alpha, warm)
     return StationaryPoint(
-        alpha=alpha, exponent=float(_exponent(point, alpha, t1, t2, val)),
-        d2_coefficient=overlap_exponent_d2(point, alpha, sc2))
+        alpha=alpha, exponent=float(_exponent(point, alpha, t1, t2, val)))
 
 
-def _bisect_psi(point, lo, hi, psi_lo, warm):
-    """Root of psi in (lo, hi); each solve warm-starts from the previous one."""
-    sign_lo = psi_lo > 0.0
+def _bisect_psi(point, lo, hi, warm):
+    """Root of psi in (lo, hi), where psi falls from + to -; each solve
+    warm-starts from the previous one."""
 
     def below(mid):
         nonlocal warm
         t1, t2, _, _ = _inner_solve(point, mid, warm)
         warm = (t1, t2)
-        return (_psi(point, mid, t1, t2) > 0.0) == sign_lo
+        return _psi(point, mid, t1, t2) > 0.0
 
     root = bisect_root(below, lo, hi, 80, 1e-13)
     return root, warm

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ldpc_moments import ensemble_oracle
+from ldpc_moments import checks, ensemble_oracle
 from ldpc_moments.ensemble_oracle import (
     TannerGraph,
     count_words,
@@ -277,8 +277,20 @@ class TestExhaustiveMoment:
                                                           Fraction(492, 35))
 
     def test_size_cap(self):
+        # the cap counts socket-to-check maps times 2^n subsets: (3,6) at
+        # n=4 has 924 maps and 16 subsets, though 12! permutations
+        assert exhaustive_moment(P36, 4, 2, "weight")[0] == exact_first_moment(
+            P36, 4, 2, "weight")
+
+    @pytest.mark.parametrize("l,r,n", [(2, 3, 6), (2, 64, 32)])
+    def test_above_size_cap(self, l, r, n):
+        # 369,600 maps times 2^6 subsets; one map but 2^32 subsets
         with pytest.raises(TooLargeError):
-            exhaustive_moment(P36, 4, 2, "weight")  # 12! permutations
+            exhaustive_moment(EnsembleParams(l, r), n, 2, "weight")
+
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    def test_matches_generating_function_at_36(self, kind):
+        assert checks.exhaustive_mismatches(P36, 4, kind) == []
 
 
 class TestExhaustiveTallies:

@@ -9,7 +9,13 @@ import pytest
 
 from ldpc_moments import checks, exactcomb, firstmoment, secondmoment
 from ldpc_moments.cli import main
-from ldpc_moments.errors import DomainError, NoConvergenceError, OffLatticeError
+from ldpc_moments.errors import (
+    DomainError,
+    NoBracketError,
+    NoConvergenceError,
+    OffLatticeError,
+    VarianceDegenerateError,
+)
 from ldpc_moments.firstmoment import growth_point, min_abscissa, solve_saddle
 from ldpc_moments.genfun import EnsembleParams, pair_gf_stop, pair_gf_weight, pair_stats
 from ldpc_moments.secondmoment import (
@@ -248,10 +254,9 @@ class TestVerifyConditions:
 
     def test_stationary_point_found_at_square(self):
         rep = verify_conditions(growth_point(P36, "weight", 0.3))
-        maxima = [p for p in rep.stationary_points if p.is_maximum]
+        maxima = rep.stationary_points
         assert len(maxima) == 1
         assert maxima[0].alpha == pytest.approx(0.09, abs=1e-8)
-        assert maxima[0].d2_coefficient < 0.0
 
     def test_stopping_near_minimum_size_fails_condition1(self):
         # boundary layer of near-identical pairs dominates near s_min
@@ -286,22 +291,37 @@ class TestVerifyConditions:
         assert rep.condition1_ok and rep.condition2_ok
 
     @pytest.mark.parametrize("kind,omega,points", [
-        ("weight", 0.3, [("0.09", "0.5324305699445315", "-11.26984837945228"),
-                         ("0.2950912444828983", "0.2614090515383657",
-                          "97.5535867029642")]),
-        ("weight", 0.9, [("0.81", "0.1310425527142023", "-46.50237813807384"),
-                         ("0.8926273622238359", "0.05848083076188004",
-                          "61.53258327697242")]),
-        ("stopping", 0.05, [("0.0025000000000000005", "0.054913959527033596",
-                             "-111.81135202864937")]),
-        ("stopping", 0.3, [("0.09", "0.8199647098078939",
-                            "-11.035929111513685")]),
+        ("weight", 0.3, [("0.09", "0.5324305699445315")]),
+        ("weight", 0.9, [("0.81", "0.1310425527142023")]),
+        ("stopping", 0.05, [("0.0025000000000000005", "0.054913959527033596")]),
+        ("stopping", 0.3, [("0.09", "0.8199647098078939")]),
     ])
     def test_stationary_points_pinned(self, kind, omega, points):
-        # every grid sign change in order: the maximum at omega^2 (closed
-        # form) and, for weight, the bisected minimum between it and omega
+        # every grid interval where psi falls, in order: here only the one
+        # holding omega^2 (closed form); the minimum that weight has between
+        # it and omega is not listed
         rep = verify_conditions(growth_point(P36, kind, omega))
-        assert [(repr(p.alpha), repr(p.exponent), repr(p.d2_coefficient))
+        assert [(repr(p.alpha), repr(p.exponent))
+                for p in rep.stationary_points] == points
+
+    @pytest.mark.parametrize("pair,omega,cond1,points", [
+        ((3, 6), 0.021875, True,
+         [("0.00047851562499999994", "0.004588082494168866"),
+          ("0.021761673878517795", "0.002443812887434227")]),
+        ((6, 12), None, False,
+         [("0.003971582887514568", "3.916553179328375e-06"),
+          ("0.06277577218014778", "0.000441403851410449")]),
+    ], ids=["3:6-0.021875", "6:12-smin"])
+    def test_competing_maximum_pinned(self, pair, omega, cond1, points):
+        # stopping rows with a bisected maximum in the near-identical layer
+        # beside the one at omega^2: below the peak for (3,6) at 0.021875,
+        # above it for (6,12) just past s_min, which breaks condition 1
+        params = EnsembleParams(*pair)
+        if omega is None:
+            omega = min_abscissa(params, "stopping") + 1e-6
+        rep = verify_conditions(growth_point(params, "stopping", omega))
+        assert rep.condition1_ok is cond1
+        assert [(repr(p.alpha), repr(p.exponent))
                 for p in rep.stationary_points] == points
 
 
@@ -325,6 +345,79 @@ def _sequential_grid(point, alphas):
 SCAN_CASES = [((3, 6), "weight", 0.3), ((3, 6), "stopping", None),
               ((12, 24), "stopping", 0.990625), ((3, 64), "weight", 0.003125),
               ((3, 6), "weight", 0.75), ((12, 24), "stopping", 0.6)]
+
+
+def _curvature_d2(point, alpha, sigma_c2):
+    """Test-only curvature reference: the n-normalized second-order
+    coefficient of the overlap term expansion,
+
+        (l-1) [1/(w-a) + 1/(2a) + 1/(2(1-2w+a))] - 1/(2 sigma_c^2),
+
+    w the abscissa of ``point``; negative at a local maximum of the term
+    sequence.  It is (1/2) dpsi/dalpha, so its sign is the direction in
+    which psi crosses zero."""
+    l, omega = point.params.left_degree, point.abscissa
+    return ((l - 1) * (1.0 / (omega - alpha) + 0.5 / alpha
+                       + 0.5 / (1.0 - 2.0 * omega + alpha))
+            - 0.5 / sigma_c2)
+
+
+CURVATURE_PAIRS = [(3, 6), (12, 24), (3, 4), (2, 5)]
+CURVATURE_OMEGAS = [round(0.05 + 0.1 * k, 2) for k in range(10)]
+# the odd-r weight band around 1/2 where the overlap solve does not converge
+UNSOLVED_ROWS = {((2, 5), "weight", 0.45), ((2, 5), "weight", 0.55)}
+
+
+class TestCurvatureReference:
+    @staticmethod
+    def _bisect_both_ways(point, lo, hi, falling, warm):
+        """Root of psi in (lo, hi) for either direction of the sign change,
+        with the solution there."""
+        def below(mid):
+            nonlocal warm
+            t1, t2, _, _ = _inner_solve(point, mid, warm)
+            warm = (t1, t2)
+            return (_psi(point, mid, t1, t2) > 0.0) == falling
+
+        root = firstmoment.bisect_root(below, lo, hi, 80, 1e-13)
+        return root, _inner_solve(point, root, warm)
+
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    @pytest.mark.parametrize("pair", CURVATURE_PAIRS,
+                             ids=[f"{l}:{r}" for l, r in CURVATURE_PAIRS])
+    def test_psi_direction_is_the_curvature_sign(self, pair, kind):
+        # where psi falls d2 < 0 (a maximum), where it rises d2 > 0 (a
+        # minimum); at omega^2, d2 < 0 is the core > 0 check of delta_value
+        params = EnsembleParams(*pair)
+        rows = directions = 0
+        for omega in CURVATURE_OMEGAS:
+            try:
+                point = growth_point(params, kind, omega)
+            except NoBracketError:
+                continue  # above the attainable abscissas of odd r
+            if point.growth <= 0.0 or (pair, kind, omega) in UNSOLVED_ROWS:
+                continue
+            rows += 1
+            alphas, t1s, t2s, _ = secondmoment._scan_grid(point)
+            psis = _psi(point, alphas, t1s, t2s)
+            for idx in np.flatnonzero(psis[:-1] * psis[1:] < 0.0):
+                falling = bool(psis[idx] > 0.0)
+                root, (_, _, _, B) = self._bisect_both_ways(
+                    point, float(alphas[idx]), float(alphas[idx + 1]), falling,
+                    (float(t1s[idx]), float(t2s[idx])))
+                d2 = _curvature_d2(point, root, _sigma_c2(params, B))
+                assert (d2 < 0.0) == falling, (omega, root, d2)
+                directions += 1
+            alpha_sq = omega * omega
+            B = _inner_solve(point, alpha_sq)[3]
+            d2 = _curvature_d2(point, alpha_sq, _sigma_c2(params, B))
+            try:
+                delta_value(point)
+                degenerate = False
+            except VarianceDegenerateError:
+                degenerate = True
+            assert (d2 < 0.0) is not degenerate, (omega, d2)
+        assert rows and directions >= rows
 
 
 class TestScanGrid:
@@ -372,9 +465,9 @@ class TestScanGrid:
 
     def test_scan_makes_few_scalar_solves(self, monkeypatch):
         # the sequential scan made 2,076 scalar solves for this row; the
-        # omega^2 solve, coarse chain, one bisection, probes and the anchor
-        # check now need 106, and each is accepted from its first Newton start:
-        # no continuation
+        # omega^2 solve, coarse chain, probes and the anchor check now need
+        # 74 (106 while the minimum near omega was bisected), and each is
+        # accepted from its first Newton start: no continuation
         starts, per_solve = [], []
         real_solve, real_newton = secondmoment._inner_solve, secondmoment._newton_from
 
@@ -392,7 +485,7 @@ class TestScanGrid:
         monkeypatch.setattr(secondmoment, "_inner_solve", counted)
         rep = verify_conditions(growth_point(P36, "weight", 0.3))
         assert rep.condition1_ok and rep.condition2_ok
-        assert len(per_solve) <= 106
+        assert len(per_solve) <= 74
         assert set(per_solve) == {1}
 
 
@@ -436,16 +529,17 @@ class TestPredictedSeeds:
                      if p.alpha == omega * omega]
         assert len(at_square) == 1
         assert at_square[0].exponent == rep.peak_exponent
-        assert at_square[0].is_maximum
 
-    def test_square_sign_change_is_not_bisected(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["stopping", "weight"])
+    def test_square_sign_change_is_not_bisected(self, monkeypatch, kind):
         # (3,6) stopping at 0.3 has one sign change of psi, the one at
-        # omega^2, so no bisection runs
+        # omega^2, so no bisection runs; weight has a second one near
+        # 0.29509, where psi rises: a minimum, neither bisected nor listed
         def bisect(*args):
             raise AssertionError("psi bisected")
 
         monkeypatch.setattr(secondmoment, "_bisect_psi", bisect)
-        rep = verify_conditions(growth_point(P36, "stopping", 0.3))
+        rep = verify_conditions(growth_point(P36, kind, 0.3))
         assert rep.condition1_ok and rep.condition2_ok
         assert [p.alpha for p in rep.stationary_points] == [0.3 * 0.3]
 
