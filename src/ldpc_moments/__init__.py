@@ -19,9 +19,7 @@ from .exactcomb import (
     power_coefficients,
 )
 from .firstmoment import (
-    AvgCount,
     GrowthPoint,
-    avg_count,
     growth_point,
     hayman_coeff,
     min_abscissa,
@@ -31,8 +29,6 @@ from .genfun import (
     KIND_STOPPING,
     KIND_WEIGHT,
     EnsembleParams,
-    pair_gf_stop,
-    pair_gf_weight,
     saddle_stats_uni,
     stop_gf,
     weight_gf,

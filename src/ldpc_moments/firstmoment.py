@@ -7,8 +7,8 @@ nonnegative coefficients by the classic saddle-point formula
 
 where y* solves a_q(y*) = k/m and d is the period of the support lattice
 (2 for the even-powered weight polynomial p, 1 for beta).  On top of that it
-builds the average weight/stopping-set counts, their exponential growth
-rates, and the typical minimum relative weight/size (the smallest positive
+builds the exponential growth rates of the average weight/stopping-set
+counts and the typical minimum relative weight/size (the smallest positive
 zero of the growth rate).
 """
 
@@ -19,7 +19,6 @@ import math
 from array import array
 from dataclasses import dataclass
 
-from . import exactcomb
 from .errors import NoBracketError, NoRootError, UnsupportedPolyError
 from .exactcomb import ExactPolynomial
 from .genfun import KIND_WEIGHT, EnsembleParams, check_kind, saddle_stats_uni, stop_gf, weight_gf
@@ -44,21 +43,6 @@ class GrowthPoint:
     saddle_x: float
     growth: float
     curvature_b: float
-
-
-@dataclass(frozen=True)
-class AvgCount:
-    """Saddle-point approximation of an ensemble-average count at length n.
-
-    ``count == prefactor * exp(n * exponent)``; the prefactor carries the
-    1/sqrt(n) order and the support-lattice factor (0 if the target index is
-    off the lattice, in which case the exact count vanishes).
-    """
-
-    n: int
-    count: float
-    exponent: float
-    prefactor: float
 
 
 def binary_entropy(w: float) -> float:
@@ -247,31 +231,6 @@ def hayman_coeff(poly: ExactPolynomial, m: int, k: int) -> float:
         2.0 * math.pi * m * var)
 
 
-def avg_count(params: EnsembleParams, kind: str, n: int, abscissa: float) -> AvgCount:
-    """Average count of weight/size n*abscissa objects at block length n.
-
-    Exponent: (l/r) ln phi(x*) - (l-1) h(abscissa) - l*abscissa*ln x*.
-    Prefactor: d*sqrt(r)/sqrt(2*pi*n*b_phi(x*)) with d the support period of
-    phi, or 0 when the edge count n*l*abscissa falls off phi's support
-    lattice (then the exact average is 0).  Needs n >= 1, r dividing n*l.
-    """
-    if n < 1:
-        raise ValueError(f"block length n must be positive, got {n}")
-    params.check_count(n)
-    l, r = params.left_degree, params.right_degree
-    point = growth_point(params, kind, abscissa)
-    k = n * l * abscissa
-    k_int = round(k)
-    if abs(k - k_int) > 1e-9:
-        raise ValueError(f"n*l*abscissa = {k} is not integral")
-    d = exactcomb.check_poly(r, kind).support_period()
-    if k_int % d != 0:
-        return AvgCount(n=n, count=0.0, exponent=point.growth, prefactor=0.0)
-    prefactor = d * math.sqrt(r) / math.sqrt(2.0 * math.pi * n * point.curvature_b)
-    return AvgCount(n=n, count=prefactor * math.exp(n * point.growth),
-                    exponent=point.growth, prefactor=prefactor)
-
-
 @functools.cache
 def _search_grid() -> array:
     """The abscissas 1e-4, 2e-4, ... below 0.5 that :func:`min_abscissa`
@@ -299,15 +258,17 @@ def min_abscissa(params: EnsembleParams, kind: str) -> float:
     Each point is seeded from the saddle of the highest point evaluated so
     far with negative growth, the lower end of the current bracket (in the
     final cell both ends are equally near).  Raises NoRootError when the
-    growth rate is already nonnegative at the first grid point, 1e-4 (the
-    zero lies below the grid's resolution, as for weight (3, r) with
-    32 <= r <= 64 and stopping (3, r) with 31 <= r <= 64, or there is none,
-    as for every (2, r) down to 1e-12), or is still negative at the last one.
+    growth rate is still negative at the last grid point.
+
+    When the growth rate is already nonnegative at the first grid point,
+    1e-4, the zero lies below the grid, as for weight (3, r) with
+    32 <= r <= 64 and stopping (3, r) with 31 <= r <= 64: halve the
+    abscissa until the growth rate turns negative and bisect that cell to
+    1e-5 of its width, the grid's relative resolution.  If it stays
+    nonnegative down to 1e-12, as for every (2, r), raises NoRootError.
     """
     grid = _search_grid()
     lo_point = growth_point(params, kind, grid[0])
-    if lo_point.growth >= 0.0:
-        raise NoRootError("growth rate nonnegative at the left edge of the grid")
 
     def below(v):
         nonlocal lo_point
@@ -315,6 +276,14 @@ def min_abscissa(params: EnsembleParams, kind: str) -> float:
         if point.growth < 0.0:
             lo_point = point
         return point.growth < 0.0
+
+    if lo_point.growth >= 0.0:
+        lo, hi = 0.5 * grid[0], grid[0]
+        while not below(lo):
+            lo, hi = 0.5 * lo, lo
+            if lo < 1e-12:
+                raise NoRootError("growth rate nonnegative at the left edge of the grid")
+        return bisect_root(below, lo, hi, 64, 1e-5 * (hi - lo))
 
     last = len(grid) - 1
     lo, hi, gallop = 0, 1, 1

@@ -22,7 +22,6 @@ integer-coefficient forms live in :mod:`ldpc_moments.exactcomb`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import DivisibilityError, NonpositiveGFError
@@ -34,12 +33,6 @@ MAX_RIGHT_DEGREE = 64
 KIND_WEIGHT = "weight"
 KIND_STOPPING = "stopping"
 KINDS = (KIND_WEIGHT, KIND_STOPPING)
-
-# Sign patterns of the four brackets of f: exactly the characters of the
-# subgroup of {+1,-1}^3 with product of any two coordinates matching the
-# third, which kills every monomial that is not all-even or all-odd.
-_F_SIGNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
-
 
 def check_kind(kind: str) -> str:
     if kind not in KINDS:
@@ -94,34 +87,6 @@ def stop_gf(params: EnsembleParams, x: float) -> float:
         raise ValueError("x must be nonnegative")
     r = params.right_degree
     return (1.0 + x) ** r - r * x
-
-
-def pair_gf_weight(params: EnsembleParams, pt) -> float:
-    """Evaluate the codeword-pair generating function f at a point >= 0.
-
-    An independent closed form, kept as an oracle for :func:`pair_vgh`,
-    which the solvers use; nothing in the package calls it.
-    """
-    x1, x2, x3 = _check_point(pt)
-    r = params.right_degree
-    return 0.25 * sum(
-        (1.0 + s1 * x1 + s2 * x2 + s3 * x3) ** r for s1, s2, s3 in _F_SIGNS)
-
-
-def pair_gf_stop(params: EnsembleParams, pt) -> float:
-    """Evaluate the stopping-set-pair generating function g at a point >= 0.
-
-    g contains subtracted terms, so the value may be negative far from the
-    region of interest; callers taking ln(g) must check the sign first.
-    Like :func:`pair_gf_weight`, an independent closed form kept as an
-    oracle for :func:`pair_vgh`.
-    """
-    x1, x2, x3 = _check_point(pt)
-    r = params.right_degree
-    return ((1.0 + x1 + x2 + x3) ** r
-            - r * (1.0 + x1) ** (r - 1) * (x2 + x3)
-            - r * x1 * ((1.0 + x3) ** (r - 1) - (r - 1) * x3)
-            - r * x2 * ((1.0 + x3) ** (r - 1) - 1.0))
 
 
 def saddle_stats_uni(params: EnsembleParams, kind: str,
@@ -198,7 +163,8 @@ def pair_vgh(params: EnsembleParams, kind: str, x1: float, x2: float, x3: float)
     """
     r = params.right_degree
     if kind == KIND_WEIGHT:
-        # brackets in _F_SIGNS order; every sum keeps that order (pinned bits)
+        # brackets with the x signs (+++), (+--), (-+-), (--+), in that
+        # order; every sum keeps it (pinned bits)
         A = 1.0 + x1 + x2 + x3
         B = 1.0 + x1 - x2 - x3
         C = 1.0 - x1 + x2 - x3
@@ -234,13 +200,3 @@ def pair_vgh(params: EnsembleParams, kind: str, x1: float, x2: float, x3: float)
     h22 = c * Sdd - c * (r - 2) * q3 ** (r - 3) * (x1 + x2)
     return val, grad, [[h00, h01, h02], [h01, h11, h12], [h02, h12, h22]]
 
-
-def _check_point(pt):
-    x = tuple(float(v) for v in pt)
-    if len(x) != 3:
-        raise ValueError("point must have exactly 3 components")
-    if not all(math.isfinite(v) for v in x):
-        raise ValueError("point components must be finite")
-    if min(x) < 0:
-        raise ValueError("point components must be nonnegative")
-    return x

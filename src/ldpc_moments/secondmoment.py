@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .firstmoment import GrowthPoint, bisect_root, grow_bracket
 from .genfun import (
     KIND_WEIGHT,
     EnsembleParams,
-    pair_ratios,
     pair_stats,
     pair_vgh,
 )
@@ -49,8 +48,19 @@ _NEWTON_TOL = 1e-13
 _ACCEPT_TOL = 1e-11  # well inside the 1e-10 contract
 _DET_FLOOR = 1e-14
 _GRID_POINTS = 2000
-_COARSE_STRIDE = 32  # grid spacing of the scalar warm-start chain
 _GRID_MARGIN = 1e-4
+_RAY_SPAN = 48  # the coarse rays cover ln rho in [-48, 48], one per unit
+_RAY_STEPS = 60  # Newton steps per ray
+_RAY_JUMP = 4.0  # longest Newton step in ln s
+_RAY_TOL = 1e-14  # residual |a1 + a2 - r w| / r of an accepted ray
+_SPAN_HALVINGS = 30  # bisections of the ln rho cell where the float range ends
+# the span reaches margin/30 of each end, margin/100 where the float range
+# allows: the alpha-grid scan's point solve at margin/30 from each end
+# converged on every row it gave a verdict
+_SPAN_REACH = 30.0
+_REFINE_STEPS = 40  # secant steps per refined maximum
+# kernel values up to the float maximum / 4: the weight kernel sums four r-th powers
+_LN_VAL_MAX = math.log(sys.float_info.max / 4.0)
 _ENDPOINT_STEPS = (1e-3, 1e-4)
 
 
@@ -68,7 +78,8 @@ class ConditionReport:
     """Verdicts of the two dominance conditions plus scan diagnostics.
 
     ``stationary_points`` lists the local maxima of the exponent curve, one
-    per grid interval where psi = dE/dalpha falls, in order of alpha.
+    per pair of neighbouring scan rays where psi = dE/dalpha falls, in order
+    of alpha.
     ``delta``/``bound`` are None unless :func:`delta` filled them, which it
     does only when both conditions hold: the numbers would not be justified
     otherwise.
@@ -79,7 +90,6 @@ class ConditionReport:
     stationary_points: list
     peak_exponent: float
     endpoint_exponent: float
-    warnings: list = field(default_factory=list)
     delta: float | None = None
     bound: float | None = None
 
@@ -113,27 +123,31 @@ def endpoint_exponent(point: GrowthPoint) -> float:
 
 
 def verify_conditions(point: GrowthPoint) -> ConditionReport:
-    """Scan the overlap range and check the two dominance conditions.
+    """Scan the overlap range along rays and check the two dominance
+    conditions.
 
-    psi = dE/dalpha, so a grid interval where psi falls from + to - holds a
-    local maximum of the exponent curve and one where it rises holds a
-    minimum; only the falling ones are solved and listed.
+    psi = dE/dalpha, so a pair of neighbouring rays (see :func:`_scan_rays`)
+    between which psi falls from + to - holds a local maximum of the
+    exponent curve, and one where it rises holds a minimum; only the falling
+    pairs inside the window (lo + margin, omega - margin] of
+    :func:`_grid_window` are refined and listed.
     Condition 1: alpha = omega^2 is the unique global maximum of the
     exponent curve: psi falls through it, every other local maximum lies
-    strictly below it, and no grid or edge-probe value exceeds it.  (For
-    stopping sets a subdominant local maximum always exists in a thin layer
-    of near-identical pairs; it only invalidates the method when it reaches
-    the omega^2 level, which happens near the typical minimum size.)
+    strictly below it, and no ray with alpha at least margin/100 inside the
+    overlap range exceeds it.  (For stopping sets a subdominant local
+    maximum always exists in a thin layer of near-identical pairs; it only
+    invalidates the method when it reaches the omega^2 level, which happens
+    near the typical minimum size.)
     Condition 2: the exponent at omega^2 strictly exceeds the boundary
     exponent.  Failures are verdicts, not errors.  Negative curvature at
     omega^2 is checked by :func:`delta_value`, which raises
     VarianceDegenerateError where it fails.
 
     omega is the abscissa of ``point``, whose univariate saddle x* is shared
-    by every overlap solve.  psi(omega^2) = 0 holds exactly, so a falling
-    grid interval holding omega^2 is that root: its stationary point comes
-    from the one omega^2 solve that gives the peak, and only the other
-    falling intervals are bisected.
+    by every overlap solve.  The ray rho = 1 holds alpha = omega^2, where
+    psi = 0 exactly, so a falling pair around it is that root: its
+    stationary point comes from the one omega^2 solve that gives the peak,
+    and only the other falling pairs are refined.
     """
     omega = point.abscissa
     if point.growth <= 0.0:
@@ -145,54 +159,37 @@ def verify_conditions(point: GrowthPoint) -> ConditionReport:
     _anchor_check(point, peak)
 
     lo_edge, margin = _grid_window(point)
-    alphas, t1s, t2s, vals = _scan_grid(point)
+    ln_rho, u, alphas, t1s, t2s, vals = _scan_rays(point)
     psis = _psi(point, alphas, t1s, t2s)
     exps = _exponent(point, alphas, t1s, t2s, vals)
-
-    def grid_saddle(idx):  # warm start from the scan, as floats
-        return float(t1s[idx]), float(t2s[idx])
 
     stationary = []
     # psi falls through zero: a local maximum (a rise is a minimum, unread)
     for idx in np.flatnonzero((psis[:-1] > 0.0) & (psis[1:] <= 0.0)):
-        alpha, hi = float(alphas[idx]), float(alphas[idx + 1])
-        if alpha <= alpha_sq <= hi:
-            stationary.append(StationaryPoint(alpha=alpha_sq, exponent=peak))
+        if alphas[idx + 1] < lo_edge + margin or alphas[idx] > omega - margin:
+            continue
+        pair = slice(idx, idx + 2)
+        if ln_rho[idx] <= 0.0 <= ln_rho[idx + 1]:
+            found = StationaryPoint(alpha=alpha_sq, exponent=peak)
         else:
-            root, warm_root = _bisect_psi(point, alpha, hi, grid_saddle(idx))
-            stationary.append(_stationary_point(point, root, warm_root))
-
-    endpoint = endpoint_exponent(point)
-    warnings = []
-
-    # probe inside the grid margins: boundary layers of near-identical (and
-    # near-disjoint) pairs can spike within 1e-4 of the edges; continue the
-    # warm-start chains from the outermost grid solutions
-    edge_max = -math.inf
-    for edge_alpha, warm in ((lo_edge, grid_saddle(0)),
-                             (omega, grid_saddle(-1))):
-        for shrink in (3.0, 10.0, 30.0, 100.0):
-            alpha = edge_alpha + math.copysign(margin / shrink,
-                                               alpha_sq - edge_alpha)
-            try:
-                t1, t2, val, _ = _inner_solve(point, alpha, warm)
-            except NoConvergenceError:
-                warnings.append(f"edge probe failed at alpha = {alpha:.6g}")
-                continue
-            warm = (t1, t2)
-            edge_max = max(edge_max,
-                           float(_exponent(point, alpha, t1, t2, val)))
+            found = _refine_max(point, ln_rho[pair], u[pair], psis[pair])
+        # psi(omega^2) = 0: a root on the lower window end starts no fall
+        if lo_edge + margin < found.alpha <= omega - margin:
+            stationary.append(found)
 
     at_square = [p for p in stationary if abs(p.alpha - alpha_sq) < 1e-6]
     others = [p for p in stationary if abs(p.alpha - alpha_sq) >= 1e-6]
     slack = 1e-9 * max(1.0, abs(peak))
+    covered = ((alphas >= lo_edge + margin / 100.0)
+               & (alphas <= omega - margin / 100.0))
     cond1 = (len(at_square) == 1
              and all(p.exponent < peak - slack for p in others)
-             and peak >= max(float(exps.max()), edge_max) - slack)
+             and peak >= float(exps[covered].max()) - slack)
+    endpoint = endpoint_exponent(point)
     cond2 = peak > endpoint
     return ConditionReport(condition1_ok=cond1, condition2_ok=cond2,
                            stationary_points=stationary, peak_exponent=peak,
-                           endpoint_exponent=endpoint, warnings=warnings)
+                           endpoint_exponent=endpoint)
 
 
 def delta(point: GrowthPoint, epsilon: float = 0.95) -> ConditionReport:
@@ -406,172 +403,187 @@ def _newton_from(point, alpha, t1, t2):
 
 def _jacobian(B, r):
     """Jacobian (j11, j12, j21, j22) of (a1/r, a2/r) w.r.t. (ln t1, ln t2),
-    using t3 = t1, from B at the point (floats or arrays)."""
+    using t3 = t1, from B at the point."""
     return ((B[0][0] + B[0][2]) / r, B[0][1] / r,
             (B[1][0] + B[1][2]) / r, B[1][1] / r)
 
 
 def _grid_window(point: GrowthPoint):
-    """Lower end of the overlap range and the margin the scan grid keeps
-    from both ends."""
+    """Lower end of the overlap range and the margin the stationary points
+    of the scan keep from both ends."""
     lo_edge, omega = _overlap_range(point)
     return lo_edge, min(_GRID_MARGIN, 0.01 * (omega - lo_edge))
 
 
-def _scan_grid(point):
-    """Overlap saddles on the scan grid: (alphas, t1, t2, val) as arrays.
+def _scan_rays(point: GrowthPoint):
+    """Overlap saddles on _GRID_POINTS rays t = (s, rho s^2, s), evenly
+    spaced in ln rho: arrays (ln rho, u = ln s, alpha, t1, t2, val).
 
-    A scalar warm-start chain marches outward from omega^2 over every
-    _COARSE_STRIDE-th grid point and both ends (cold starts stall in the
-    near-corner saturation).  Every other point lies between two chain
-    points and starts from :func:`_hermite_seeds`, a cubic through their
-    solutions and path tangents; one batched damped Newton solves them all.
-    A point it leaves above _ACCEPT_TOL goes through :func:`_inner_solve`,
-    warm-started from its grid neighbour on the omega^2 side, so it ends in
-    the same continuation as any failed solve.
+    alpha = a2/r rises strictly with rho, and the ray rho = 1 holds
+    alpha = omega^2.  Coarse rays, one per unit of ln rho in [-48, 48] and
+    seeded by :func:`_ray_seeds`, fix the span (:func:`_span_end`): from
+    alpha <= lo + margin/100 to alpha >= omega - margin/100 (lo and margin
+    from :func:`_grid_window`), or as far as the float range allows.  The
+    fine rays start from u interpolated between the coarse ones.
     """
-    omega, x_star = point.abscissa, point.saddle_x
+    omega, r = point.abscissa, point.params.right_degree
     lo_edge, margin = _grid_window(point)
-    alphas = np.linspace(lo_edge + margin, omega - margin, _GRID_POINTS)
-    t1, t2, val = (np.empty(_GRID_POINTS) for _ in range(3))
-    start = int(np.argmin(np.abs(alphas - omega * omega)))
-
-    def solve(idx, warm):
-        t1[idx], t2[idx], val[idx], B = _inner_solve(
-            point, float(alphas[idx]), warm)
-        return (float(t1[idx]), float(t2[idx])), B
-
-    on_chain = np.zeros(_GRID_POINTS, dtype=bool)
-    on_chain[start % _COARSE_STRIDE::_COARSE_STRIDE] = True
-    on_chain[[0, -1]] = True
-    coarse, rest = np.flatnonzero(on_chain), np.flatnonzero(~on_chain)
-    jac = np.empty((4, coarse.size))  # Jacobian terms at the chain points
-    split = int(np.searchsorted(coarse, start))  # coarse[split] == start
-    for chain in (range(split, -1, -1), range(split + 1, coarse.size)):
-        warm = (x_star, x_star ** 2)
-        for pos in chain:
-            warm, B = solve(coarse[pos], warm)
-            jac[:, pos] = _jacobian(B, point.params.right_degree)
-
-    res, t1[rest], t2[rest], val[rest] = _newton_batch(
-        point, alphas[rest],
-        *_hermite_seeds(alphas, coarse, rest, t1, t2, jac))
-
-    failed = rest[~(res < _ACCEPT_TOL)]
-    for idx in np.concatenate((failed[failed < start][::-1],
-                               failed[failed > start])):
-        nb = idx + 1 if idx < start else idx - 1
-        solve(idx, (float(t1[nb]), float(t2[nb])))
-    return alphas, t1, t2, val
+    coarse = np.linspace(-_RAY_SPAN, _RAY_SPAN, 2 * _RAY_SPAN + 1)
+    u, a2, _ = _ray_solve(point, coarse, _ray_seeds(point, coarse))
+    alpha = a2 / r
+    first = _span_end(point, coarse, u, alpha, lo_edge + margin / 100.0,
+                      lo_edge + margin / _SPAN_REACH, 1.0)
+    last = _span_end(point, coarse[::-1], u[::-1], alpha[::-1],
+                     omega - margin / 100.0, omega - margin / _SPAN_REACH, -1.0)
+    inner = np.isfinite(u) & (coarse > first[0]) & (coarse < last[0])
+    ln_rho = np.linspace(first[0], last[0], _GRID_POINTS)
+    seeds = np.interp(ln_rho, np.concatenate(([first[0]], coarse[inner], [last[0]])),
+                      np.concatenate(([first[1]], u[inner], [last[1]])))
+    u, a2, val = _ray_solve(point, ln_rho, seeds)
+    if not np.isfinite(u).all():
+        raise NoConvergenceError(f"overlap rays failed at omega={omega}")
+    return ln_rho, u, a2 / r, np.exp(u), np.exp(ln_rho + 2.0 * u), val
 
 
-def _hermite_seeds(alphas, coarse, rest, t1, t2, jac):
-    """Batch seeds (t1, t2) at the grid points ``rest`` from the solutions at
-    the chain points ``coarse``.
+def _ray_seeds(point: GrowthPoint, ln_rho):
+    """Starting ln s on rays ln rho (float or array), from the faces the
+    saddle tends to: ln x* - (ln rho)/2 for rho > 1 (alpha -> omega); for
+    rho < 1, ln x* when omega < 1/2 (the k2 = 0 face) and ln x* - ln rho
+    otherwise (the top-degree face, alpha -> 2 omega - 1)."""
+    below = 0.0 if point.abscissa < 0.5 else 1.0
+    return math.log(point.saddle_x) - np.where(ln_rho > 0.0, 0.5, below) * ln_rho
 
-    Each seed is the cubic Hermite interpolant of ln t between the two chain
-    points around it, through their values and the path tangents
-    d(ln t)/d alpha = J^(-1) (-1, 1) (the reduced equations read
-    a1/r = omega - alpha, a2/r = alpha; J from ``jac``).  One basis serves
-    both components.  A singular J gives a non-finite seed, which the batch
-    leaves to the scalar fallback.
+
+def _span_end(point: GrowthPoint, ln_rho, u, alpha, end, need, sign):
+    """(ln rho, u) of the ray that ends the fine span on one side.
+
+    The rays come ordered from the outside in; the end is the innermost one
+    at or past alpha = ``end`` (sign * alpha <= sign * end).  Failing that,
+    bisect in ln rho from the outermost converged ray toward the failed one
+    beyond it (if any; else alpha levels off there); the last converged ray
+    ends the span if it is past ``need``.  Otherwise raise OverflowError if
+    the last failed ray had its root past the float range, else
+    NoConvergenceError.
     """
-    with np.errstate(all="ignore"):
-        j11, j12, j21, j22 = jac
-        det = j11 * j22 - j12 * j21
-        slopes = (-(j22 + j12) / det, (j11 + j21) / det)
-        # coarse[after - 1] < rest < coarse[after]
-        after = np.searchsorted(coarse, rest)
-        lo = alphas[coarse[after - 1]]
-        h = alphas[coarse[after]] - lo
-        s = (alphas[rest] - lo) / h
-        w1 = s * s * (3.0 - 2.0 * s)  # weight of the upper value
-        m0 = s * (1.0 - s) ** 2 * h  # weights of the two tangents
-        m1 = s * s * (s - 1.0) * h
-        seeds = []
-        for t, slope in zip((t1, t2), slopes):
-            ln_t = np.log(t[coarse])
-            ln0 = ln_t[after - 1]
-            seeds.append(np.exp(ln0 + w1 * (ln_t[after] - ln0)
-                                + m0 * slope[after - 1] + m1 * slope[after]))
-    return seeds
+    past = np.flatnonzero(sign * alpha <= sign * end)
+    if past.size:
+        return float(ln_rho[past[-1]]), float(u[past[-1]])
+    k = int(np.argmax(np.isfinite(u)))  # 0 also when no ray converged
+    good, good_u, good_alpha = float(ln_rho[k]), float(u[k]), float(alpha[k])
+    bad, overflowed = float(ln_rho[k - 1]), k > 0 and u[k - 1] == np.inf
+    for _ in range(_SPAN_HALVINGS if k > 0 else 0):
+        mid = 0.5 * (good + bad)
+        seed = good_u + _ray_seeds(point, mid) - _ray_seeds(point, good)
+        got, a2, _ = _ray_solve(point, np.array([mid]), np.array([seed]))
+        if not np.isfinite(got[0]):
+            bad, overflowed = mid, got[0] == np.inf
+            continue
+        good, good_u = mid, float(got[0])
+        good_alpha = float(a2[0]) / point.params.right_degree
+        if sign * good_alpha <= sign * end:
+            break
+    if sign * good_alpha <= sign * need:
+        return good, good_u
+    error = OverflowError if overflowed else NoConvergenceError
+    raise error(f"overlap rays end before alpha = {need} at omega = {point.abscissa}")
 
 
-def _newton_batch(point, alphas, t1, t2):
-    """:func:`_newton_from` over arrays: one independent damped Newton per
-    alpha, with the same 20 log-step cap, halving line search down to
-    lambda = 1e-10 (strict residual drop only) and 120-iteration cap.
+def _ray_solve(point: GrowthPoint, ln_rho, u0):
+    """Overlap saddles on the rays t = (s, rho s^2, s), one safeguarded
+    Newton per ray in u = ln s from u0 (arrays, one entry per ray).
 
-    Returns arrays (residual, t1, t2, val).  The residual is inf wherever
-    the scalar solver would give up (unusable start point, singular Newton
-    system) and wherever an evaluation overflowed, which the scalar kernel
-    raises on; such points need the scalar path.
+    By the x1 <-> x3 symmetry a1 + a2 is half the log-derivative of phi
+    along the ray, and ln phi is convex there, so the residual
+    f = a1 + a2 - r*omega rises with u and has one root.  Each ray keeps a
+    bracket, and a step that leaves it is replaced by the bracket's midpoint
+    (by a _RAY_JUMP step while it is open).  A kernel value that is not
+    finite and positive is an upper end of the bracket, never a residual.
+    u stops at the cap where 1 + 2s + rho s^2, the largest kernel base,
+    brings its r-th power to the float range; a ray still below its root
+    there has none inside that range.
+
+    Returns arrays (u, a2, val) at the accepted points; u is +inf on
+    the rays whose root lies past the float range and NaN on the others
+    that found no root.
     """
-    r = point.params.right_degree
-    c1, c2 = point.abscissa - alphas, alphas
-
-    def evaluate(idx, n1, n2):
-        # -> val, (r1, r2, j11, j12, j21, j22) stacked, usable, overflowed
-        v, grad, hess = pair_vgh(point.params, point.kind, n1, n2, n1)
-        finite = np.isfinite(v)
-        for h in (*grad, *{id(h): h for row in hess for h in row}.values()):
-            finite &= np.isfinite(h)  # each shared Hessian entry once
-        a, B = pair_ratios((n1, n2, n1), v, grad, hess)
-        terms = np.empty((6, v.size))  # filled row by row: no stacked copy
-        terms[0], terms[1] = a[0] / r - c1[idx], a[1] / r - c2[idx]
-        terms[2], terms[3], terms[4], terms[5] = _jacobian(B, r)
-        usable = finite & (v > 0.0) & np.isfinite(terms).all(axis=0)
-        return v, terms, usable, ~finite
-
-    def newton_step(rows):
-        # -> singular, capped d1, d2; its temporaries die before the line search
-        r1, r2, j11, j12, j21, j22 = rows
-        det = j11 * j22 - j12 * j21
-        d1 = -(j22 * r1 - j12 * r2) / det
-        d2 = -(-j21 * r1 + j11 * r2) / det
-        big = np.maximum(np.abs(d1), np.abs(d2))
-        return ((det == 0.0) | ~np.isfinite(det),
-                np.where(big > 20.0, d1 * 20.0 / big, d1),
-                np.where(big > 20.0, d2 * 20.0 / big, d2))
-
-    t1, t2 = t1.copy(), t2.copy()
+    params, kind = point.params, point.kind
+    r = params.right_degree
+    target = r * point.abscissa
+    room = math.expm1(_LN_VAL_MAX / r)
+    cap = math.log(room) - np.log1p(np.sqrt(1.0 + np.exp(ln_rho) * room))
+    u = np.minimum(u0, cap)
+    lo, hi = np.full(u.size, -np.inf), np.full(u.size, np.inf)
+    out = np.full((3, u.size), np.nan)
+    live = np.arange(u.size)
     with np.errstate(all="ignore"):
-        val, terms, live, _ = evaluate(np.arange(alphas.size), t1, t2)
-        res = np.where(live, np.maximum(np.abs(terms[0]), np.abs(terms[1])),
-                       np.inf)
-        for _ in range(120):
-            live &= res >= _NEWTON_TOL
-            idx = np.flatnonzero(live)
-            if idx.size == 0:
+        for _ in range(_RAY_STEPS):
+            s, t2 = np.exp(u[live]), np.exp(ln_rho[live] + 2.0 * u[live])
+            val, grad, hess = pair_vgh(params, kind, s, t2, s)
+            a1, a2 = s * (grad[0] / val), t2 * (grad[1] / val)
+            f = a1 + a2 - target
+            usable = (val > 0.0) & (val < np.inf) & np.isfinite(f)
+            upper = ~usable | (f > 0.0)
+            hi[live] = np.where(upper, u[live], hi[live])
+            lo[live] = np.where(upper, lo[live], u[live])
+            # f' = (1/2) d^2 ln phi / du^2, from the Hessian along (s, 2 t2, s)
+            (h11, h12, h13), (_, h22, h23), (_, _, h33) = hess
+            slope = (0.5 * (s * s * ((h11 + 2.0 * h13 + h33) / val)
+                            + 4.0 * t2 * (t2 * (h22 / val) + s * ((h12 + h23) / val)))
+                     + a1 + 2.0 * a2 - 2.0 * (a1 + a2) ** 2)
+            step = np.clip(-f / slope, -_RAY_JUMP, _RAY_JUMP)
+            nxt = u[live] + np.where(usable & (slope > 0.0), step, np.nan)
+            l, h = lo[live], hi[live]
+            fallback = np.where(np.isfinite(l),
+                                np.where(np.isfinite(h), 0.5 * (l + h), l + _RAY_JUMP),
+                                h - _RAY_JUMP)
+            nxt = np.minimum(np.where((nxt > l) & (nxt < h), nxt, fallback), cap[live])
+            done = usable & ((np.abs(f) <= _RAY_TOL * r)
+                             | ((nxt == u[live]) & (np.abs(f) <= _ACCEPT_TOL * r)))
+            out[:, live[done]] = u[live[done]], a2[done], val[done]
+            # below the root at the cap: the root lies past the float range
+            capped = usable & ~done & (f < 0.0) & (u[live] >= cap[live])
+            out[0, live[capped]] = np.inf
+            stalled = nxt == u[live]
+            u[live] = nxt
+            live = live[~(done | capped | stalled)]
+            if live.size == 0:
                 break
-            singular, d1, d2 = newton_step(terms[:, idx])
-            res[idx[singular]] = np.inf
-            live[idx[singular]] = False
-            searching = ~singular  # over idx: no step accepted yet
-            lam = 1.0
-            while lam > 1e-10 and searching.any():
-                pos = np.flatnonzero(searching)
-                n1 = t1[idx[pos]] * np.exp(lam * d1[pos])
-                n2 = t2[idx[pos]] * np.exp(lam * d2[pos])
-                inside = (0.0 < n1) & (n1 < np.inf) & (0.0 < n2) & (n2 < np.inf)
-                pos, n1, n2 = pos[inside], n1[inside], n2[inside]
-                p = idx[pos]
-                valn, termsn, usable, overflowed = evaluate(p, n1, n2)
-                resn = np.maximum(np.abs(termsn[0]), np.abs(termsn[1]))
-                acc = usable & (resn < res[p])
-                hit = p[acc]
-                t1[hit], t2[hit], val[hit] = n1[acc], n2[acc], valn[acc]
-                terms[:, hit], res[hit] = termsn[:, acc], resn[acc]
-                res[p[overflowed]] = np.inf
-                live[p[overflowed]] = False
-                searching[pos[acc | overflowed]] = False
-                lam *= 0.5
-            live[idx[searching]] = False  # no step accepted: Newton stops
-    return res, t1, t2, val
+    return out[0], out[1], out[2]
+
+
+def _refine_max(point: GrowthPoint, ln_rho, u, psi) -> StationaryPoint:
+    """The local maximum between two rays where psi falls from + to -: a
+    bracketed secant (Illinois) in ln rho on ray solves warm-started from
+    the u interpolated across the bracket."""
+    r = point.params.right_degree
+    (x0, x1), (u0, u1), (f0, f1) = (map(float, v) for v in (ln_rho, u, psi))
+    side = 0
+    for _ in range(_REFINE_STEPS):
+        x = x1 - f1 * (x1 - x0) / (f1 - f0)
+        if not x0 < x < x1:
+            x = 0.5 * (x0 + x1)
+        seed = u0 + (u1 - u0) * (x - x0) / (x1 - x0)
+        got, a2, val = _ray_solve(point, np.array([x]), np.array([seed]))
+        if not np.isfinite(got[0]):
+            raise NoConvergenceError(
+                f"overlap ray failed at ln rho = {x}, omega = {point.abscissa}")
+        alpha, t1, t2 = float(a2[0]) / r, math.exp(got[0]), math.exp(x + 2.0 * got[0])
+        f = float(_psi(point, alpha, t1, t2))
+        # Illinois: halve the kept end's psi when the same end moves twice
+        if f > 0.0:
+            x0, u0, f0, f1 = x, float(got[0]), f, f1 * (0.5 if side > 0 else 1.0)
+            side = 1
+        else:
+            x1, u1, f1, f0 = x, float(got[0]), f, f0 * (0.5 if side < 0 else 1.0)
+            side = -1
+        if f == 0.0 or x1 - x0 <= 1e-12:
+            break
+    return StationaryPoint(
+        alpha=alpha, exponent=float(_exponent(point, alpha, t1, t2, val[0])))
 
 
 def _psi(point: GrowthPoint, alpha, t1, t2):
-    """Stationarity residual at one alpha (floats) or a grid of them (arrays)."""
+    """Stationarity residual at one alpha (floats) or many (arrays)."""
     l, omega = point.params.left_degree, point.abscissa
     ratio = alpha * (1.0 - 2.0 * omega + alpha) / (omega - alpha) ** 2
     return (l - 1) * np.log(ratio) - l * np.log(t2 / (t1 * t1))
@@ -588,7 +600,7 @@ def _entropy_term(omega: float, alpha):
 
 
 def _exponent(point: GrowthPoint, alpha, t1, t2, val):
-    """Overlap exponent E(alpha) at one alpha (floats) or a grid (arrays)."""
+    """Overlap exponent E(alpha) at one alpha (floats) or many (arrays)."""
     l, r = point.params.left_degree, point.params.right_degree
     omega = point.abscissa
     return ((l - 1) * _entropy_term(omega, alpha)
@@ -631,26 +643,6 @@ def _sigma_c2(params: EnsembleParams, B) -> float:
 def _snap_nonnegative(d: float) -> float:
     """Clamp float noise: the variance ratio is >= 0 mathematically."""
     return 0.0 if -1e-9 < d < 0.0 else d
-
-
-def _stationary_point(point, alpha, warm) -> StationaryPoint:
-    t1, t2, val, _ = _inner_solve(point, alpha, warm)
-    return StationaryPoint(
-        alpha=alpha, exponent=float(_exponent(point, alpha, t1, t2, val)))
-
-
-def _bisect_psi(point, lo, hi, warm):
-    """Root of psi in (lo, hi), where psi falls from + to -; each solve
-    warm-starts from the previous one."""
-
-    def below(mid):
-        nonlocal warm
-        t1, t2, _, _ = _inner_solve(point, mid, warm)
-        warm = (t1, t2)
-        return _psi(point, mid, t1, t2) > 0.0
-
-    root = bisect_root(below, lo, hi, 80, 1e-13)
-    return root, warm
 
 
 def _anchor_check(point: GrowthPoint, peak) -> None:

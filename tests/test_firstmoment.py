@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from ldpc_moments.errors import (
 )
 from ldpc_moments.exactcomb import ExactPolynomial, exact_first_moment, power_coeff
 from ldpc_moments.firstmoment import (
-    avg_count,
     bisect_root,
     grow_bracket,
     growth_point,
@@ -30,6 +30,48 @@ P36 = EnsembleParams(3, 6)
 
 TESTED_ENSEMBLES = [EnsembleParams(*lr)
                     for lr in ((3, 4), (3, 6), (6, 8), (6, 12), (12, 24))]
+
+
+# Test-only saddle-point approximation of the first moment, checked
+# against the exact oracle below.
+@dataclass(frozen=True)
+class AvgCount:
+    """Saddle-point approximation of an ensemble-average count at length n.
+
+    ``count == prefactor * exp(n * exponent)``; the prefactor carries the
+    1/sqrt(n) order and the support-lattice factor (0 if the target index is
+    off the lattice, in which case the exact count vanishes).
+    """
+
+    n: int
+    count: float
+    exponent: float
+    prefactor: float
+
+
+def avg_count(params: EnsembleParams, kind: str, n: int, abscissa: float) -> AvgCount:
+    """Average count of weight/size n*abscissa objects at block length n.
+
+    Exponent: (l/r) ln phi(x*) - (l-1) h(abscissa) - l*abscissa*ln x*.
+    Prefactor: d*sqrt(r)/sqrt(2*pi*n*b_phi(x*)) with d the support period of
+    phi, or 0 when the edge count n*l*abscissa falls off phi's support
+    lattice (then the exact average is 0).  Needs n >= 1, r dividing n*l.
+    """
+    if n < 1:
+        raise ValueError(f"block length n must be positive, got {n}")
+    params.check_count(n)
+    l, r = params.left_degree, params.right_degree
+    point = growth_point(params, kind, abscissa)
+    k = n * l * abscissa
+    k_int = round(k)
+    if abs(k - k_int) > 1e-9:
+        raise ValueError(f"n*l*abscissa = {k} is not integral")
+    d = exactcomb.check_poly(r, kind).support_period()
+    if k_int % d != 0:
+        return AvgCount(n=n, count=0.0, exponent=point.growth, prefactor=0.0)
+    prefactor = d * math.sqrt(r) / math.sqrt(2.0 * math.pi * n * point.curvature_b)
+    return AvgCount(n=n, count=prefactor * math.exp(n * point.growth),
+                    exponent=point.growth, prefactor=prefactor)
 
 
 class TestSolveSaddle:
@@ -332,23 +374,56 @@ class TestMinAbscissa:
         assert growth_point(P36, "stopping", smin - 1e-6).growth < 0.0
         assert growth_point(P36, "stopping", smin + 1e-6).growth > 0.0
 
-    @pytest.mark.parametrize("l,r", [(2, 4), (3, 48)])
+    @pytest.mark.parametrize("l,r", [(2, 4)])
     def test_no_root_at_left_edge(self, l, r):
-        # (2,4) has no zero; the (3,48) zero lies below the 1e-4 grid
+        # (2,4) has no zero: its growth rate stays positive down to 1e-12
         with pytest.raises(NoRootError,
                            match="growth rate nonnegative at the left edge"):
             min_abscissa(EnsembleParams(l, r), "weight")
+
+    @pytest.mark.parametrize("l,r,kind,zero", [
+        (3, 48, "weight", 2.61977e-05), (3, 40, "weight", 4.58647e-05),
+        (3, 64, "weight", 1.08747e-05), (3, 31, "stopping", 9.58178e-05)])
+    def test_zero_below_the_grid(self, l, r, kind, zero):
+        # the growth rate is already positive at the first grid point,
+        # 1e-4, and changes sign below it: halve, then bisect the cell
+        params = EnsembleParams(l, r)
+        assert growth_point(params, kind, 1e-4).growth > 0.0
+        wmin = min_abscissa(params, kind)
+        assert wmin == pytest.approx(zero, rel=1e-5)
+        assert growth_point(params, kind, wmin * (1 - 1e-4)).growth < 0.0
+        assert growth_point(params, kind, wmin * (1 + 1e-4)).growth > 0.0
 
 
 def _scan_min_abscissa(params, kind):
     """Reference for min_abscissa: the linear scan it replaced.  It visits
     every point of the 1e-4 grid in turn, each seeded from the one before,
-    and bisects the first cell where the growth rate is nonnegative."""
+    and bisects the first cell where the growth rate is nonnegative.
+
+    Below the grid, where that scan stopped, it steps down from 1e-4 by
+    factors of 2**-0.25 to the first negative point (raising the search's
+    NoRootError once below 1e-12) and bisects that step with unseeded
+    solves to relative width 1e-12.  The search halves instead, so there
+    the two agree to its relative tolerance 1e-5, not to the bit."""
     step = 1e-4
     w_prev = step
     point = firstmoment.growth_point(params, kind, w_prev)
     if point.growth >= 0.0:
-        raise NoRootError("growth rate nonnegative at the left edge of the grid")
+        factor = 2.0 ** -0.25
+        hi = step
+        while firstmoment.growth_point(params, kind, factor * hi).growth >= 0.0:
+            hi *= factor
+            if hi < 1e-12:
+                raise NoRootError(
+                    "growth rate nonnegative at the left edge of the grid")
+        lo = factor * hi
+        while hi - lo > 1e-12 * hi:
+            mid = 0.5 * (lo + hi)
+            if firstmoment.growth_point(params, kind, mid).growth < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
     w = w_prev + step
     while w < 0.5 + 0.5 * step:
         w_cur = min(w, 0.5 - 1e-12)
@@ -386,6 +461,10 @@ SEARCH_CASES = sorted(
      for l in ((2, 3, 4, 6, r // 2, r - 1) if r in _SEARCH_RS else (3,))
      if 2 <= l < r
      for kind in ("weight", "stopping")})
+# every (2, r) has no zero, and (3, r) its zero below the grid from r = 31
+NO_ZERO_CASES = [case for case in SEARCH_CASES if case[0] == 2]
+BELOW_GRID_CASES = [(l, r, kind) for l, r, kind in SEARCH_CASES
+                    if l == 3 and r >= (31 if kind == "stopping" else 32)]
 TABLE_CASES = [(l, r, kind)
                for l, r in ((3, 6), (6, 12), (12, 24), (24, 48), (3, 4), (6, 8),
                             (12, 16))
@@ -400,8 +479,30 @@ class TestMinAbscissaSearch:
                              ids=[f"{l}:{r}-{k}" for l, r, k in SEARCH_CASES])
     def test_same_outcome_as_the_scan(self, l, r, kind):
         params = EnsembleParams(l, r)
-        assert (_outcome(min_abscissa, params, kind)
-                == _outcome(_scan_min_abscissa, params, kind))
+        got = _outcome(min_abscissa, params, kind)
+        want = _outcome(_scan_min_abscissa, params, kind)
+        if (l, r, kind) in BELOW_GRID_CASES:
+            # the search halves below the grid, the reference steps finer
+            assert float(got) == pytest.approx(float(want), rel=2e-5)
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("l,r,kind", NO_ZERO_CASES,
+                             ids=[f"{l}:{r}-{k}" for l, r, k in NO_ZERO_CASES])
+    def test_no_zero_down_to_the_floor(self, l, r, kind):
+        with pytest.raises(NoRootError,
+                           match="^growth rate nonnegative at the left edge of the grid$"):
+            min_abscissa(EnsembleParams(l, r), kind)
+
+    @pytest.mark.parametrize("l,r,kind", BELOW_GRID_CASES,
+                             ids=[f"{l}:{r}-{k}" for l, r, k in BELOW_GRID_CASES])
+    def test_zero_below_the_grid_is_a_sign_change(self, l, r, kind):
+        params = EnsembleParams(l, r)
+        assert growth_point(params, kind, 1e-4).growth >= 0.0
+        wmin = min_abscissa(params, kind)
+        assert 1e-12 < wmin < 1e-4
+        assert growth_point(params, kind, wmin * (1 - 1e-4)).growth < 0.0
+        assert growth_point(params, kind, wmin * (1 + 1e-4)).growth > 0.0
 
     @pytest.mark.parametrize("shift", [0.1, 0.3, 0.346573585, 1.0])
     def test_same_outcome_with_the_zero_moved(self, monkeypatch, shift):

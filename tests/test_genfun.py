@@ -10,8 +10,6 @@ from ldpc_moments import exactcomb
 from ldpc_moments.errors import DivisibilityError
 from ldpc_moments.genfun import (
     EnsembleParams,
-    pair_gf_stop,
-    pair_gf_weight,
     pair_ratios,
     pair_stats,
     pair_vgh,
@@ -19,6 +17,7 @@ from ldpc_moments.genfun import (
     stop_gf,
     weight_gf,
 )
+from pair_gf_oracle import pair_gf_stop, pair_gf_weight
 
 P36 = EnsembleParams(3, 6)
 P34 = EnsembleParams(3, 4)

@@ -17,7 +17,7 @@ from ldpc_moments.errors import (
     VarianceDegenerateError,
 )
 from ldpc_moments.firstmoment import growth_point, min_abscissa, solve_saddle
-from ldpc_moments.genfun import EnsembleParams, pair_gf_stop, pair_gf_weight, pair_stats
+from ldpc_moments.genfun import EnsembleParams, pair_stats, pair_vgh
 from ldpc_moments.secondmoment import (
     delta,
     delta34_closed_form,
@@ -28,6 +28,7 @@ from ldpc_moments.secondmoment import (
     verify_conditions,
 )
 from ldpc_moments.secondmoment import _det3, _inner_solve, _psi, _sigma_c2
+from pair_gf_oracle import pair_gf_stop, pair_gf_weight
 
 P36 = EnsembleParams(3, 6)
 P34 = EnsembleParams(3, 4)
@@ -268,28 +269,6 @@ class TestVerifyConditions:
         rep = verify_conditions(growth_point(P36, "stopping", 0.3))
         assert rep.condition1_ok and rep.condition2_ok
 
-    @pytest.mark.parametrize("kind", ["weight", "stopping"])
-    def test_no_warnings_on_pinned_rows(self, kind):
-        assert verify_conditions(growth_point(P36, kind, 0.3)).warnings == []
-
-    def test_failed_edge_probe_is_a_warning(self, monkeypatch):
-        # the first probe above the lower grid margin fails to converge: the
-        # row still gets its verdicts, and the report names the probe
-        point = growth_point(P36, "weight", 0.3)
-        lo_edge, margin = secondmoment._grid_window(point)
-        probe = lo_edge + margin / 3.0
-        real_solve = secondmoment._inner_solve
-
-        def solve(point, alpha, seed=None):
-            if alpha == probe:
-                raise NoConvergenceError(f"forced at alpha = {alpha}")
-            return real_solve(point, alpha, seed)
-
-        monkeypatch.setattr(secondmoment, "_inner_solve", solve)
-        rep = verify_conditions(point)
-        assert rep.warnings == [f"edge probe failed at alpha = {probe:.6g}"]
-        assert rep.condition1_ok and rep.condition2_ok
-
     @pytest.mark.parametrize("kind,omega,points", [
         ("weight", 0.3, [("0.09", "0.5324305699445315")]),
         ("weight", 0.9, [("0.81", "0.1310425527142023")]),
@@ -297,23 +276,35 @@ class TestVerifyConditions:
         ("stopping", 0.3, [("0.09", "0.8199647098078939")]),
     ])
     def test_stationary_points_pinned(self, kind, omega, points):
-        # every grid interval where psi falls, in order: here only the one
+        # every pair of rays where psi falls, in order: here only the one
         # holding omega^2 (closed form); the minimum that weight has between
         # it and omega is not listed
         rep = verify_conditions(growth_point(P36, kind, omega))
         assert [(repr(p.alpha), repr(p.exponent))
                 for p in rep.stationary_points] == points
 
+    @pytest.mark.parametrize("pair", [(3, 6), (12, 24)])
+    def test_square_on_the_lower_window_end_is_not_counted(self, pair):
+        # at omega = 0.99, omega^2 = 2w - 1 + margin to the bit: psi = 0
+        # there starts no fall inside the window, so no stationary point is
+        # listed and cond1 is false, as in the 99-step `bound` curves
+        point = growth_point(EnsembleParams(*pair), "stopping", 0.99)
+        lo_edge, margin = secondmoment._grid_window(point)
+        assert 0.99 * 0.99 == lo_edge + margin
+        rep = verify_conditions(point)
+        assert rep.stationary_points == []
+        assert not rep.condition1_ok
+
     @pytest.mark.parametrize("pair,omega,cond1,points", [
         ((3, 6), 0.021875, True,
          [("0.00047851562499999994", "0.004588082494168866"),
-          ("0.021761673878517795", "0.002443812887434227")]),
+          ("0.02176167387849079", "0.002443812887434893")]),
         ((6, 12), None, False,
          [("0.003971582887514568", "3.916553179328375e-06"),
-          ("0.06277577218014778", "0.000441403851410449")]),
+          ("0.0627757721801065", "0.00044140385141100413")]),
     ], ids=["3:6-0.021875", "6:12-smin"])
     def test_competing_maximum_pinned(self, pair, omega, cond1, points):
-        # stopping rows with a bisected maximum in the near-identical layer
+        # stopping rows with a refined maximum in the near-identical layer
         # beside the one at omega^2: below the peak for (3,6) at 0.021875,
         # above it for (6,12) just past s_min, which breaks condition 1
         params = EnsembleParams(*pair)
@@ -326,8 +317,8 @@ class TestVerifyConditions:
 
 
 def _sequential_grid(point, alphas):
-    """Reference scan: one scalar warm-started solve per grid point, marching
-    outward from omega^2 (the scan before the grid solve was batched)."""
+    """Reference scan: one scalar warm-started point solve per alpha,
+    marching outward from omega^2 (the first grid scan)."""
     omega, x_star = point.abscissa, point.saddle_x
     t1, t2, val = (np.empty(alphas.size) for _ in range(3))
     start = int(np.argmin(np.abs(alphas - omega * omega)))
@@ -341,7 +332,7 @@ def _sequential_grid(point, alphas):
 
 
 # the last two have omega > 1/2, so both ends of the overlap range (2w-1 and
-# w) are corners, where the interpolated batch seeds are worst
+# w) are corners, where the rays run off to the top-degree face
 SCAN_CASES = [((3, 6), "weight", 0.3), ((3, 6), "stopping", None),
               ((12, 24), "stopping", 0.990625), ((3, 64), "weight", 0.003125),
               ((3, 6), "weight", 0.75), ((12, 24), "stopping", 0.6)]
@@ -398,7 +389,7 @@ class TestCurvatureReference:
             if point.growth <= 0.0 or (pair, kind, omega) in UNSOLVED_ROWS:
                 continue
             rows += 1
-            alphas, t1s, t2s, _ = secondmoment._scan_grid(point)
+            _, _, alphas, t1s, t2s, _ = secondmoment._scan_rays(point)
             psis = _psi(point, alphas, t1s, t2s)
             for idx in np.flatnonzero(psis[:-1] * psis[1:] < 0.0):
                 falling = bool(psis[idx] > 0.0)
@@ -420,102 +411,95 @@ class TestCurvatureReference:
         assert rows and directions >= rows
 
 
-class TestScanGrid:
-    @staticmethod
-    def _compare(params, kind, omega):
-        point = growth_point(params, kind, omega)
-        alphas, t1, t2, val = secondmoment._scan_grid(point)
-        rt1, rt2, rval = _sequential_grid(point, alphas)
-        psi = secondmoment._psi(point, alphas, t1, t2)
-        rpsi = secondmoment._psi(point, alphas, rt1, rt2)
-        assert np.array_equal(np.sign(psi), np.sign(rpsi))
-        exps = secondmoment._exponent(point, alphas, t1, t2, val)
-        rexps = secondmoment._exponent(point, alphas, rt1, rt2, rval)
-        assert np.max(np.abs(exps - rexps)) < 1e-12
-        for got, want in ((t1, rt1), (t2, rt2)):
-            assert np.max(np.abs(got / want - 1.0)) < 1e-8
-
+class TestRayScan:
     @pytest.mark.parametrize("pair,kind,omega", SCAN_CASES,
                              ids=[f"{l}:{r}-{k}-{w or 'smin'}"
                                   for (l, r), k, w in SCAN_CASES])
-    def test_batched_grid_matches_sequential_chain(self, pair, kind, omega):
+    def test_rays_match_point_solves(self, pair, kind, omega):
+        # 50 rays spread over the window against the point solver at each
+        # ray's alpha, marching out from omega^2 as the grid scan did
         params = EnsembleParams(*pair)
         if omega is None:
             omega = min_abscissa(params, kind) + 1e-6
-        self._compare(params, kind, omega)
+        point = growth_point(params, kind, omega)
+        _, _, alphas, t1, t2, val = secondmoment._scan_rays(point)
+        assert alphas.size == secondmoment._GRID_POINTS
+        assert np.all(np.diff(alphas) > 0.0)
+        lo_edge, margin = secondmoment._grid_window(point)
+        inside = np.flatnonzero((alphas >= lo_edge + margin)
+                                & (alphas <= omega - margin))
+        pick = inside[np.linspace(0, inside.size - 1, 50).astype(int)]
+        alphas, t1, t2, val = alphas[pick], t1[pick], t2[pick], val[pick]
+        rt1, rt2, rval = _sequential_grid(point, alphas)
+        exps = secondmoment._exponent(point, alphas, t1, t2, val)
+        rexps = secondmoment._exponent(point, alphas, rt1, rt2, rval)
+        assert np.max(np.abs(exps - rexps)) < 1e-12
+        assert np.array_equal(np.sign(_psi(point, alphas, t1, t2)),
+                              np.sign(_psi(point, alphas, rt1, rt2)))
+        for got, want in ((t1, rt1), (t2, rt2)):
+            assert np.max(np.abs(got / want - 1.0)) < 1e-8
 
-    @pytest.mark.parametrize("every", [1, 3])
-    def test_scalar_fallback_matches_sequential_chain(self, monkeypatch, every):
-        # points the batch leaves unsolved go through the scalar chain from
-        # their omega^2-side neighbour; force every (every)-th point there,
-        # with its batch values spoiled so that only the fallback can pass
-        real = secondmoment._newton_batch
-        unsolved = []
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    def test_unit_ray_is_the_square_saddle(self, kind):
+        point = growth_point(P36, kind, 0.3)
+        x = point.saddle_x
+        u, a2, val = secondmoment._ray_solve(point, np.array([0.0]),
+                                             np.array([math.log(x) + 0.5]))
+        s = math.exp(u[0])
+        assert s == pytest.approx(x, rel=1e-12)
+        _, grad, _ = pair_vgh(P36, kind, np.array([s]), np.array([s * s]),
+                              np.array([s]))
+        assert a2[0] / 6 == pytest.approx(0.09, abs=1e-13)
+        assert s * grad[0][0] / val[0] / 6 == pytest.approx(0.3 - 0.09, abs=1e-13)
 
-        def failing(*args):
-            res, t1, t2, val = real(*args)
-            res[::every] = np.inf
-            t1[::every] = t2[::every] = val[::every] = np.nan
-            unsolved.append(res[::every].size)
-            return res, t1, t2, val
-
-        monkeypatch.setattr(secondmoment, "_newton_batch", failing)
-        self._compare(P36, "stopping", 0.3)
-        assert unsolved and unsolved[0] > 0
-
-    def test_scan_makes_few_scalar_solves(self, monkeypatch):
-        # the sequential scan made 2,076 scalar solves for this row; the
-        # omega^2 solve, coarse chain, probes and the anchor check now need
-        # 74 (106 while the minimum near omega was bisected), and each is
-        # accepted from its first Newton start: no continuation
-        starts, per_solve = [], []
-        real_solve, real_newton = secondmoment._inner_solve, secondmoment._newton_from
-
-        def newton(*args):
-            starts.append(args)
-            return real_newton(*args)
+    def test_scan_makes_no_scalar_solves(self, monkeypatch):
+        # the grid scan made 74 scalar solves for this row (2,076 before
+        # the grid was batched); the rays leave only the omega^2 solve and
+        # the anchor check (the endpoint below 1/2 is the reduced saddle)
+        # and take 9 array kernel calls
+        solves, arrays = [], []
+        real_solve, real_vgh = secondmoment._inner_solve, secondmoment.pair_vgh
 
         def counted(*args, **kwargs):
-            before = len(starts)
-            result = real_solve(*args, **kwargs)
-            per_solve.append(len(starts) - before)
-            return result
-
-        monkeypatch.setattr(secondmoment, "_newton_from", newton)
-        monkeypatch.setattr(secondmoment, "_inner_solve", counted)
-        rep = verify_conditions(growth_point(P36, "weight", 0.3))
-        assert rep.condition1_ok and rep.condition2_ok
-        assert len(per_solve) <= 74
-        assert set(per_solve) == {1}
-
-
-class TestPredictedSeeds:
-    @pytest.mark.parametrize("kind", ["weight", "stopping"])
-    def test_batch_converges_in_two_full_passes(self, monkeypatch, kind):
-        # seeds interpolated from the chain solutions and tangents: one
-        # full-size evaluation at the seeds, one after the first Newton
-        # step, then only the few near-corner points (the nearest-chain
-        # seeds took 3 full-size passes and 8,155 point evaluations)
-        sizes, batches = [], []
-        real_vgh, real_batch = secondmoment.pair_vgh, secondmoment._newton_batch
+            solves.append(args[1])
+            return real_solve(*args, **kwargs)
 
         def vgh(params, kind, x1, x2, x3):
             if isinstance(x1, np.ndarray):
-                sizes.append(x1.size)
+                arrays.append(x1.size)
             return real_vgh(params, kind, x1, x2, x3)
 
-        def batch(point, alphas, t1, t2):
-            batches.append(alphas.size)
-            return real_batch(point, alphas, t1, t2)
-
+        monkeypatch.setattr(secondmoment, "_inner_solve", counted)
         monkeypatch.setattr(secondmoment, "pair_vgh", vgh)
-        monkeypatch.setattr(secondmoment, "_newton_batch", batch)
-        rep = verify_conditions(growth_point(P36, kind, 0.3))
+        rep = verify_conditions(growth_point(P36, "weight", 0.3))
         assert rep.condition1_ok and rep.condition2_ok
-        assert len(batches) == 1
-        assert sizes.count(batches[0]) <= 2
-        assert sum(sizes) <= 5000
+        assert len(solves) == 2 and solves[0] == 0.3 * 0.3
+        assert len(arrays) <= 12
+        assert sum(arrays) <= 8000
 
+    def test_float_range_ending_inside_the_margin(self):
+        # the rays leave the float range between margin/30 and margin/100
+        # above 2w - 1, where the alpha-grid scan's last edge probe failed
+        # softly: the row keeps its verdicts
+        point = growth_point(EnsembleParams(3, 52), "weight", 0.51)
+        lo_edge, margin = secondmoment._grid_window(point)
+        _, _, alphas, _, _, _ = secondmoment._scan_rays(point)
+        assert lo_edge + margin / 100.0 < alphas[0] <= lo_edge + margin / 30.0
+        rep = verify_conditions(point)
+        assert rep.condition1_ok and rep.condition2_ok
+
+    @pytest.mark.parametrize("pair,kind,omega,error", [
+        ((2, 5), "weight", 0.5, NoConvergenceError),
+        ((3, 64), "weight", 0.55, OverflowError)])
+    def test_rays_that_cannot_cover_the_window(self, pair, kind, omega, error):
+        # odd r: alpha levels off at omega - (r-1)/(2r) = 0.1 above the
+        # window; r = 64: the rays leave the float range before 2w - 1
+        point = growth_point(EnsembleParams(*pair), kind, omega)
+        with pytest.raises(error, match="overlap rays"):
+            verify_conditions(point)
+
+
+class TestPredictedSeeds:
     @pytest.mark.parametrize("pair,kind,omega", [
         ((3, 6), "weight", 0.3), ((3, 6), "stopping", 0.3),
         ((3, 6), "weight", 0.75), ((3, 4), "weight", 0.5),
@@ -533,12 +517,12 @@ class TestPredictedSeeds:
     @pytest.mark.parametrize("kind", ["stopping", "weight"])
     def test_square_sign_change_is_not_bisected(self, monkeypatch, kind):
         # (3,6) stopping at 0.3 has one sign change of psi, the one at
-        # omega^2, so no bisection runs; weight has a second one near
-        # 0.29509, where psi rises: a minimum, neither bisected nor listed
-        def bisect(*args):
-            raise AssertionError("psi bisected")
+        # omega^2, so no refinement runs; weight has a second one near
+        # 0.29509, where psi rises: a minimum, neither refined nor listed
+        def refine(*args):
+            raise AssertionError("psi root refined")
 
-        monkeypatch.setattr(secondmoment, "_bisect_psi", bisect)
+        monkeypatch.setattr(secondmoment, "_refine_max", refine)
         rep = verify_conditions(growth_point(P36, kind, 0.3))
         assert rep.condition1_ok and rep.condition2_ok
         assert [p.alpha for p in rep.stationary_points] == [0.3 * 0.3]
@@ -738,8 +722,8 @@ class TestLocalLimitRatio:
 
 class TestLargeDegreeRobustness:
     def test_full_overlap_range_solvable_at_degree_48(self):
-        # corner-adjacent alphas force saddle components ~1e3; the sweep,
-        # edge probes and continuation must all hold up
+        # corner-adjacent alphas force saddle components ~1e3; the rays
+        # and the point solves must all hold up
         params = EnsembleParams(24, 48)
         for omega in (0.54, 0.86):
             rep = verify_conditions(growth_point(params, "weight", omega))
