@@ -143,25 +143,26 @@ def verify_conditions(point: GrowthPoint) -> ConditionReport:
     omega^2 is checked by :func:`delta_value`, which raises
     VarianceDegenerateError where it fails.
 
-    omega is the abscissa of ``point``, whose univariate saddle x* is shared
-    by every overlap solve.  The ray rho = 1 holds alpha = omega^2, where
-    psi = 0 exactly, so a falling pair around it is that root: its
-    stationary point comes from the one omega^2 solve that gives the peak,
-    and only the other falling pairs are refined.
+    omega is the abscissa of ``point``, whose univariate saddle x* seeds
+    every ray.  The ray rho = 1 holds alpha = omega^2 at t = (x*, x*^2, x*),
+    where psi = 0 exactly, so the peak is one kernel value there, and a
+    falling pair around rho = 1 is that root: only the other falling pairs
+    are refined.  The last ray, within margin/30 of omega, gives the edge
+    value of :func:`_anchor_check`.
     """
-    omega = point.abscissa
+    omega, x = point.abscissa, point.saddle_x
     if point.growth <= 0.0:
         raise DomainError(
             f"positive growth rate required (Markov regime at {omega})")
     alpha_sq = omega * omega
-    t1, t2, val, _ = _inner_solve(point, alpha_sq)
-    peak = float(_exponent(point, alpha_sq, t1, t2, val))
-    _anchor_check(point, peak)
+    val = pair_stats(point.params, point.kind, x, x * x, x)[0]
+    peak = float(_exponent(point, alpha_sq, x, x * x, val))
 
     lo_edge, margin = _grid_window(point)
     ln_rho, u, alphas, t1s, t2s, vals = _scan_rays(point)
     psis = _psi(point, alphas, t1s, t2s)
     exps = _exponent(point, alphas, t1s, t2s, vals)
+    _anchor_check(point, peak, float(alphas[-1]), float(exps[-1]))
 
     stationary = []
     # psi falls through zero: a local maximum (a rise is a minimum, unread)
@@ -303,52 +304,17 @@ def _overlap_range(point: GrowthPoint):
     return max(0.0, 2.0 * omega - 1.0), omega
 
 
-def _inner_solve(point: GrowthPoint, alpha: float, seed=None):
-    """Damped Newton for the reduced system a1/r = omega - alpha, a2/r = alpha.
-
-    Starts from the warm seed or, without one, from the omega^2 anchor
-    (x*, x*^2), x* the point's univariate saddle.  If that start fails, the
-    one fallback is a geometric continuation from the anchor toward the
-    target (the solution scale blows up like one over the distance to the
-    overlap-range corners, so single far jumps can stall).  Returns
-    (t1, t2, val, B) of the accepted point."""
-    if seed is None:
-        seed = (point.saddle_x, point.saddle_x * point.saddle_x)
-    result = _newton_from(point, alpha, seed[0], seed[1])
-    if result is not None and result[0] < _ACCEPT_TOL:
-        return result[1:]
-    result = _continuation_solve(point, alpha)
+def _inner_solve(point: GrowthPoint, alpha: float):
+    """Damped Newton for the reduced system a1/r = omega - alpha, a2/r = alpha,
+    from the omega^2 anchor (x*, x*^2), x* the point's univariate saddle.
+    Returns (t1, t2, val, B) of the accepted point."""
+    x = point.saddle_x
+    result = _newton_from(point, alpha, x, x * x)
     if result is not None and result[0] < _ACCEPT_TOL:
         return result[1:]
     raise NoConvergenceError(
         f"overlap solve failed at omega={point.abscissa}, alpha={alpha}"
-        + (f" (continuation residual {result[0]:g})" if result else ""))
-
-
-def _continuation_solve(point, alpha):
-    """Walk alpha from the omega^2 anchor to the target, halving the distance
-    to the nearer corner of (max(0, 2w-1), w) at each step."""
-    lo_edge, omega = _overlap_range(point)
-    x_star = point.saddle_x
-    anchor = omega * omega
-    edge = lo_edge if alpha < anchor else omega
-    gap_anchor = abs(anchor - edge)
-    gap_target = abs(alpha - edge)
-    if gap_target <= 0.0 or gap_target >= gap_anchor:
-        return None
-    steps = max(1, math.ceil(math.log2(gap_anchor / gap_target)))
-    t1, t2 = x_star, x_star * x_star
-    result = None
-    for k in range(1, steps + 1):
-        gap = gap_anchor * (gap_target / gap_anchor) ** (k / steps)
-        a_k = edge + math.copysign(gap, anchor - edge)
-        if k == steps:
-            a_k = alpha  # land exactly on the target
-        result = _newton_from(point, a_k, t1, t2)
-        if result is None or not result[0] < _ACCEPT_TOL:
-            return result
-        t1, t2 = result[1], result[2]
-    return result
+        + (f" (residual {result[0]:g})" if result else ""))
 
 
 def _newton_from(point, alpha, t1, t2):
@@ -356,8 +322,9 @@ def _newton_from(point, alpha, t1, t2):
     keeps t positive and stays well-conditioned in the near-corner regime
     where the solution components are large.
 
-    Returns (residual, t1, t2, val, B) of the last accepted point, or None
-    if the start point or a Newton system is unusable."""
+    A trial point whose kernel is nonpositive or overflows is a rejected
+    step.  Returns (residual, t1, t2, val, B) of the last accepted point, or
+    None if the start point or a Newton system is unusable."""
     r = point.params.right_degree
     c1, c2 = point.abscissa - alpha, alpha
     try:
@@ -387,7 +354,7 @@ def _newton_from(point, alpha, t1, t2):
                 try:
                     valn, an, Bn = pair_stats(point.params, point.kind,
                                               n1, n2, n1)
-                except NonpositiveGFError:
+                except (NonpositiveGFError, OverflowError):
                     valn = None
                 if valn is not None and math.isfinite(valn):
                     resn = max(abs(an[0] / r - c1), abs(an[1] / r - c2))
@@ -645,25 +612,22 @@ def _snap_nonnegative(d: float) -> float:
     return 0.0 if -1e-9 < d < 0.0 else d
 
 
-def _anchor_check(point: GrowthPoint, peak) -> None:
+def _anchor_check(point: GrowthPoint, peak, edge_alpha, edge) -> None:
     """Anchor identities guarding the exponent bookkeeping.
 
     The alpha = omega^2 term ``peak`` must carry exactly twice the growth
     rate of ``point``, and the curve must approach that growth rate at the
-    alpha -> omega edge.
+    alpha -> omega edge: ``edge`` is its value at ``edge_alpha``, the last
+    scan ray, within margin/30 of omega.  There the O(l * h * ln h) defect
+    stays below 3e-3, well inside the 1e-2 bug guard.
     """
-    lo_edge, omega = _overlap_range(point)
     growth = point.growth
     if abs(peak - 2.0 * growth) > 1e-8:
         raise ExponentMismatchError(
             f"E(omega^2) = {peak:.12g} vs 2*growth = {2 * growth:.12g}")
-    # the edge value carries an O(l * h * ln h) defect, so shrink the step
-    # with the left degree to keep it well below the 1e-2 bug guard
-    h = min(3e-4 / point.params.left_degree, 0.1 * (omega - lo_edge))
-    edge = exponent_curve(point, omega - h)
     if abs(edge - growth) > 1e-2:
         raise ExponentMismatchError(
-            f"E(omega - {h:g}) = {edge:.12g} vs growth = {growth:.12g}")
+            f"E({edge_alpha!r}) = {edge:.12g} vs growth = {growth:.12g}")
 
 
 def _endpoint_reduced_saddle(point: GrowthPoint) -> float:

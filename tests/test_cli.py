@@ -192,15 +192,35 @@ class TestTable:
         assert rows[0]["min_abscissa"] == pytest.approx(0.017990, abs=1e-5)
         assert rows[0]["bound"] == "conditions_failed"
 
-    def test_overflowing_pair_is_a_row(self, capsys):
-        # at 32:64 the pair kernel overflows in delta's overlap solve: the row
-        # keeps its omega_min, reads OVERFLOW, and the other rows are kept
+    def test_largest_check_degree_is_a_row(self, capsys):
+        # 32:64 stays inside the float range; as for 3:6, the near-identical
+        # pairs (alpha 5e-6 below omega) beat the omega^2 peak at omega_min,
+        # so condition 1 fails
         assert main(["table", "--pairs", "3:6,6:12,12:24,24:48,32:64",
                      "--kind", "stopping"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 6
         assert lines[1] == "3:6,0.0179904858,conditions_failed"
-        assert lines[5] == "32:64,0.0351013493,OVERFLOW"
+        assert lines[5] == "32:64,0.0351013493,conditions_failed"
+
+    def test_overflowing_pair_is_a_row(self, monkeypatch, capsys):
+        # a pair whose delta overflows keeps its omega_min and reads
+        # OVERFLOW, and the other rows are kept
+        real = secondmoment.delta
+
+        def delta(point, epsilon):
+            if point.params == EnsembleParams(6, 12):
+                raise OverflowError("pair kernel past the float range")
+            return real(point, epsilon)
+
+        monkeypatch.setattr(secondmoment, "delta", delta)
+        assert main(["table", "--pairs", "3:6,6:12,12:24", "--kind",
+                     "stopping"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4
+        assert lines[1] == "3:6,0.0179904858,conditions_failed"
+        assert lines[2] == "6:12,0.0630194958,OVERFLOW"
+        assert lines[3] == "12:24,0.0584181515,conditions_failed"
 
     def test_mixed_rates_exit_code(self, capsys):
         assert main(["table", "--pairs", "3:6,3:4"]) == 2

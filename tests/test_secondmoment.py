@@ -11,6 +11,7 @@ from ldpc_moments import checks, exactcomb, firstmoment, secondmoment
 from ldpc_moments.cli import main
 from ldpc_moments.errors import (
     DomainError,
+    ExponentMismatchError,
     NoBracketError,
     NoConvergenceError,
     OffLatticeError,
@@ -316,6 +317,15 @@ class TestVerifyConditions:
                 for p in rep.stationary_points] == points
 
 
+def _warm_solve(point, alpha, warm):
+    """(t1, t2, val, B) of the point solve at alpha from the warm start
+    (t1, t2), which must reach the acceptance residual."""
+    result = secondmoment._newton_from(point, alpha, *warm)
+    assert result is not None and result[0] < secondmoment._ACCEPT_TOL, (
+        alpha, result)
+    return result[1:]
+
+
 def _sequential_grid(point, alphas):
     """Reference scan: one scalar warm-started point solve per alpha,
     marching outward from omega^2 (the first grid scan)."""
@@ -325,7 +335,7 @@ def _sequential_grid(point, alphas):
     for indices in (range(start, -1, -1), range(start + 1, alphas.size)):
         warm = (x_star, x_star ** 2)
         for idx in indices:
-            t1[idx], t2[idx], val[idx], _ = secondmoment._inner_solve(
+            t1[idx], t2[idx], val[idx], _ = _warm_solve(
                 point, float(alphas[idx]), warm)
             warm = (float(t1[idx]), float(t2[idx]))
     return t1, t2, val
@@ -366,12 +376,12 @@ class TestCurvatureReference:
         with the solution there."""
         def below(mid):
             nonlocal warm
-            t1, t2, _, _ = _inner_solve(point, mid, warm)
+            t1, t2, _, _ = _warm_solve(point, mid, warm)
             warm = (t1, t2)
             return (_psi(point, mid, t1, t2) > 0.0) == falling
 
         root = firstmoment.bisect_root(below, lo, hi, 80, 1e-13)
-        return root, _inner_solve(point, root, warm)
+        return root, _warm_solve(point, root, warm)
 
     @pytest.mark.parametrize("kind", ["weight", "stopping"])
     @pytest.mark.parametrize("pair", CURVATURE_PAIRS,
@@ -454,9 +464,9 @@ class TestRayScan:
 
     def test_scan_makes_no_scalar_solves(self, monkeypatch):
         # the grid scan made 74 scalar solves for this row (2,076 before
-        # the grid was batched); the rays leave only the omega^2 solve and
-        # the anchor check (the endpoint below 1/2 is the reduced saddle)
-        # and take 9 array kernel calls
+        # the grid was batched); the rays take 9 array kernel calls, the
+        # peak is the kernel at (x*, x*^2, x*), the anchor's edge value is
+        # the last ray, and the endpoint below 1/2 is the reduced saddle
         solves, arrays = [], []
         real_solve, real_vgh = secondmoment._inner_solve, secondmoment.pair_vgh
 
@@ -473,7 +483,7 @@ class TestRayScan:
         monkeypatch.setattr(secondmoment, "pair_vgh", vgh)
         rep = verify_conditions(growth_point(P36, "weight", 0.3))
         assert rep.condition1_ok and rep.condition2_ok
-        assert len(solves) == 2 and solves[0] == 0.3 * 0.3
+        assert solves == []
         assert len(arrays) <= 12
         assert sum(arrays) <= 8000
 
@@ -528,63 +538,62 @@ class TestPredictedSeeds:
         assert [p.alpha for p in rep.stationary_points] == [0.3 * 0.3]
 
 
-class TestContinuation:
-    def test_near_corner_needs_continuation(self, monkeypatch):
-        # 1e-12 above the alpha = 2w - 1 corner no Newton start converges;
-        # only the continuation from the omega^2 anchor reaches the target
-        params, omega, alpha = EnsembleParams(3, 32), 0.999, 0.998 + 1e-12
-        solved = []
-        real = secondmoment._continuation_solve
+class TestPointSolve:
+    def test_near_corner_is_a_coded_error(self):
+        # 1e-12 above the alpha = 2w - 1 corner no Newton start from the
+        # omega^2 anchor converges; no command asks for such an alpha
+        point = growth_point(EnsembleParams(3, 32), "weight", 0.999)
+        with pytest.raises(NoConvergenceError, match="overlap solve failed"):
+            exponent_curve(point, 0.998 + 1e-12)
 
-        def counted(*args):
-            result = real(*args)
-            solved.append(result is not None
-                          and result[0] < secondmoment._ACCEPT_TOL)
-            return result
-
-        monkeypatch.setattr(secondmoment, "_continuation_solve", counted)
+    def test_overflowing_trial_step_is_rejected(self):
+        # a Newton trial step whose kernel overflows is shortened like a
+        # nonpositive one, instead of ending the solve in an OverflowError
+        params, omega, alpha = EnsembleParams(32, 64), 0.05, 0.04995
         point = growth_point(params, "weight", omega)
-        value = exponent_curve(point, alpha)
-        assert solved == [True]
-        assert value == pytest.approx(0.0023782257585, abs=1e-12)
-        # a warm-started march down from omega^2 needs no continuation
-        alphas = 0.998 + np.geomspace(1e-12, omega * omega - 0.998, 50)
-        alphas[0] = alpha
-        t1, t2, val = _sequential_grid(point, alphas)
-        assert len(solved) == 1
-        march = secondmoment._exponent(point, alpha, t1[0], t2[0], val[0])
-        assert march == pytest.approx(value, abs=1e-12)
+        assert exponent_curve(point, alpha) == pytest.approx(
+            -0.1562436108877385, abs=1e-12)
+        t1, t2, _, _ = _inner_solve(point, alpha)
+        r1, r2 = _reduced_residuals(params, "weight", omega, alpha, t1, t2)
+        assert r1 < 1e-10 and r2 < 1e-10
 
 
-class TestFallback:
-    def test_failed_start_falls_back_to_continuation(self, monkeypatch):
-        # when the warm start fails, the continuation from the omega^2
-        # anchor (seven steps here) must land on the solution the warm start
-        # would have found
-        omega, alpha = 0.3, 0.001
-        point = growth_point(P36, "weight", omega)
-        want = _inner_solve(point, alpha)
-        real_newton, real_march = (secondmoment._newton_from,
-                                   secondmoment._continuation_solve)
-        starts, marches = [], []
+class TestAnchorCheck:
+    @staticmethod
+    def _anchors(monkeypatch, point):
+        """The (peak, edge alpha, edge exponent) that verify_conditions
+        hands to the check."""
+        seen = []
+        monkeypatch.setattr(secondmoment, "_anchor_check",
+                            lambda point, *args: seen.append(args))
+        verify_conditions(point)
+        monkeypatch.undo()
+        return seen[0]
 
-        def failing_first(*args):
-            starts.append(args)
-            return None if len(starts) == 1 else real_newton(*args)
+    @pytest.mark.parametrize("pair,kind,omega", [
+        ((3, 6), "weight", 0.3), ((3, 6), "stopping", 0.75),
+        ((32, 64), "stopping", 0.2)])
+    def test_anchors_hold(self, monkeypatch, pair, kind, omega):
+        # the last ray lies within margin/30 of omega, where the edge
+        # defect stays below 3e-3
+        point = growth_point(EnsembleParams(*pair), kind, omega)
+        peak, edge_alpha, edge = self._anchors(monkeypatch, point)
+        _, margin = secondmoment._grid_window(point)
+        assert omega - margin / 30.0 <= edge_alpha < omega
+        assert abs(edge - point.growth) < 3e-3
+        secondmoment._anchor_check(point, peak, edge_alpha, edge)
 
-        def counted(*args):
-            marches.append(args)
-            return real_march(*args)
+    def test_shifted_peak(self, monkeypatch):
+        point = growth_point(P36, "weight", 0.3)
+        peak, edge_alpha, edge = self._anchors(monkeypatch, point)
+        with pytest.raises(ExponentMismatchError, match="E\\(omega\\^2\\)"):
+            secondmoment._anchor_check(point, peak + 1e-7, edge_alpha, edge)
 
-        monkeypatch.setattr(secondmoment, "_newton_from", failing_first)
-        monkeypatch.setattr(secondmoment, "_continuation_solve", counted)
-        got = _inner_solve(point, alpha, want[:2])
-        assert len(marches) == 1 and len(starts) > 2
-        for g, w in zip(got[:2], want[:2]):
-            assert g == pytest.approx(w, rel=1e-10)
-        exps = [secondmoment._exponent(point, alpha, *v[:3])
-                for v in (got, want)]
-        assert exps[0] == pytest.approx(exps[1], abs=1e-12)
+    def test_shifted_edge(self, monkeypatch):
+        point = growth_point(P36, "weight", 0.3)
+        peak, edge_alpha, edge = self._anchors(monkeypatch, point)
+        with pytest.raises(ExponentMismatchError, match="vs growth"):
+            secondmoment._anchor_check(point, peak, edge_alpha, edge + 0.02)
 
 
 class TestDelta:
