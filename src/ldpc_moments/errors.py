@@ -18,7 +18,8 @@ class NoBracketError(SolverError):
 
 
 class NoConvergenceError(SolverError):
-    """Damped Newton failed from every retry seed."""
+    """An overlap saddle solve (a damped Newton at one alpha, or a ray of
+    the scan) found no root."""
 
     code = "NO_CONVERGENCE"
 

@@ -58,7 +58,6 @@ _SPAN_HALVINGS = 30  # bisections of the ln rho cell where the float range ends
 # allows: the alpha-grid scan's point solve at margin/30 from each end
 # converged on every row it gave a verdict
 _SPAN_REACH = 30.0
-_REFINE_STEPS = 40  # secant steps per refined maximum
 # kernel values up to the float maximum / 4: the weight kernel sums four r-th powers
 _LN_VAL_MAX = math.log(sys.float_info.max / 4.0)
 _ENDPOINT_STEPS = (1e-3, 1e-4)
@@ -128,9 +127,10 @@ def verify_conditions(point: GrowthPoint) -> ConditionReport:
 
     psi = dE/dalpha, so a pair of neighbouring rays (see :func:`_scan_rays`)
     between which psi falls from + to - holds a local maximum of the
-    exponent curve, and one where it rises holds a minimum; only the falling
-    pairs inside the window (lo + margin, omega - margin] of
-    :func:`_grid_window` are refined and listed.
+    exponent curve, and one where it rises holds a minimum.  Each falling
+    pair gives its maximum in closed form (:func:`_cubic_max`), and only
+    those inside the window (lo + margin, omega - margin] of
+    :func:`_grid_window` are listed.
     Condition 1: alpha = omega^2 is the unique global maximum of the
     exponent curve: psi falls through it, every other local maximum lies
     strictly below it, and no ray with alpha at least margin/100 inside the
@@ -147,8 +147,8 @@ def verify_conditions(point: GrowthPoint) -> ConditionReport:
     every ray.  The ray rho = 1 holds alpha = omega^2 at t = (x*, x*^2, x*),
     where psi = 0 exactly, so the peak is one kernel value there, and a
     falling pair around rho = 1 is that root: only the other falling pairs
-    are refined.  The last ray, within margin/30 of omega, gives the edge
-    value of :func:`_anchor_check`.
+    are interpolated.  The last ray, within margin/30 of omega, gives the
+    edge value of :func:`_anchor_check`.
     """
     omega, x = point.abscissa, point.saddle_x
     if point.growth <= 0.0:
@@ -159,7 +159,7 @@ def verify_conditions(point: GrowthPoint) -> ConditionReport:
     peak = float(_exponent(point, alpha_sq, x, x * x, val))
 
     lo_edge, margin = _grid_window(point)
-    ln_rho, u, alphas, t1s, t2s, vals = _scan_rays(point)
+    ln_rho, alphas, t1s, t2s, vals = _scan_rays(point)
     psis = _psi(point, alphas, t1s, t2s)
     exps = _exponent(point, alphas, t1s, t2s, vals)
     _anchor_check(point, peak, float(alphas[-1]), float(exps[-1]))
@@ -167,13 +167,11 @@ def verify_conditions(point: GrowthPoint) -> ConditionReport:
     stationary = []
     # psi falls through zero: a local maximum (a rise is a minimum, unread)
     for idx in np.flatnonzero((psis[:-1] > 0.0) & (psis[1:] <= 0.0)):
-        if alphas[idx + 1] < lo_edge + margin or alphas[idx] > omega - margin:
-            continue
         pair = slice(idx, idx + 2)
         if ln_rho[idx] <= 0.0 <= ln_rho[idx + 1]:
             found = StationaryPoint(alpha=alpha_sq, exponent=peak)
         else:
-            found = _refine_max(point, ln_rho[pair], u[pair], psis[pair])
+            found = _cubic_max(alphas[pair], exps[pair], psis[pair])
         # psi(omega^2) = 0: a root on the lower window end starts no fall
         if lo_edge + margin < found.alpha <= omega - margin:
             stationary.append(found)
@@ -384,7 +382,7 @@ def _grid_window(point: GrowthPoint):
 
 def _scan_rays(point: GrowthPoint):
     """Overlap saddles on _GRID_POINTS rays t = (s, rho s^2, s), evenly
-    spaced in ln rho: arrays (ln rho, u = ln s, alpha, t1, t2, val).
+    spaced in ln rho: arrays (ln rho, alpha, t1, t2, val).
 
     alpha = a2/r rises strictly with rho, and the ray rho = 1 holds
     alpha = omega^2.  Coarse rays, one per unit of ln rho in [-48, 48] and
@@ -409,7 +407,7 @@ def _scan_rays(point: GrowthPoint):
     u, a2, val = _ray_solve(point, ln_rho, seeds)
     if not np.isfinite(u).all():
         raise NoConvergenceError(f"overlap rays failed at omega={omega}")
-    return ln_rho, u, a2 / r, np.exp(u), np.exp(ln_rho + 2.0 * u), val
+    return ln_rho, a2 / r, np.exp(u), np.exp(ln_rho + 2.0 * u), val
 
 
 def _ray_seeds(point: GrowthPoint, ln_rho):
@@ -518,35 +516,25 @@ def _ray_solve(point: GrowthPoint, ln_rho, u0):
     return out[0], out[1], out[2]
 
 
-def _refine_max(point: GrowthPoint, ln_rho, u, psi) -> StationaryPoint:
-    """The local maximum between two rays where psi falls from + to -: a
-    bracketed secant (Illinois) in ln rho on ray solves warm-started from
-    the u interpolated across the bracket."""
-    r = point.params.right_degree
-    (x0, x1), (u0, u1), (f0, f1) = (map(float, v) for v in (ln_rho, u, psi))
-    side = 0
-    for _ in range(_REFINE_STEPS):
-        x = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not x0 < x < x1:
-            x = 0.5 * (x0 + x1)
-        seed = u0 + (u1 - u0) * (x - x0) / (x1 - x0)
-        got, a2, val = _ray_solve(point, np.array([x]), np.array([seed]))
-        if not np.isfinite(got[0]):
-            raise NoConvergenceError(
-                f"overlap ray failed at ln rho = {x}, omega = {point.abscissa}")
-        alpha, t1, t2 = float(a2[0]) / r, math.exp(got[0]), math.exp(x + 2.0 * got[0])
-        f = float(_psi(point, alpha, t1, t2))
-        # Illinois: halve the kept end's psi when the same end moves twice
-        if f > 0.0:
-            x0, u0, f0, f1 = x, float(got[0]), f, f1 * (0.5 if side > 0 else 1.0)
-            side = 1
-        else:
-            x1, u1, f1, f0 = x, float(got[0]), f, f0 * (0.5 if side < 0 else 1.0)
-            side = -1
-        if f == 0.0 or x1 - x0 <= 1e-12:
-            break
-    return StationaryPoint(
-        alpha=alpha, exponent=float(_exponent(point, alpha, t1, t2, val[0])))
+def _cubic_max(alpha, exponent, psi) -> StationaryPoint:
+    """The local maximum between two rays where psi falls from + to -.
+
+    On the saddle curve psi = dE/dalpha, so the two rays give E and its
+    slope at both ends: the maximum is that of the cubic Hermite
+    interpolant p(s), alpha = alpha0 + s h.  Its derivative, the quadratic
+    a s^2 + b s + c with c = h psi0 > 0 >= h psi1 = a + b + c, falls
+    through zero once in (0, 1], at the root taken without cancellation.
+    """
+    (a0, a1), (e0, e1), (f0, f1) = (map(float, v) for v in (alpha, exponent, psi))
+    h = a1 - a0
+    c, d1, rise = h * f0, h * f1, e1 - e0
+    a = 3.0 * (c + d1) - 6.0 * rise
+    b = 6.0 * rise - 4.0 * c - 2.0 * d1
+    root = math.sqrt(max(b * b - 4.0 * a * c, 0.0))
+    # b > 0 only with a < 0: then -(b + root) / (2a) does not cancel
+    s = 2.0 * c / (root - b) if b <= 0.0 else -(b + root) / (2.0 * a)
+    return StationaryPoint(alpha=a0 + s * h,
+                           exponent=e0 + s * (c + s * (0.5 * b + s * a / 3.0)))
 
 
 def _psi(point: GrowthPoint, alpha, t1, t2):
@@ -637,7 +625,10 @@ def _endpoint_reduced_saddle(point: GrowthPoint) -> float:
     target = 2.0 * r * omega
 
     def a_of(x: float) -> float:
-        val, grad, _ = pair_vgh(params, kind, x, 0.0, x)
+        try:
+            val, grad, _ = pair_vgh(params, kind, x, 0.0, x)
+        except OverflowError:
+            val = math.inf
         if val <= 0.0 or not math.isfinite(val):
             raise NoBracketError(f"slice generating function invalid at {x}")
         return x * (grad[0] + grad[2]) / val

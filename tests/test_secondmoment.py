@@ -205,6 +205,19 @@ class TestEndpoint:
         rep = verify_conditions(point)
         assert rep.endpoint_exponent == expected
 
+    @pytest.mark.parametrize("pair,omega,expected", [
+        ((2, 56), 0.499999, 0.69368), ((28, 56), 0.499999, 0.69368),
+        ((3, 64), 0.49999, 0.69383), ((63, 64), 0.49999, 0.69383)])
+    def test_overflowing_slice_falls_back(self, pair, omega, expected):
+        # the reduced saddle's bracket runs the slice kernel past the float
+        # range: that is no bracket, so the extrapolation serves the row
+        point = growth_point(EnsembleParams(*pair), "stopping", omega)
+        with pytest.raises(NoBracketError):
+            secondmoment._endpoint_reduced_saddle(point)
+        assert endpoint_exponent(point) == pytest.approx(expected, abs=1e-5)
+        rep = verify_conditions(point)
+        assert rep.condition1_ok and rep.condition2_ok
+
     def test_exact_disjoint_term_growth_converges(self):
         # at omega=0.5 the saddle path diverges; extrapolation serves it
         errs = checks.disjoint_term_errors(P36, 0.5, (24, 48))
@@ -299,15 +312,16 @@ class TestVerifyConditions:
     @pytest.mark.parametrize("pair,omega,cond1,points", [
         ((3, 6), 0.021875, True,
          [("0.00047851562499999994", "0.004588082494168866"),
-          ("0.02176167387849079", "0.002443812887434893")]),
+          ("0.0217616738799651", "0.0024438128874360314")]),
         ((6, 12), None, False,
          [("0.003971582887514568", "3.916553179328375e-06"),
-          ("0.0627757721801065", "0.00044140385141100413")]),
+          ("0.06277577218057165", "0.00044140385142392837")]),
     ], ids=["3:6-0.021875", "6:12-smin"])
     def test_competing_maximum_pinned(self, pair, omega, cond1, points):
-        # stopping rows with a refined maximum in the near-identical layer
-        # beside the one at omega^2: below the peak for (3,6) at 0.021875,
-        # above it for (6,12) just past s_min, which breaks condition 1
+        # stopping rows with an interpolated maximum in the near-identical
+        # layer beside the one at omega^2: below the peak for (3,6) at
+        # 0.021875, above it for (6,12) just past s_min, which breaks
+        # condition 1
         params = EnsembleParams(*pair)
         if omega is None:
             omega = min_abscissa(params, "stopping") + 1e-6
@@ -399,7 +413,7 @@ class TestCurvatureReference:
             if point.growth <= 0.0 or (pair, kind, omega) in UNSOLVED_ROWS:
                 continue
             rows += 1
-            _, _, alphas, t1s, t2s, _ = secondmoment._scan_rays(point)
+            _, alphas, t1s, t2s, _ = secondmoment._scan_rays(point)
             psis = _psi(point, alphas, t1s, t2s)
             for idx in np.flatnonzero(psis[:-1] * psis[1:] < 0.0):
                 falling = bool(psis[idx] > 0.0)
@@ -432,7 +446,7 @@ class TestRayScan:
         if omega is None:
             omega = min_abscissa(params, kind) + 1e-6
         point = growth_point(params, kind, omega)
-        _, _, alphas, t1, t2, val = secondmoment._scan_rays(point)
+        _, alphas, t1, t2, val = secondmoment._scan_rays(point)
         assert alphas.size == secondmoment._GRID_POINTS
         assert np.all(np.diff(alphas) > 0.0)
         lo_edge, margin = secondmoment._grid_window(point)
@@ -493,7 +507,7 @@ class TestRayScan:
         # softly: the row keeps its verdicts
         point = growth_point(EnsembleParams(3, 52), "weight", 0.51)
         lo_edge, margin = secondmoment._grid_window(point)
-        _, _, alphas, _, _, _ = secondmoment._scan_rays(point)
+        _, alphas, _, _, _ = secondmoment._scan_rays(point)
         assert lo_edge + margin / 100.0 < alphas[0] <= lo_edge + margin / 30.0
         rep = verify_conditions(point)
         assert rep.condition1_ok and rep.condition2_ok
@@ -527,15 +541,115 @@ class TestPredictedSeeds:
     @pytest.mark.parametrize("kind", ["stopping", "weight"])
     def test_square_sign_change_is_not_bisected(self, monkeypatch, kind):
         # (3,6) stopping at 0.3 has one sign change of psi, the one at
-        # omega^2, so no refinement runs; weight has a second one near
-        # 0.29509, where psi rises: a minimum, neither refined nor listed
-        def refine(*args):
-            raise AssertionError("psi root refined")
+        # omega^2, so no pair is interpolated; weight has a second one near
+        # 0.29509, where psi rises: a minimum, neither interpolated nor listed
+        def interpolate(*args):
+            raise AssertionError("psi root interpolated")
 
-        monkeypatch.setattr(secondmoment, "_refine_max", refine)
+        monkeypatch.setattr(secondmoment, "_cubic_max", interpolate)
         rep = verify_conditions(growth_point(P36, kind, 0.3))
         assert rep.condition1_ok and rep.condition2_ok
         assert [p.alpha for p in rep.stationary_points] == [0.3 * 0.3]
+
+
+def _illinois_max(point, ln_rho, u, psi):
+    """Converged reference for a maximum between two rays where psi falls
+    from + to -: a bracketed secant (Illinois) in ln rho, one ray solve per
+    step, warm-started from the u interpolated across the bracket.
+    Returns (alpha, exponent)."""
+    r = point.params.right_degree
+    (x0, x1), (u0, u1), (f0, f1) = ln_rho, u, psi
+    side = 0
+    for _ in range(40):
+        x = x1 - f1 * (x1 - x0) / (f1 - f0)
+        if not x0 < x < x1:
+            x = 0.5 * (x0 + x1)
+        seed = u0 + (u1 - u0) * (x - x0) / (x1 - x0)
+        got, a2, val = secondmoment._ray_solve(point, np.array([x]),
+                                               np.array([seed]))
+        assert np.isfinite(got[0]), x
+        alpha = float(a2[0]) / r
+        t1, t2 = math.exp(got[0]), math.exp(x + 2.0 * got[0])
+        f = float(_psi(point, alpha, t1, t2))
+        # Illinois: halve the kept end's psi when the same end moves twice
+        if f > 0.0:
+            x0, u0, f0, f1 = x, float(got[0]), f, f1 * (0.5 if side > 0 else 1.0)
+            side = 1
+        else:
+            x1, u1, f1, f0 = x, float(got[0]), f, f0 * (0.5 if side < 0 else 1.0)
+            side = -1
+        if f == 0.0 or x1 - x0 <= 1e-12:
+            break
+    return alpha, float(secondmoment._exponent(point, alpha, t1, t2, val[0]))
+
+
+# stopping rows whose overlap curve has a maximum besides omega^2 (None:
+# s_min + 1e-6)
+COMPETING_ROWS = [((3, 6), 0.021875), ((3, 6), None), ((6, 12), None),
+                  ((12, 16), None), ((4, 8), None), ((12, 16), 0.0981)]
+
+
+class TestCubicMaximum:
+    @pytest.mark.parametrize("pair,omega", COMPETING_ROWS,
+                             ids=[f"{l}:{r}-{w or 'smin'}"
+                                  for (l, r), w in COMPETING_ROWS])
+    def test_cubic_matches_the_converged_secant(self, pair, omega):
+        # psi = dE/dalpha on the saddle curve, so the cubic Hermite
+        # interpolant through (E, psi) at the two rays lands on the
+        # maximum that secant steps on ray solves converge to
+        params = EnsembleParams(*pair)
+        if omega is None:
+            omega = min_abscissa(params, "stopping") + 1e-6
+        point = growth_point(params, "stopping", omega)
+        ln_rho, alphas, t1s, t2s, vals = secondmoment._scan_rays(point)
+        psis = _psi(point, alphas, t1s, t2s)
+        exps = secondmoment._exponent(point, alphas, t1s, t2s, vals)
+        compared = 0
+        for idx in np.flatnonzero((psis[:-1] > 0.0) & (psis[1:] <= 0.0)):
+            if ln_rho[idx] <= 0.0 <= ln_rho[idx + 1]:
+                continue  # the omega^2 root, in closed form
+            pair_ = slice(idx, idx + 2)
+            got = secondmoment._cubic_max(alphas[pair_], exps[pair_],
+                                          psis[pair_])
+            alpha, exponent = _illinois_max(
+                point, [float(v) for v in ln_rho[pair_]],
+                [math.log(float(v)) for v in t1s[pair_]],
+                [float(v) for v in psis[pair_]])
+            assert abs(got.alpha - alpha) < 1e-7
+            assert abs(got.exponent - exponent) < 1e-11
+            compared += 1
+        assert compared >= 1
+
+    def test_closed_form_on_a_known_cubic(self):
+        # E = (alpha - 0.3)^2 (alpha - 2) is a cubic, so its maximum at
+        # alpha = 0.3 comes back to rounding from any bracketing pair
+        def curve(alpha):
+            return (alpha - 0.3) ** 2 * (alpha - 2.0)
+
+        def slope(alpha):
+            return 2.0 * (alpha - 0.3) * (alpha - 2.0) + (alpha - 0.3) ** 2
+
+        for ends in ((0.1, 0.5), (0.29, 0.3), (0.2, 1.0)):
+            alpha = np.array(ends)
+            got = secondmoment._cubic_max(alpha, curve(alpha), slope(alpha))
+            assert got.alpha == pytest.approx(0.3, abs=1e-12)
+            assert got.exponent == pytest.approx(0.0, abs=1e-15)
+
+    def test_rows_make_two_ray_solves(self, monkeypatch):
+        # the competing maximum of (3,6) stopping at 0.021875 needs no ray
+        # solve beyond the 97 coarse and the 2,000 fine rays (the secant
+        # refinement made 11 more)
+        sizes = []
+        real = secondmoment._ray_solve
+
+        def counted(point, ln_rho, u0):
+            sizes.append(ln_rho.size)
+            return real(point, ln_rho, u0)
+
+        monkeypatch.setattr(secondmoment, "_ray_solve", counted)
+        rep = verify_conditions(growth_point(P36, "stopping", 0.021875))
+        assert len(rep.stationary_points) == 2
+        assert sizes == [2 * secondmoment._RAY_SPAN + 1, secondmoment._GRID_POINTS]
 
 
 class TestPointSolve:
