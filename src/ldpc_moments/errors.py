@@ -19,7 +19,8 @@ class NoBracketError(SolverError):
 
 class NoConvergenceError(SolverError):
     """An overlap saddle solve (a damped Newton at one alpha, or a ray of
-    the scan) found no root."""
+    the scan) found no root, or the scan cannot reach the lower end of its
+    window: at odd r no weight-kind overlap lies below omega - (r-1)/(2r)."""
 
     code = "NO_CONVERGENCE"
 

@@ -55,10 +55,12 @@ def binary_entropy(w: float) -> float:
 
 
 def bisect_root(below, lo: float, hi: float, steps: int, tol: float = 0.0) -> float:
-    """Midpoint of a bracket [lo, hi] after halving it ``steps`` times.
+    """Midpoint of a bracket between lo and hi after halving it ``steps``
+    times.
 
-    ``below(x)`` is true when the root lies above x; it is called once per
-    step, in order, so a caller may carry state from one call to the next.
+    ``below(x)`` is true when the root lies on the hi side of x (above x
+    when lo < hi); it is called once per step, in order, so a caller may
+    carry state from one call to the next.  Either order of the ends works.
     Stops early once the bracket is narrower than ``tol``, or once the
     midpoint rounds onto an end, after which the result can no longer move.
     """
@@ -70,7 +72,7 @@ def bisect_root(below, lo: float, hi: float, steps: int, tol: float = 0.0) -> fl
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol:
+        if abs(hi - lo) < tol:
             break
     return 0.5 * (lo + hi)
 

@@ -53,7 +53,6 @@ _RAY_SPAN = 48  # the coarse rays cover ln rho in [-48, 48], one per unit
 _RAY_STEPS = 60  # Newton steps per ray
 _RAY_JUMP = 4.0  # longest Newton step in ln s
 _RAY_TOL = 1e-14  # residual |a1 + a2 - r w| / r of an accepted ray
-_SPAN_HALVINGS = 30  # bisections of the ln rho cell where the float range ends
 # the span reaches margin/30 of each end, margin/100 where the float range
 # allows: the alpha-grid scan's point solve at margin/30 from each end
 # converged on every row it gave a verdict
@@ -393,11 +392,15 @@ def _scan_rays(point: GrowthPoint):
     """
     omega, r = point.abscissa, point.params.right_degree
     lo_edge, margin = _grid_window(point)
+    need, floor = lo_edge + margin / _SPAN_REACH, omega - (r - 1) / (2 * r)
+    # odd r: no codeword weighs (r-1)/r or more, so no overlap lies below floor
+    if point.kind == KIND_WEIGHT and r % 2 and floor > need:
+        raise NoConvergenceError(f"overlap rays end before alpha = {need} at "
+                                 f"omega = {omega} (odd r: none below {floor})")
     coarse = np.linspace(-_RAY_SPAN, _RAY_SPAN, 2 * _RAY_SPAN + 1)
     u, a2, _ = _ray_solve(point, coarse, _ray_seeds(point, coarse))
     alpha = a2 / r
-    first = _span_end(point, coarse, u, alpha, lo_edge + margin / 100.0,
-                      lo_edge + margin / _SPAN_REACH, 1.0)
+    first = _span_end(point, coarse, u, alpha, lo_edge + margin / 100.0, need, 1.0)
     last = _span_end(point, coarse[::-1], u[::-1], alpha[::-1],
                      omega - margin / 100.0, omega - margin / _SPAN_REACH, -1.0)
     inner = np.isfinite(u) & (coarse > first[0]) & (coarse < last[0])
@@ -411,7 +414,7 @@ def _scan_rays(point: GrowthPoint):
 
 
 def _ray_seeds(point: GrowthPoint, ln_rho):
-    """Starting ln s on rays ln rho (float or array), from the faces the
+    """Starting ln s on the rays ln rho (an array), from the faces the
     saddle tends to: ln x* - (ln rho)/2 for rho > 1 (alpha -> omega); for
     rho < 1, ln x* when omega < 1/2 (the k2 = 0 face) and ln x* - ln rho
     otherwise (the top-degree face, alpha -> 2 omega - 1)."""
@@ -423,34 +426,48 @@ def _span_end(point: GrowthPoint, ln_rho, u, alpha, end, need, sign):
     """(ln rho, u) of the ray that ends the fine span on one side.
 
     The rays come ordered from the outside in; the end is the innermost one
-    at or past alpha = ``end`` (sign * alpha <= sign * end).  Failing that,
-    bisect in ln rho from the outermost converged ray toward the failed one
-    beyond it (if any; else alpha levels off there); the last converged ray
-    ends the span if it is past ``need``.  Otherwise raise OverflowError if
-    the last failed ray had its root past the float range, else
-    NoConvergenceError.
+    at or past alpha = ``end`` (sign * alpha <= sign * end), else the
+    outermost converged one or, if the ray beyond it was capped (u = +inf),
+    the cap point where :func:`_cap_residual` changes sign between the two,
+    bisected in ln rho.  It must be past ``need``; else raise OverflowError
+    if the ray beyond was capped, NoConvergenceError otherwise.
     """
     past = np.flatnonzero(sign * alpha <= sign * end)
     if past.size:
         return float(ln_rho[past[-1]]), float(u[past[-1]])
     k = int(np.argmax(np.isfinite(u)))  # 0 also when no ray converged
-    good, good_u, good_alpha = float(ln_rho[k]), float(u[k]), float(alpha[k])
-    bad, overflowed = float(ln_rho[k - 1]), k > 0 and u[k - 1] == np.inf
-    for _ in range(_SPAN_HALVINGS if k > 0 else 0):
-        mid = 0.5 * (good + bad)
-        seed = good_u + _ray_seeds(point, mid) - _ray_seeds(point, good)
-        got, a2, _ = _ray_solve(point, np.array([mid]), np.array([seed]))
-        if not np.isfinite(got[0]):
-            bad, overflowed = mid, got[0] == np.inf
-            continue
-        good, good_u = mid, float(got[0])
-        good_alpha = float(a2[0]) / point.params.right_degree
-        if sign * good_alpha <= sign * end:
-            break
-    if sign * good_alpha <= sign * need:
-        return good, good_u
-    error = OverflowError if overflowed else NoConvergenceError
+    edge = [float(ln_rho[k]), float(u[k]), float(alpha[k])]
+    capped = k > 0 and u[k - 1] == np.inf
+    if capped:
+        def outside(x):  # a NaN residual counts as outside
+            cap, f, a = _cap_residual(point, x)
+            if f >= 0.0:
+                edge[:] = x, cap, a  # the inside end of the bracket
+            return not f >= 0.0
+
+        bisect_root(outside, float(ln_rho[k - 1]), edge[0], 200)
+    if sign * edge[2] <= sign * need:
+        return edge[0], edge[1]
+    error = OverflowError if capped else NoConvergenceError
     raise error(f"overlap rays end before alpha = {need} at omega = {point.abscissa}")
+
+
+def _ray_cap(point: GrowthPoint, ln_rho):
+    """Largest u = ln s on rays ln rho (float or array): there 1 + 2s + rho s^2,
+    the largest kernel base, brings its r-th power to the float range."""
+    room = math.expm1(_LN_VAL_MAX / point.params.right_degree)
+    return math.log(room) - np.log1p(np.sqrt(1.0 + np.exp(ln_rho) * room))
+
+
+def _cap_residual(point: GrowthPoint, ln_rho: float):
+    """(u, f, alpha) at the cap u of the ray ln rho, f = a1 + a2 - r*omega:
+    f rises with u, so the ray's root lies inside the float range iff f >= 0."""
+    r, u = point.params.right_degree, _ray_cap(point, ln_rho)
+    s, t2 = np.exp(u), np.exp(ln_rho + 2.0 * u)
+    with np.errstate(all="ignore"):
+        val, grad, _ = pair_vgh(point.params, point.kind, s, t2, s)
+        a1, a2 = s * (grad[0] / val), t2 * (grad[1] / val)
+    return float(u), float(a1 + a2 - r * point.abscissa), float(a2) / r
 
 
 def _ray_solve(point: GrowthPoint, ln_rho, u0):
@@ -463,9 +480,8 @@ def _ray_solve(point: GrowthPoint, ln_rho, u0):
     bracket, and a step that leaves it is replaced by the bracket's midpoint
     (by a _RAY_JUMP step while it is open).  A kernel value that is not
     finite and positive is an upper end of the bracket, never a residual.
-    u stops at the cap where 1 + 2s + rho s^2, the largest kernel base,
-    brings its r-th power to the float range; a ray still below its root
-    there has none inside that range.
+    u stops at the cap of :func:`_ray_cap`; a ray still below its root
+    there has none inside the float range.
 
     Returns arrays (u, a2, val) at the accepted points; u is +inf on
     the rays whose root lies past the float range and NaN on the others
@@ -474,8 +490,7 @@ def _ray_solve(point: GrowthPoint, ln_rho, u0):
     params, kind = point.params, point.kind
     r = params.right_degree
     target = r * point.abscissa
-    room = math.expm1(_LN_VAL_MAX / r)
-    cap = math.log(room) - np.log1p(np.sqrt(1.0 + np.exp(ln_rho) * room))
+    cap = _ray_cap(point, ln_rho)
     u = np.minimum(u0, cap)
     lo, hi = np.full(u.size, -np.inf), np.full(u.size, np.inf)
     out = np.full((3, u.size), np.nan)

@@ -162,6 +162,20 @@ class TestOddCheckDegree:
         out = capsys.readouterr().out
         assert out.count("NO_BRACKET") == 6
 
+    @pytest.mark.parametrize("r,lo,hi,verdicts", [
+        (45, "0.48", "0.52", ["true,true", "NO_CONVERGENCE", "true,true"]),
+        (47, "0.49", "0.51", ["NO_CONVERGENCE"] * 3)])
+    def test_rows_below_the_overlap_floor_are_rows(self, r, lo, hi, verdicts,
+                                                   capsys):
+        # no overlap lies below omega - (r-1)/(2r): inside that band the row
+        # reads NO_CONVERGENCE before any ray leaves the float range, and
+        # the curve goes on
+        assert main(["bound", "--l", "2", "--r", str(r), "--min", lo,
+                     "--max", hi, "--steps", "3"]) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        # cond1,cond2 where they were checked, else the bound column's code
+        assert [",".join(row[5:]) if row[5] else row[4] for row in rows] == verdicts
+
     def test_stopping_kind_keeps_the_whole_range(self):
         rows = run_growth_curve(EnsembleParams(2, 3), "stopping", [2 / 3, 0.9])
         assert all(isinstance(row["growth"], float) for row in rows)

@@ -594,6 +594,17 @@ class TestBisectionStop:
         assert repr(got) == repr(self._reference(below, lo, hi, 200))
         assert len(calls) <= 60
 
+    @pytest.mark.parametrize("lo,hi,tol", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                           (1.0, 0.0, 1e-6), (0.0, 1.0, 1e-6)])
+    def test_reversed_bracket(self, lo, hi, tol):
+        # below(v) says the root lies on the hi side of v, whichever end is
+        # larger, and the stop test reads the bracket's width either way
+        def below(v):
+            return v < 0.3 if lo < hi else v > 0.3
+
+        got = bisect_root(below, lo, hi, 200, tol)
+        assert got == pytest.approx(0.3, abs=max(tol, 1e-16))
+
     @pytest.mark.parametrize("l,r,kind,omega,value", [
         (3, 6, "weight", 0.2, "0.29581287019322833"),
         (12, 24, "stopping", 0.05, "-0.06953686368656076"),

@@ -504,23 +504,107 @@ class TestRayScan:
     def test_float_range_ending_inside_the_margin(self):
         # the rays leave the float range between margin/30 and margin/100
         # above 2w - 1, where the alpha-grid scan's last edge probe failed
-        # softly: the row keeps its verdicts
+        # softly: the row keeps its verdicts, and the first fine ray is the
+        # cap point at the edge of the float range
         point = growth_point(EnsembleParams(3, 52), "weight", 0.51)
         lo_edge, margin = secondmoment._grid_window(point)
-        _, alphas, _, _, _ = secondmoment._scan_rays(point)
+        ln_rho, alphas, t1, _, _ = secondmoment._scan_rays(point)
         assert lo_edge + margin / 100.0 < alphas[0] <= lo_edge + margin / 30.0
+        cap, f, alpha = secondmoment._cap_residual(point, float(ln_rho[0]))
+        assert 0.0 <= f <= 1e-14 * 52
+        assert abs(alphas[0] - alpha) <= 1e-12
+        assert math.log(t1[0]) == pytest.approx(cap, abs=1e-12)
         rep = verify_conditions(point)
         assert rep.condition1_ok and rep.condition2_ok
 
     @pytest.mark.parametrize("pair,kind,omega,error", [
         ((2, 5), "weight", 0.5, NoConvergenceError),
-        ((3, 64), "weight", 0.55, OverflowError)])
+        ((3, 64), "weight", 0.55, OverflowError),
+        ((2, 41), "weight", 0.49, NoConvergenceError)])
     def test_rays_that_cannot_cover_the_window(self, pair, kind, omega, error):
-        # odd r: alpha levels off at omega - (r-1)/(2r) = 0.1 above the
-        # window; r = 64: the rays leave the float range before 2w - 1
+        # odd r: no overlap lies below omega - (r-1)/(2r), 0.1 and 0.0022
+        # above the window; r = 64: the rays leave the float range before
+        # 2w - 1
         point = growth_point(EnsembleParams(*pair), kind, omega)
         with pytest.raises(error, match="overlap rays"):
             verify_conditions(point)
+
+    @pytest.mark.parametrize("l,r", [(2, 45), (3, 45), (22, 45), (44, 45),
+                                     (2, 49), (3, 49), (24, 49), (48, 49)])
+    def test_odd_r_floor_stops_before_the_scan(self, monkeypatch, l, r):
+        # at omega = 0.49 the overlap floor omega - (r-1)/(2r) lies above
+        # margin/30 of the window; chasing overlaps below it, these rows'
+        # rays would leave the float range and raise OverflowError
+        def unsolved(*args):
+            raise AssertionError("ray solve below the overlap floor")
+
+        monkeypatch.setattr(secondmoment, "_ray_solve", unsolved)
+        point = growth_point(EnsembleParams(l, r), "weight", 0.49)
+        with pytest.raises(NoConvergenceError,
+                           match="^overlap rays end before alpha = .*odd r"):
+            verify_conditions(point)
+
+    @pytest.mark.parametrize("pair,kind,omega,sizes", [
+        ((2, 52), "stopping", 0.65, [97, 2000]),
+        ((3, 52), "weight", 0.51, [97, 2000]),
+        ((3, 64), "weight", 0.55, [97])],
+        ids=["2:52-stopping", "3:52-weight", "3:64-weight"])
+    def test_float_edge_makes_no_size_one_solves(self, monkeypatch, pair, kind,
+                                                 omega, sizes):
+        # where the coarse rays leave the float range, the span's end is
+        # bisected on one kernel value per step: the rows solve rays only
+        # in the coarse and the fine pass, and a row whose span cannot
+        # reach margin/30 stops after the coarse one
+        calls = []
+        real = secondmoment._ray_solve
+
+        def counted(point, ln_rho, u0):
+            calls.append(ln_rho.size)
+            return real(point, ln_rho, u0)
+
+        monkeypatch.setattr(secondmoment, "_ray_solve", counted)
+        point = growth_point(EnsembleParams(*pair), kind, omega)
+        if len(sizes) == 1:
+            with pytest.raises(OverflowError, match="overlap rays"):
+                verify_conditions(point)
+        else:
+            rep = verify_conditions(point)
+            assert rep.condition1_ok and rep.condition2_ok
+        assert calls == sizes
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["left", "right"])
+    def test_edge_bisection_on_either_side(self, monkeypatch, sign):
+        # a fake cap residual that turns negative outside ln rho = -30.3 sign,
+        # past the last converged ray: the right side runs ln rho downward,
+        # so its bracket is reversed
+        monkeypatch.setattr(secondmoment, "_cap_residual",
+                            lambda point, x: (-x, sign * x + 30.3, -sign))
+        ln_rho = -sign * np.arange(48.0, -1.0, -1.0)
+        u = np.where(sign * ln_rho < -30.3, np.inf, 0.0)
+        end, u_end = secondmoment._span_end(growth_point(P36, "weight", 0.3),
+                                            ln_rho, u, np.zeros(u.size),
+                                            -sign, 0.0, sign)
+        assert end == pytest.approx(-30.3 * sign, abs=1e-12)
+        assert sign * end >= -30.3 and u_end == -end
+
+    @pytest.mark.parametrize("pair,kind,omega", [
+        ((2, 52), "stopping", 0.65), ((3, 64), "weight", 0.55)],
+        ids=["2:52-stopping", "3:64-weight"])
+    def test_cap_residual_agrees_with_the_solver(self, pair, kind, omega):
+        # a coarse ray comes back +inf exactly where its residual at the
+        # cap is still negative
+        point = growth_point(EnsembleParams(*pair), kind, omega)
+        coarse = np.linspace(-secondmoment._RAY_SPAN, secondmoment._RAY_SPAN,
+                             2 * secondmoment._RAY_SPAN + 1)
+        u, _, _ = secondmoment._ray_solve(point, coarse,
+                                          secondmoment._ray_seeds(point, coarse))
+        assert np.isinf(u).any() and np.isfinite(u).any()
+        for x, got in zip(coarse, u):
+            f = secondmoment._cap_residual(point, float(x))[1]
+            if got == np.inf:
+                assert f < 0.0, x
+            elif np.isfinite(got):
+                assert f >= 0.0, x
 
 
 class TestPredictedSeeds:
