@@ -8,6 +8,7 @@ both the command line and the acceptance gate.
 import math
 
 from . import ensemble_oracle, exactcomb, firstmoment, secondmoment
+from .errors import NoBracketError
 from .genfun import KIND_WEIGHT, EnsembleParams
 
 
@@ -87,11 +88,12 @@ def closed_form_gap(omegas):
 
 
 def endpoint_gap(point):
-    """|saddle - extrapolated| endpoint exponent at the growth point's
-    abscissa."""
-    sad = secondmoment._endpoint_reduced_saddle(point)
-    ext = secondmoment._endpoint_extrapolated(point)
-    return abs(sad - ext)
+    """|face ray - extrapolated| endpoint exponent at the growth point's
+    abscissa; NoBracketError where the ray rho = 0 has no finite root."""
+    face = secondmoment._face_ray(point)
+    if math.isnan(face):
+        raise NoBracketError(f"no root on the ray rho = 0 at {point.abscissa}")
+    return abs(face - secondmoment._endpoint_extrapolated(point))
 
 
 def disjoint_term_errors(params, omega, ns):

@@ -29,14 +29,13 @@ import numpy as np
 from .errors import (
     DomainError,
     ExponentMismatchError,
-    NoBracketError,
     NoConvergenceError,
     NonpositiveGFError,
     OffLatticeError,
     SingularMatrixError,
     VarianceDegenerateError,
 )
-from .firstmoment import GrowthPoint, bisect_root, grow_bracket
+from .firstmoment import GrowthPoint, bisect_root
 from .genfun import (
     KIND_WEIGHT,
     EnsembleParams,
@@ -106,18 +105,14 @@ def endpoint_exponent(point: GrowthPoint) -> float:
     """Overlap exponent at the boundary alpha = max(0, 2*omega - 1), omega
     the abscissa of ``point``.
 
-    For omega < 1/2 the boundary has no shared coordinates and the exponent
-    comes from the reduced saddle of the overlap-free slice phi(x, 0, x),
-    which the x1 = x3 symmetry makes univariate.  Otherwise (or when that
-    saddle diverges) the interior curve is extrapolated one-sidedly with
-    steps 1e-3 and 1e-4, seeded from the point's saddle x*.
+    For omega < 1/2 the boundary is alpha = 0, the k2 = 0 face: the ray
+    rho = 0 of :func:`_scan_rays`, solved alone.  Otherwise, or where that
+    ray has no root in the float range, the interior curve is extrapolated
+    linearly from point solves at h1 = min(1e-3, 5% of the overlap range)
+    and h1/10 inside the boundary.
     """
-    if point.abscissa < 0.5:
-        try:
-            return _endpoint_reduced_saddle(point)
-        except NoBracketError:
-            pass
-    return _endpoint_extrapolated(point)
+    face = _face_ray(point)
+    return _endpoint_extrapolated(point) if math.isnan(face) else face
 
 
 def verify_conditions(point: GrowthPoint) -> ConditionReport:
@@ -147,7 +142,8 @@ def verify_conditions(point: GrowthPoint) -> ConditionReport:
     where psi = 0 exactly, so the peak is one kernel value there, and a
     falling pair around rho = 1 is that root: only the other falling pairs
     are interpolated.  The last ray, within margin/30 of omega, gives the
-    edge value of :func:`_anchor_check`.
+    edge value of :func:`_anchor_check`.  The boundary exponent is E(0) of
+    :func:`_scan_rays` where finite, else :func:`endpoint_exponent`.
     """
     omega, x = point.abscissa, point.saddle_x
     if point.growth <= 0.0:
@@ -158,7 +154,7 @@ def verify_conditions(point: GrowthPoint) -> ConditionReport:
     peak = float(_exponent(point, alpha_sq, x, x * x, val))
 
     lo_edge, margin = _grid_window(point)
-    ln_rho, alphas, t1s, t2s, vals = _scan_rays(point)
+    ln_rho, alphas, t1s, t2s, vals, face = _scan_rays(point)
     psis = _psi(point, alphas, t1s, t2s)
     exps = _exponent(point, alphas, t1s, t2s, vals)
     _anchor_check(point, peak, float(alphas[-1]), float(exps[-1]))
@@ -183,7 +179,7 @@ def verify_conditions(point: GrowthPoint) -> ConditionReport:
     cond1 = (len(at_square) == 1
              and all(p.exponent < peak - slack for p in others)
              and peak >= float(exps[covered].max()) - slack)
-    endpoint = endpoint_exponent(point)
+    endpoint = face if math.isfinite(face) else endpoint_exponent(point)
     cond2 = peak > endpoint
     return ConditionReport(condition1_ok=cond1, condition2_ok=cond2,
                            stationary_points=stationary, peak_exponent=peak,
@@ -381,7 +377,7 @@ def _grid_window(point: GrowthPoint):
 
 def _scan_rays(point: GrowthPoint):
     """Overlap saddles on _GRID_POINTS rays t = (s, rho s^2, s), evenly
-    spaced in ln rho: arrays (ln rho, alpha, t1, t2, val).
+    spaced in ln rho: arrays (ln rho, alpha, t1, t2, val), and E(0).
 
     alpha = a2/r rises strictly with rho, and the ray rho = 1 holds
     alpha = omega^2.  Coarse rays, one per unit of ln rho in [-48, 48] and
@@ -389,6 +385,9 @@ def _scan_rays(point: GrowthPoint):
     alpha <= lo + margin/100 to alpha >= omega - margin/100 (lo and margin
     from :func:`_grid_window`), or as far as the float range allows.  The
     fine rays start from u interpolated between the coarse ones.
+    Below omega = 1/2 the coarse pass also solves the ray rho = 0, the
+    k2 = 0 face alpha = 0, for E(0) (:func:`_face_exponent`; NaN at and
+    above 1/2); it stays out of the span and the fine seeds.
     """
     omega, r = point.abscissa, point.params.right_degree
     lo_edge, margin = _grid_window(point)
@@ -398,8 +397,10 @@ def _scan_rays(point: GrowthPoint):
         raise NoConvergenceError(f"overlap rays end before alpha = {need} at "
                                  f"omega = {omega} (odd r: none below {floor})")
     coarse = np.linspace(-_RAY_SPAN, _RAY_SPAN, 2 * _RAY_SPAN + 1)
-    u, a2, _ = _ray_solve(point, coarse, _ray_seeds(point, coarse))
-    alpha = a2 / r
+    rays = np.append(coarse, -np.inf) if omega < 0.5 else coarse
+    u, a2, val = _ray_solve(point, rays, _ray_seeds(point, rays))
+    face = _face_exponent(point, u[-1], val[-1]) if omega < 0.5 else math.nan
+    u, alpha = u[:coarse.size], a2[:coarse.size] / r
     first = _span_end(point, coarse, u, alpha, lo_edge + margin / 100.0, need, 1.0)
     last = _span_end(point, coarse[::-1], u[::-1], alpha[::-1],
                      omega - margin / 100.0, omega - margin / _SPAN_REACH, -1.0)
@@ -410,16 +411,35 @@ def _scan_rays(point: GrowthPoint):
     u, a2, val = _ray_solve(point, ln_rho, seeds)
     if not np.isfinite(u).all():
         raise NoConvergenceError(f"overlap rays failed at omega={omega}")
-    return ln_rho, a2 / r, np.exp(u), np.exp(ln_rho + 2.0 * u), val
+    return ln_rho, a2 / r, np.exp(u), np.exp(ln_rho + 2.0 * u), val, face
+
+
+def _face_ray(point: GrowthPoint) -> float:
+    """E(0) from the ray rho = 0 solved alone (each ray iterates on its own,
+    so the coarse pass of :func:`_scan_rays` gets the same bits); NaN where
+    it has no finite root: at omega >= 1/2, or past the float range."""
+    if point.abscissa >= 0.5:
+        return math.nan
+    ray = np.array([-np.inf])
+    u, _, val = _ray_solve(point, ray, _ray_seeds(point, ray))
+    return _face_exponent(point, u[0], val[0])
+
+
+def _face_exponent(point: GrowthPoint, u, val) -> float:
+    """Overlap exponent E(0) at the saddle (s, 0, s), u = ln s, of the ray
+    rho = 0 with kernel value val there (alpha ln t2 vanishes at alpha = 0,
+    so t2 = 1 stands in for 0); NaN where the ray found no finite root, as
+    :func:`_ray_solve` leaves val NaN there."""
+    return float(_exponent(point, 0.0, np.exp(u), 1.0, val))
 
 
 def _ray_seeds(point: GrowthPoint, ln_rho):
     """Starting ln s on the rays ln rho (an array), from the faces the
     saddle tends to: ln x* - (ln rho)/2 for rho > 1 (alpha -> omega); for
-    rho < 1, ln x* when omega < 1/2 (the k2 = 0 face) and ln x* - ln rho
-    otherwise (the top-degree face, alpha -> 2 omega - 1)."""
-    below = 0.0 if point.abscissa < 0.5 else 1.0
-    return math.log(point.saddle_x) - np.where(ln_rho > 0.0, 0.5, below) * ln_rho
+    rho < 1, ln x* when omega < 1/2 (the k2 = 0 face, reached at rho = 0)
+    and ln x* - ln rho otherwise (the top-degree face, alpha -> 2w - 1)."""
+    below = 0.0 if point.abscissa < 0.5 else ln_rho
+    return math.log(point.saddle_x) - np.where(ln_rho > 0.0, 0.5 * ln_rho, below)
 
 
 def _span_end(point: GrowthPoint, ln_rho, u, alpha, end, need, sign):
@@ -631,29 +651,6 @@ def _anchor_check(point: GrowthPoint, peak, edge_alpha, edge) -> None:
     if abs(edge - growth) > 1e-2:
         raise ExponentMismatchError(
             f"E({edge_alpha!r}) = {edge:.12g} vs growth = {growth:.12g}")
-
-
-def _endpoint_reduced_saddle(point: GrowthPoint) -> float:
-    """Exponent at alpha = 0 via the univariate saddle of phi(x, 0, x)."""
-    params, kind, omega = point.params, point.kind, point.abscissa
-    l, r = params.left_degree, params.right_degree
-    target = 2.0 * r * omega
-
-    def a_of(x: float) -> float:
-        try:
-            val, grad, _ = pair_vgh(params, kind, x, 0.0, x)
-        except OverflowError:
-            val = math.inf
-        if val <= 0.0 or not math.isfinite(val):
-            raise NoBracketError(f"slice generating function invalid at {x}")
-        return x * (grad[0] + grad[2]) / val
-
-    lo, hi = grow_bracket(lambda v: a_of(v) < target, 1e-12, 1.0, 1e8,
-                          f"the reduced endpoint saddle at omega = {omega}")
-    t = bisect_root(lambda v: a_of(v) < target, lo, hi, 200)
-    val = pair_vgh(params, kind, t, 0.0, t)[0]
-    return float((l - 1) * _entropy_term(omega, 0.0)
-                 + (l / r) * math.log(val) - 2.0 * l * omega * math.log(t))
 
 
 def _endpoint_extrapolated(point: GrowthPoint) -> float:

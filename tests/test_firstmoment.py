@@ -605,24 +605,6 @@ class TestBisectionStop:
         got = bisect_root(below, lo, hi, 200, tol)
         assert got == pytest.approx(0.3, abs=max(tol, 1e-16))
 
-    @pytest.mark.parametrize("l,r,kind,omega,value", [
-        (3, 6, "weight", 0.2, "0.29581287019322833"),
-        (12, 24, "stopping", 0.05, "-0.06953686368656076"),
-    ])
-    def test_endpoint_saddle_stops_early(self, l, r, kind, omega, value,
-                                         monkeypatch):
-        point = growth_point(EnsembleParams(l, r), kind, omega)
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return genfun.pair_vgh(*args)
-
-        monkeypatch.setattr(secondmoment, "pair_vgh", counted)
-        got = secondmoment._endpoint_reduced_saddle(point)
-        assert repr(got) == value
-        assert len(calls) <= 70  # 202 when all 200 steps ran
-
     def test_verify_hayman_rows_unchanged(self, capsys):
         assert main(["verify", "--suite", "hayman", "--format", "json"]) == 0
         assert capsys.readouterr().out == HAYMAN_JSON

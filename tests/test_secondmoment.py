@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from ldpc_moments import checks, exactcomb, firstmoment, secondmoment
+from ldpc_moments import checks, exactcomb, firstmoment, genfun, secondmoment
 from ldpc_moments.cli import main
 from ldpc_moments.errors import (
     DomainError,
@@ -187,7 +187,7 @@ class TestEndpoint:
     @pytest.mark.parametrize("params", [P36, EnsembleParams(12, 24), P34],
                              ids=["3-6", "12-24", "3-4"])
     def test_methods_agree(self, params, kind, omega):
-        # the reduced saddle and the extrapolated curve agree to 2.6e-4 on
+        # the ray rho = 0 and the extrapolated curve agree to 2.6e-4 on
         # every row here; verify_conditions computes only the former
         point = growth_point(params, kind, omega)
         if point.growth <= 0.0:
@@ -207,16 +207,87 @@ class TestEndpoint:
 
     @pytest.mark.parametrize("pair,omega,expected", [
         ((2, 56), 0.499999, 0.69368), ((28, 56), 0.499999, 0.69368),
-        ((3, 64), 0.49999, 0.69383), ((63, 64), 0.49999, 0.69383)])
+        ((3, 64), 0.49999, 0.69337), ((63, 64), 0.49999, 0.69337)])
     def test_overflowing_slice_falls_back(self, pair, omega, expected):
-        # the reduced saddle's bracket runs the slice kernel past the float
-        # range: that is no bracket, so the extrapolation serves the row
+        # the r = 56 rows' ray rho = 0 leaves the float range before its
+        # root, so the extrapolation serves them; the r = 64 rows' ray has
+        # its root inside the float range
         point = growth_point(EnsembleParams(*pair), "stopping", omega)
-        with pytest.raises(NoBracketError):
-            secondmoment._endpoint_reduced_saddle(point)
+        face = secondmoment._face_ray(point)
+        assert math.isnan(face) == (pair[1] == 56)
         assert endpoint_exponent(point) == pytest.approx(expected, abs=1e-5)
         rep = verify_conditions(point)
         assert rep.condition1_ok and rep.condition2_ok
+
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    def test_row_makes_one_scalar_kernel_call(self, monkeypatch, kind):
+        # the peak is the one scalar kernel value of a row below 1/2: the
+        # endpoint is a ray of the coarse pass, not a scalar root search
+        scalar = []
+        real = genfun.pair_vgh
+
+        def counted(params, kind_, x1, x2, x3):
+            if not isinstance(x1, np.ndarray):
+                scalar.append((x1, x2, x3))
+            return real(params, kind_, x1, x2, x3)
+
+        point = growth_point(P36, kind, 0.3)
+        monkeypatch.setattr(genfun, "pair_vgh", counted)
+        monkeypatch.setattr(secondmoment, "pair_vgh", counted)
+        rep = verify_conditions(point)
+        assert rep.condition1_ok and rep.condition2_ok
+        assert len(scalar) == 1
+
+    @pytest.mark.parametrize("omega", [0.1, 0.3, 0.45])
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    @pytest.mark.parametrize("params", [P36, EnsembleParams(12, 24), P34],
+                             ids=["3-6", "12-24", "3-4"])
+    def test_face_ray_is_the_slice_saddle(self, params, kind, omega):
+        # E(0) at the saddle of the slice phi(x, 0, x), solved to 50 digits
+        mp = pytest.importorskip("mpmath")
+        point = growth_point(params, kind, omega)
+        x, r = point.saddle_x, params.right_degree
+        assert _slice_phi(kind, r, x) == pytest.approx(
+            pair_vgh(params, kind, x, 0.0, x)[0], rel=1e-14)
+        got = endpoint_exponent(point)
+        with mp.workdps(50):
+            want = _slice_endpoint(mp, params, kind, mp.mpf(omega),
+                                   mp.mpf(point.saddle_x))
+        assert abs(got - float(want)) <= 1e-14
+
+    def test_face_ray_past_the_slice_overflow(self):
+        # (3,64) stopping at 0.49999: a 60-digit slice saddle gives
+        # 0.693369712982021, and the extrapolation lies 4.6e-4 above it
+        point = growth_point(EnsembleParams(3, 64), "stopping", 0.49999)
+        assert abs(endpoint_exponent(point) - 0.693369712982021) <= 1e-12
+
+    @pytest.mark.parametrize("pair,kind,omega", [
+        ((3, 6), "weight", 0.3), ((3, 6), "stopping", 0.3),
+        ((32, 64), "stopping", 0.2), ((3, 64), "stopping", 0.49999),
+        ((2, 56), "stopping", 0.499999)])
+    def test_coarse_pass_endpoint_is_the_ray_alone(self, pair, kind, omega):
+        # the ray rho = 0 iterates on its own inside the coarse batch, so
+        # the scan's E(0) has the bits of the ray solved alone; (2,56) has
+        # no finite root there, and both fall back to the extrapolation
+        point = growth_point(EnsembleParams(*pair), kind, omega)
+        face = secondmoment._scan_rays(point)[5]
+        alone = secondmoment._face_ray(point)
+        assert type(face) is float and type(alone) is float
+        assert face == alone or (math.isnan(face) and math.isnan(alone))
+        rep = verify_conditions(point)
+        assert type(rep.endpoint_exponent) is float
+        assert type(rep.condition2_ok) is bool
+        assert rep.endpoint_exponent == endpoint_exponent(point)
+
+    @pytest.mark.parametrize("pair,kind,omega", [
+        ((3, 6), "weight", 0.5), ((3, 6), "stopping", 0.7),
+        ((2, 56), "stopping", 0.499999)])
+    def test_endpoint_gap_needs_a_face_root(self, pair, kind, omega):
+        # with no root on the ray rho = 0 the endpoint is the extrapolation,
+        # and the gap would compare it with itself
+        point = growth_point(EnsembleParams(*pair), kind, omega)
+        with pytest.raises(NoBracketError, match="ray rho = 0"):
+            checks.endpoint_gap(point)
 
     def test_exact_disjoint_term_growth_converges(self):
         # at omega=0.5 the saddle path diverges; extrapolation serves it
@@ -229,13 +300,15 @@ class TestEndpoint:
 
 
 # ldpc-moments verify --suite endpoint --format json, recorded while
-# endpoint_exponent still chose the endpoint method from a keyword argument
+# endpoint_exponent still chose the endpoint method from a keyword argument;
+# saddle_vs_extrapolation re-recorded (it moved by 6e-16) when the saddle
+# became the ray rho = 0
 ENDPOINT_JSON = """\
 [
   {
     "check": "saddle_vs_extrapolation",
     "status": "PASS",
-    "measured": 0.0002562791306524037,
+    "measured": 0.0002562791306517931,
     "tolerance": 0.001
   },
   {
@@ -252,6 +325,26 @@ ENDPOINT_JSON = """\
   }
 ]
 """
+
+
+def _slice_phi(kind, r, x):
+    """The slice phi(x, 0, x) of the pair generating function, closed form."""
+    if kind == "weight":
+        return ((1 + 2 * x) ** r + (1 - 2 * x) ** r + 2) / 4
+    return (1 + 2 * x) ** r - 2 * r * x * (1 + x) ** (r - 1) + r * (r - 1) * x * x
+
+
+def _slice_endpoint(mp, params, kind, omega, x0):
+    """E(0) at the root of x phi'(x) / phi(x) = 2 r omega on the slice
+    phi(x) = phi(x, 0, x), at the working precision."""
+    l, r = params.left_degree, params.right_degree
+
+    def phi(x):
+        return _slice_phi(kind, r, x)
+
+    x = mp.findroot(lambda v: v * mp.diff(phi, v) / phi(v) - 2 * r * omega, x0)
+    entropy = 2 * omega * mp.log(omega) + (1 - 2 * omega) * mp.log(1 - 2 * omega)
+    return (l - 1) * entropy + mp.mpf(l) / r * mp.log(phi(x)) - 2 * l * omega * mp.log(x)
 
 
 class TestVerifyConditions:
@@ -413,7 +506,7 @@ class TestCurvatureReference:
             if point.growth <= 0.0 or (pair, kind, omega) in UNSOLVED_ROWS:
                 continue
             rows += 1
-            _, alphas, t1s, t2s, _ = secondmoment._scan_rays(point)
+            _, alphas, t1s, t2s, _, _ = secondmoment._scan_rays(point)
             psis = _psi(point, alphas, t1s, t2s)
             for idx in np.flatnonzero(psis[:-1] * psis[1:] < 0.0):
                 falling = bool(psis[idx] > 0.0)
@@ -446,7 +539,7 @@ class TestRayScan:
         if omega is None:
             omega = min_abscissa(params, kind) + 1e-6
         point = growth_point(params, kind, omega)
-        _, alphas, t1, t2, val = secondmoment._scan_rays(point)
+        _, alphas, t1, t2, val, _ = secondmoment._scan_rays(point)
         assert alphas.size == secondmoment._GRID_POINTS
         assert np.all(np.diff(alphas) > 0.0)
         lo_edge, margin = secondmoment._grid_window(point)
@@ -480,7 +573,7 @@ class TestRayScan:
         # the grid scan made 74 scalar solves for this row (2,076 before
         # the grid was batched); the rays take 9 array kernel calls, the
         # peak is the kernel at (x*, x*^2, x*), the anchor's edge value is
-        # the last ray, and the endpoint below 1/2 is the reduced saddle
+        # the last ray, and the endpoint below 1/2 is the coarse ray rho = 0
         solves, arrays = [], []
         real_solve, real_vgh = secondmoment._inner_solve, secondmoment.pair_vgh
 
@@ -508,7 +601,7 @@ class TestRayScan:
         # cap point at the edge of the float range
         point = growth_point(EnsembleParams(3, 52), "weight", 0.51)
         lo_edge, margin = secondmoment._grid_window(point)
-        ln_rho, alphas, t1, _, _ = secondmoment._scan_rays(point)
+        ln_rho, alphas, t1, _, _, _ = secondmoment._scan_rays(point)
         assert lo_edge + margin / 100.0 < alphas[0] <= lo_edge + margin / 30.0
         cap, f, alpha = secondmoment._cap_residual(point, float(ln_rho[0]))
         assert 0.0 <= f <= 1e-14 * 52
@@ -685,7 +778,7 @@ class TestCubicMaximum:
         if omega is None:
             omega = min_abscissa(params, "stopping") + 1e-6
         point = growth_point(params, "stopping", omega)
-        ln_rho, alphas, t1s, t2s, vals = secondmoment._scan_rays(point)
+        ln_rho, alphas, t1s, t2s, vals, _ = secondmoment._scan_rays(point)
         psis = _psi(point, alphas, t1s, t2s)
         exps = secondmoment._exponent(point, alphas, t1s, t2s, vals)
         compared = 0
@@ -721,8 +814,9 @@ class TestCubicMaximum:
 
     def test_rows_make_two_ray_solves(self, monkeypatch):
         # the competing maximum of (3,6) stopping at 0.021875 needs no ray
-        # solve beyond the 97 coarse and the 2,000 fine rays (the secant
-        # refinement made 11 more)
+        # solve beyond the 97 coarse rays with the ray rho = 0 of the
+        # endpoint, and the 2,000 fine rays (the secant refinement made 11
+        # more)
         sizes = []
         real = secondmoment._ray_solve
 
@@ -733,7 +827,7 @@ class TestCubicMaximum:
         monkeypatch.setattr(secondmoment, "_ray_solve", counted)
         rep = verify_conditions(growth_point(P36, "stopping", 0.021875))
         assert len(rep.stationary_points) == 2
-        assert sizes == [2 * secondmoment._RAY_SPAN + 1, secondmoment._GRID_POINTS]
+        assert sizes == [2 * secondmoment._RAY_SPAN + 2, secondmoment._GRID_POINTS]
 
 
 class TestPointSolve:
