@@ -18,9 +18,10 @@ class NoBracketError(SolverError):
 
 
 class NoConvergenceError(SolverError):
-    """An overlap saddle solve (a damped Newton at one alpha, or a ray of
-    the scan) found no root, or the scan cannot reach the lower end of its
-    window: at odd r no weight-kind overlap lies below omega - (r-1)/(2r)."""
+    """An overlap saddle solve (the damped Newton at one alpha from the
+    omega^2 anchor, or a ray of the scan) found no root, or the scan cannot
+    reach the lower end of its window: at odd r no weight-kind overlap lies
+    below omega - (r-1)/(2r)."""
 
     code = "NO_CONVERGENCE"
 

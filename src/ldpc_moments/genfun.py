@@ -113,48 +113,47 @@ def saddle_stats_uni(params: EnsembleParams, kind: str,
     return a, a + x * x * dpp - a * a
 
 
-def pair_stats(params: EnsembleParams, kind: str, x1: float, x2: float,
-               x3: float):
-    """Value, mean vector a and curvature matrix B of f or g at a positive point.
+def pair_stats(params: EnsembleParams, kind: str, t1: float, t2: float):
+    """Value, mean vector a and curvature matrix B of f or g at the positive
+    slice point (t1, t2, t1).
 
-    a_i = x_i (d phi / d x_i) / phi and B_ij = x_j (d a_i / d x_j), returned
-    as plain lists.  Raises :class:`NonpositiveGFError` if the generating
-    function is not strictly positive there (possible for g, which has
-    negative terms).
+    a_i = x_i (d phi / d x_i) / phi and B_ij = x_j (d a_i / d x_j) at
+    x = (t1, t2, t1), returned as plain lists.  Raises
+    :class:`NonpositiveGFError` if the generating function is not strictly
+    positive there (possible for g, which has negative terms), and
+    OverflowError, naming the point and r, where a power of the kernel
+    leaves the float range.
     """
-    if x1 <= 0.0 or x2 <= 0.0 or x3 <= 0.0:
+    if t1 <= 0.0 or t2 <= 0.0:
         raise ValueError("point must be componentwise positive")
-    val, grad, hess = pair_vgh(params, kind, x1, x2, x3)
+    try:
+        val, grad, hess = pair_vgh(params, kind, t1, t2)
+    except OverflowError as exc:
+        raise OverflowError(f"pair kernel overflows at ({t1}, {t2}, {t1}) "
+                            f"for r = {params.right_degree}") from exc
     if val <= 0.0:
         raise NonpositiveGFError(
-            f"pair generating function nonpositive at ({x1}, {x2}, {x3}): {val}")
-    a, B = pair_ratios((x1, x2, x3), val, grad, hess)
-    return val, a, B
-
-
-def pair_ratios(x, val, grad, hess):
-    """Mean vector a and curvature matrix B from the output of :func:`pair_vgh`.
-
-    Arithmetic only, so the components may be floats or equal-length numpy
-    arrays (one point per entry); no positivity check is made here.
-    """
-    x1, x2, x3 = x
+            f"pair generating function nonpositive at ({t1}, {t2}, {t1}): {val}")
     # ratios first: grad products and val^2 can overflow while val itself
     # is still comfortably representable
     g1, g2, g3 = grad[0] / val, grad[1] / val, grad[2] / val
     (h11, h12, h13), (_, h22, h23), (_, _, h33) = hess
-    a1, a2, a3 = x1 * g1, x2 * g2, x3 * g3
-    B12 = x1 * x2 * (h12 / val - g1 * g2)
-    B13 = x1 * x3 * (h13 / val - g1 * g3)
-    B23 = x2 * x3 * (h23 / val - g2 * g3)
-    return [a1, a2, a3], [[x1 * x1 * (h11 / val - g1 * g1) + a1, B12, B13],
-                          [B12, x2 * x2 * (h22 / val - g2 * g2) + a2, B23],
-                          [B13, B23, x3 * x3 * (h33 / val - g3 * g3) + a3]]
+    a1, a2, a3 = t1 * g1, t2 * g2, t1 * g3
+    B12 = t1 * t2 * (h12 / val - g1 * g2)
+    B13 = t1 * t1 * (h13 / val - g1 * g3)
+    B23 = t2 * t1 * (h23 / val - g2 * g3)
+    return val, [a1, a2, a3], [[t1 * t1 * (h11 / val - g1 * g1) + a1, B12, B13],
+                               [B12, t2 * t2 * (h22 / val - g2 * g2) + a2, B23],
+                               [B13, B23, t1 * t1 * (h33 / val - g3 * g3) + a3]]
 
 
-def pair_vgh(params: EnsembleParams, kind: str, x1: float, x2: float, x3: float):
-    """Value, gradient and Hessian of f or g, all from closed forms.
+def pair_vgh(params: EnsembleParams, kind: str, t1: float, t2: float):
+    """Value, gradient and Hessian of f or g at the slice point (t1, t2, t1),
+    all from closed forms.
 
+    The two codewords (or stopping sets) of a pair play symmetric roles, so
+    the overlap saddle lies on the slice x3 = x1, and no caller evaluates
+    off it; gradient and Hessian are still the full trivariate ones.
     Returns plain floats/lists; used by the Newton solvers where building
     numpy arrays per evaluation would dominate the cost.  The body is
     arithmetic only, so equal-length numpy arrays of points work as well
@@ -164,11 +163,12 @@ def pair_vgh(params: EnsembleParams, kind: str, x1: float, x2: float, x3: float)
     r = params.right_degree
     if kind == KIND_WEIGHT:
         # brackets with the x signs (+++), (+--), (-+-), (--+), in that
-        # order; every sum keeps it (pinned bits)
-        A = 1.0 + x1 + x2 + x3
-        B = 1.0 + x1 - x2 - x3
-        C = 1.0 - x1 + x2 - x3
-        D = 1.0 - x1 - x2 + x3
+        # order; every sum keeps it (pinned bits), so B and D differ in
+        # the last bit although both are 1 - t2 on the slice
+        A = 1.0 + t1 + t2 + t1
+        B = 1.0 + t1 - t2 - t1
+        C = 1.0 - t1 + t2 - t1
+        D = 1.0 - t1 - t2 + t1
         A0, B0, C0, D0 = A ** (r - 2), B ** (r - 2), C ** (r - 2), D ** (r - 2)
         A1, B1, C1, D1 = A0 * A, B0 * B, C0 * C, D0 * D
         val = (A1 * A + B1 * B + C1 * C + D1 * D) * 0.25
@@ -179,24 +179,23 @@ def pair_vgh(params: EnsembleParams, kind: str, x1: float, x2: float, x3: float)
         h02, h12 = (A0 - B0 + C0 - D0) * c2, (A0 + B0 - C0 - D0) * c2
         return val, grad, [[h00, h01, h02], [h01, h00, h12], [h02, h12, h00]]
 
-    # stopping kind: derivatives of the four printed terms of g
-    S0, q1, q3 = 1.0 + x1 + x2 + x3, 1.0 + x1, 1.0 + x3
-    p1, p3 = q1 ** (r - 1), q3 ** (r - 1)
-    p1d, p3d = q1 ** (r - 2), q3 ** (r - 2)
-    val = (S0 ** r - r * p1 * (x2 + x3) - r * x1 * (p3 - (r - 1) * x3)
-           - r * x2 * (p3 - 1.0))
+    # stopping kind: derivatives of the four printed terms of g, whose
+    # brackets 1 + x1 and 1 + x3 are one q on the slice
+    S0, q = 1.0 + t1 + t2 + t1, 1.0 + t1
+    p, pd = q ** (r - 1), q ** (r - 2)
+    val = (S0 ** r - r * p * (t2 + t1) - r * t1 * (p - (r - 1) * t1)
+           - r * t2 * (p - 1.0))
     Sd = S0 ** (r - 1)
     grad = [
-        r * Sd - r * (r - 1) * p1d * (x2 + x3) - r * (p3 - (r - 1) * x3),
-        r * Sd - r * p1 - r * (p3 - 1.0),
-        r * Sd - r * p1 - r * (r - 1) * (x1 * (p3d - 1.0) + x2 * p3d),
+        r * Sd - r * (r - 1) * pd * (t2 + t1) - r * (p - (r - 1) * t1),
+        r * Sd - r * p - r * (p - 1.0),
+        r * Sd - r * p - r * (r - 1) * (t1 * (pd - 1.0) + t2 * pd),
     ]
-    Sdd, c = S0 ** (r - 2), r * (r - 1)
-    h00 = c * Sdd - c * (r - 2) * q1 ** (r - 3) * (x2 + x3)
-    h01 = c * Sdd - c * p1d
-    h02 = c * (Sdd - p1d - p3d + 1.0)
+    Sdd, c, pdd = S0 ** (r - 2), r * (r - 1), q ** (r - 3)
+    h00 = c * Sdd - c * (r - 2) * pdd * (t2 + t1)
+    h01 = c * Sdd - c * pd
+    h02 = c * (Sdd - pd - pd + 1.0)
     h11 = c * Sdd
-    h12 = c * Sdd - c * p3d
-    h22 = c * Sdd - c * (r - 2) * q3 ** (r - 3) * (x1 + x2)
+    h12 = c * Sdd - c * pd
+    h22 = c * Sdd - c * (r - 2) * pdd * (t1 + t2)
     return val, grad, [[h00, h01, h02], [h01, h11, h12], [h02, h12, h22]]
-

@@ -93,11 +93,13 @@ class ConditionReport:
 
 def exponent_curve(point: GrowthPoint, alpha: float) -> float:
     """Exponential rate of the overlap-alpha term of the squared count at
-    the abscissa omega of ``point``."""
+    the abscissa omega of ``point``, from the point solve at alpha
+    (:func:`_point_solve`, which raises NoConvergenceError where the Newton
+    from the omega^2 anchor does not converge)."""
     lo, hi = _overlap_range(point)
     if not lo < alpha < hi:
         raise ValueError(f"alpha must lie in ({lo}, {hi}), got {alpha}")
-    t1, t2, val, _ = _inner_solve(point, alpha)
+    t1, t2, val, _ = _point_solve(point, alpha)
     return float(_exponent(point, alpha, t1, t2, val))
 
 
@@ -150,7 +152,7 @@ def verify_conditions(point: GrowthPoint) -> ConditionReport:
         raise DomainError(
             f"positive growth rate required (Markov regime at {omega})")
     alpha_sq = omega * omega
-    val = pair_stats(point.params, point.kind, x, x * x, x)[0]
+    val = pair_stats(point.params, point.kind, x, x * x)[0]
     peak = float(_exponent(point, alpha_sq, x, x * x, val))
 
     lo_edge, margin = _grid_window(point)
@@ -159,24 +161,23 @@ def verify_conditions(point: GrowthPoint) -> ConditionReport:
     exps = _exponent(point, alphas, t1s, t2s, vals)
     _anchor_check(point, peak, float(alphas[-1]), float(exps[-1]))
 
-    stationary = []
+    stationary, others = [], []
     # psi falls through zero: a local maximum (a rise is a minimum, unread)
     for idx in np.flatnonzero((psis[:-1] > 0.0) & (psis[1:] <= 0.0)):
         pair = slice(idx, idx + 2)
-        if ln_rho[idx] <= 0.0 <= ln_rho[idx + 1]:
-            found = StationaryPoint(alpha=alpha_sq, exponent=peak)
-        else:
-            found = _cubic_max(alphas[pair], exps[pair], psis[pair])
+        at_square = ln_rho[idx] <= 0.0 <= ln_rho[idx + 1]
+        found = (StationaryPoint(alpha=alpha_sq, exponent=peak) if at_square
+                 else _cubic_max(alphas[pair], exps[pair], psis[pair]))
         # psi(omega^2) = 0: a root on the lower window end starts no fall
         if lo_edge + margin < found.alpha <= omega - margin:
             stationary.append(found)
+            if not at_square:
+                others.append(found)
 
-    at_square = [p for p in stationary if abs(p.alpha - alpha_sq) < 1e-6]
-    others = [p for p in stationary if abs(p.alpha - alpha_sq) >= 1e-6]
     slack = 1e-9 * max(1.0, abs(peak))
     covered = ((alphas >= lo_edge + margin / 100.0)
                & (alphas <= omega - margin / 100.0))
-    cond1 = (len(at_square) == 1
+    cond1 = (len(stationary) == len(others) + 1
              and all(p.exponent < peak - slack for p in others)
              and peak >= float(exps[covered].max()) - slack)
     endpoint = face if math.isfinite(face) else endpoint_exponent(point)
@@ -239,8 +240,10 @@ def local_limit_ratio(point: GrowthPoint, n: int, base_alpha: float,
 
         Coeff(i + offset) / Coeff(i) = t^(-offset) * exp(-u B^(-1) u^T / 2).
 
-    Offsets must be integral and keep the index on the support lattice (for
-    the codeword pair function: all components changing parity together).
+    The saddle t = (t1, t2, t1) and B come from the point solve at
+    alpha = i0/n (:func:`_point_solve`).  Offsets must be integral and keep
+    the index on the support lattice (for the codeword pair function: all
+    components changing parity together).
     """
     l, r = point.params.left_degree, point.params.right_degree
     omega = point.abscissa
@@ -256,7 +259,7 @@ def local_limit_ratio(point: GrowthPoint, n: int, base_alpha: float,
     if min(target) < 0:
         raise ValueError(f"offset {off} leaves the nonnegative orthant")
     _check_lattice(point.kind, base, off)
-    t1, t2, _, B = _inner_solve(point, i0 / n)
+    t1, t2, _, B = _point_solve(point, i0 / n)
     u = [math.sqrt(r / (n * l)) * v for v in off]
     quad = _quadform_inv(B, u)
     t = (t1, t2, t1)
@@ -273,7 +276,7 @@ def delta_value(point: GrowthPoint) -> float:
     """
     l, r = point.params.left_degree, point.params.right_degree
     omega, x, b = point.abscissa, point.saddle_x, point.curvature_b
-    B = pair_stats(point.params, point.kind, x, x * x, x)[2]
+    B = pair_stats(point.params, point.kind, x, x * x)[2]
     det = _det3(B)
     if abs(det) < _DET_FLOOR:
         raise SingularMatrixError(f"|B| = {det:g} at the omega^2 saddle")
@@ -297,41 +300,34 @@ def _overlap_range(point: GrowthPoint):
     return max(0.0, 2.0 * omega - 1.0), omega
 
 
-def _inner_solve(point: GrowthPoint, alpha: float):
-    """Damped Newton for the reduced system a1/r = omega - alpha, a2/r = alpha,
-    from the omega^2 anchor (x*, x*^2), x* the point's univariate saddle.
-    Returns (t1, t2, val, B) of the accepted point."""
-    x = point.saddle_x
-    result = _newton_from(point, alpha, x, x * x)
-    if result is not None and result[0] < _ACCEPT_TOL:
-        return result[1:]
-    raise NoConvergenceError(
-        f"overlap solve failed at omega={point.abscissa}, alpha={alpha}"
-        + (f" (residual {result[0]:g})" if result else ""))
+def _point_solve(point: GrowthPoint, alpha: float):
+    """Overlap saddle at one alpha: (t1, t2, val, B) of the reduced system
+    a1/r = omega - alpha, a2/r = alpha on the slice t3 = t1.
 
-
-def _newton_from(point, alpha, t1, t2):
-    """Damped Newton in log coordinates: steps are multiplicative, which
-    keeps t positive and stays well-conditioned in the near-corner regime
-    where the solution components are large.
-
-    A trial point whose kernel is nonpositive or overflows is a rejected
-    step.  Returns (residual, t1, t2, val, B) of the last accepted point, or
-    None if the start point or a Newton system is unusable."""
-    r = point.params.right_degree
+    A damped Newton in (ln t1, ln t2) from the omega^2 anchor (x*, x*^2),
+    x* the point's univariate saddle, where the kernel is p(x*)^2 or
+    beta(x*)^2 > 0.  Steps are multiplicative, which keeps t positive and
+    stays well-conditioned in the near-corner regime where the solution
+    components are large; a trial point whose kernel is nonpositive or
+    overflows is a rejected step.  Raises NoConvergenceError unless the
+    residual falls below _ACCEPT_TOL.
+    """
+    params, kind, r = point.params, point.kind, point.params.right_degree
     c1, c2 = point.abscissa - alpha, alpha
-    try:
-        val, a, B = pair_stats(point.params, point.kind, t1, t2, t1)
-    except NonpositiveGFError:
-        return None
+    t1 = point.saddle_x
+    t2 = t1 * t1
+    val, a, B = pair_stats(params, kind, t1, t2)
     res = max(abs(a[0] / r - c1), abs(a[1] / r - c2))
     for _ in range(120):
         if res < _NEWTON_TOL:
             break
-        j11, j12, j21, j22 = _jacobian(B, r)
+        # Jacobian of (a1/r, a2/r) w.r.t. (ln t1, ln t2), with t3 = t1
+        j11, j12 = (B[0][0] + B[0][2]) / r, B[0][1] / r
+        j21, j22 = (B[1][0] + B[1][2]) / r, B[1][1] / r
         det = j11 * j22 - j12 * j21
         if det == 0.0 or not math.isfinite(det):
-            return None
+            raise NoConvergenceError(f"overlap solve failed at "
+                                     f"omega={point.abscissa}, alpha={alpha}")
         r1 = a[0] / r - c1
         r2 = a[1] / r - c2
         d1 = -(j22 * r1 - j12 * r2) / det
@@ -340,32 +336,25 @@ def _newton_from(point, alpha, t1, t2):
         if big > 20.0:  # cap the log step; exp() must stay finite
             d1, d2 = d1 * 20.0 / big, d2 * 20.0 / big
         lam = 1.0
-        accepted = False
         while lam > 1e-10:
             n1, n2 = t1 * math.exp(lam * d1), t2 * math.exp(lam * d2)
             if 0.0 < n1 < math.inf and 0.0 < n2 < math.inf:
                 try:
-                    valn, an, Bn = pair_stats(point.params, point.kind,
-                                              n1, n2, n1)
+                    valn, an, Bn = pair_stats(params, kind, n1, n2)
                 except (NonpositiveGFError, OverflowError):
                     valn = None
                 if valn is not None and math.isfinite(valn):
                     resn = max(abs(an[0] / r - c1), abs(an[1] / r - c2))
                     if resn < res:
                         t1, t2, val, a, B, res = n1, n2, valn, an, Bn, resn
-                        accepted = True
                         break
             lam *= 0.5
-        if not accepted:
-            break
-    return res, t1, t2, val, B
-
-
-def _jacobian(B, r):
-    """Jacobian (j11, j12, j21, j22) of (a1/r, a2/r) w.r.t. (ln t1, ln t2),
-    using t3 = t1, from B at the point."""
-    return ((B[0][0] + B[0][2]) / r, B[0][1] / r,
-            (B[1][0] + B[1][2]) / r, B[1][1] / r)
+        else:
+            break  # no trial step lowers the residual
+    if res < _ACCEPT_TOL:
+        return t1, t2, val, B
+    raise NoConvergenceError(f"overlap solve failed at omega={point.abscissa}, "
+                             f"alpha={alpha} (residual {res:g})")
 
 
 def _grid_window(point: GrowthPoint):
@@ -485,7 +474,7 @@ def _cap_residual(point: GrowthPoint, ln_rho: float):
     r, u = point.params.right_degree, _ray_cap(point, ln_rho)
     s, t2 = np.exp(u), np.exp(ln_rho + 2.0 * u)
     with np.errstate(all="ignore"):
-        val, grad, _ = pair_vgh(point.params, point.kind, s, t2, s)
+        val, grad, _ = pair_vgh(point.params, point.kind, s, t2)
         a1, a2 = s * (grad[0] / val), t2 * (grad[1] / val)
     return float(u), float(a1 + a2 - r * point.abscissa), float(a2) / r
 
@@ -518,7 +507,7 @@ def _ray_solve(point: GrowthPoint, ln_rho, u0):
     with np.errstate(all="ignore"):
         for _ in range(_RAY_STEPS):
             s, t2 = np.exp(u[live]), np.exp(ln_rho[live] + 2.0 * u[live])
-            val, grad, hess = pair_vgh(params, kind, s, t2, s)
+            val, grad, hess = pair_vgh(params, kind, s, t2)
             a1, a2 = s * (grad[0] / val), t2 * (grad[1] / val)
             f = a1 + a2 - target
             usable = (val > 0.0) & (val < np.inf) & np.isfinite(f)

@@ -114,7 +114,7 @@ def test_criterion_06_square_overlap_saddle_identity():
         if point.growth <= 0.0:
             continue
         x = point.saddle_x
-        t1, t2, _, _ = secondmoment._inner_solve(point, omega * omega)
+        t1, t2, _, _ = secondmoment._point_solve(point, omega * omega)
         worst_t = max(worst_t, abs(t1 - x), abs(t2 - x * x))
         peak = secondmoment.exponent_curve(point, omega * omega)
         growth = point.growth

@@ -125,6 +125,16 @@ class TestNumericalFailure:
         assert captured.err.startswith("numerical failure [")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
+    def test_peak_overflow_names_the_point(self, capsys):
+        # the omega^2 peak of (3,64) stopping at 0.996875 is the kernel at
+        # (x*, x*^2, x*) with x* = 319, where its check-degree power overflows
+        assert main(["bound", "--l", "3", "--r", "64", "--kind", "stopping",
+                     "--min", "0.996875", "--max", "0.998", "--steps", "2"]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure [OverflowError]: pair kernel overflows at "
+            "(319.00000000000114, 101761.00000000073, 319.00000000000114) "
+            "for r = 64\n")
+
     def test_growth_overflow_is_a_row(self, capsys):
         # beta(x*) = (1+x*)^64 - 64 x* leaves the float range near 1, where
         # x* is about 1e5; the row reads OVERFLOW and the curve goes on

@@ -1,6 +1,7 @@
 """Generating functions and their log-derivative statistics."""
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from ldpc_moments import exactcomb
 from ldpc_moments.errors import DivisibilityError
 from ldpc_moments.genfun import (
     EnsembleParams,
-    pair_ratios,
     pair_stats,
     pair_vgh,
     saddle_stats_uni,
@@ -167,48 +167,70 @@ class TestTrivariateStats:
         params = EnsembleParams(3, r)
         rng = np.random.default_rng(3)
         for _ in range(20):
-            pt = rng.uniform(0.05, 1.5, size=3)
-            B = np.array(pair_stats(params, kind, *pt)[2])
+            t1, t2 = rng.uniform(0.05, 1.5, size=2)
+            B = np.array(pair_stats(params, kind, t1, t2)[2])
             assert np.allclose(B, B.T, atol=1e-10)
 
     def test_mean_components_equal_on_symmetric_point(self):
         x = 0.7
-        a = pair_stats(P34, "weight", x, x * x, x)[1]
+        a = pair_stats(P34, "weight", x, x * x)[1]
         assert a[0] == pytest.approx(a[2], rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["weight", "stopping"])
     def test_b_matches_finite_difference_of_mean(self, kind):
-        pt = np.array([0.4, 0.2, 0.7])
+        # moving t1 moves x1 and x3 together, so t1 d a / d t1 is the sum
+        # of the first and third columns of B, and t2 d a / d t2 the second
+        pt = np.array([0.4, 0.2])
         B = np.array(pair_stats(P36, kind, *pt)[2])
         step = 1e-6
-        for j in range(3):
+        for j, col_b in ((0, B[:, 0] + B[:, 2]), (1, B[:, 1])):
             up, dn = pt.copy(), pt.copy()
             up[j] += step
             dn[j] -= step
             a_up = np.array(pair_stats(P36, kind, *up)[1])
             a_dn = np.array(pair_stats(P36, kind, *dn)[1])
             col = pt[j] * (a_up - a_dn) / (2 * step)
-            assert np.allclose(col, B[:, j], atol=1e-6)
+            assert np.allclose(col, col_b, atol=1e-6)
 
     def test_gradient_hessian_match_finite_differences(self):
-        pt = (0.4, 0.2, 0.7)
-        step = 1e-5
-        for kind in ("weight", "stopping"):
-            val, grad, hess = pair_vgh(P36, kind, *pt)
+        # the kernel returns the full trivariate gradient and Hessian at the
+        # slice point (t1, t2, t1); the oracle takes any point
+        h = 1e-4
+        for (t1, t2), kind in itertools.product([(0.4, 0.2), (1.3, 2.1)],
+                                                ["weight", "stopping"]):
             fn = pair_gf_weight if kind == "weight" else pair_gf_stop
-            assert val == pytest.approx(fn(P36, pt), rel=1e-12)
+
+            def at(*moves):
+                x = [t1, t2, t1]
+                for i, step in moves:
+                    x[i] += step
+                return fn(P36, x)
+
+            val, grad, hess = pair_vgh(P36, kind, t1, t2)
+            assert val == pytest.approx(at(), rel=1e-12)
             for i in range(3):
-                up = list(pt)
-                dn = list(pt)
-                up[i] += step
-                dn[i] -= step
-                fd = (fn(P36, up) - fn(P36, dn)) / (2 * step)
+                fd = (at((i, h)) - at((i, -h))) / (2 * h)
                 assert grad[i] == pytest.approx(fd, rel=1e-7)
-        assert hess[0][2] == hess[2][0]
+                for j in range(3):
+                    fd = (at((i, h), (j, h)) - at((i, h), (j, -h))
+                          - at((i, -h), (j, h)) + at((i, -h), (j, -h))) / (4 * h * h)
+                    assert hess[i][j] == pytest.approx(fd, rel=1e-5)
+            assert hess[0][2] == hess[2][0]
 
     def test_requires_positive_point(self):
         with pytest.raises(ValueError):
-            pair_stats(P36, "weight", 0.0, 0.5, 0.5)
+            pair_stats(P36, "weight", 0.0, 0.5)
+
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    @pytest.mark.parametrize("r", [3, 4, 6, 17, 24, 64])
+    def test_square_point_is_the_squared_single_check(self, r, kind):
+        # phi(x, x^2, x) = p(x)^2 or beta(x)^2 > 0: the overlap point solve
+        # starts at the omega^2 anchor (x*, x*^2) without a positivity guard
+        params = EnsembleParams(2, r)
+        single = weight_gf if kind == "weight" else stop_gf
+        for x in (1e-6, 0.01, 0.3, 1.0, 3.0, 40.0):
+            assert pair_vgh(params, kind, x, x * x)[0] == pytest.approx(
+                single(params, x) ** 2, rel=1e-12)
 
 
 def test_pair_weight_support_is_parity_lattice():
@@ -228,7 +250,7 @@ def test_curvature_matrix_survives_huge_points():
     params = EnsembleParams(24, 48)
     r = 48
     t1, t2 = 787.374, 138.128
-    B = pair_stats(params, "weight", t1, t2, t1)[2]
+    B = pair_stats(params, "weight", t1, t2)[2]
     signs = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
     x = [mp.mpf(t1), mp.mpf(t2), mp.mpf(t1)]
     val = sum((1 + s[0] * x[0] + s[1] * x[1] + s[2] * x[2]) ** r
@@ -248,7 +270,7 @@ def test_curvature_matrix_survives_huge_points():
 
 # repr of pair_vgh and pair_stats at fixed points, recorded before the
 # weight kernel was written out bracket by bracket
-PAIR_KERNEL_POINTS = {"t3=t1": (0.37, 1.9, 0.37), "t3!=t1": (0.37, 1.9, 0.052)}
+PAIR_KERNEL_POINTS = {"t3=t1": (0.37, 1.9)}  # the slice point (t1, t2, t1)
 PAIR_KERNEL_REPRS = [
     (4, "weight", "t3=t1",
      "(49.65798088000001, [38.15084800000001, 59.76424, "
@@ -262,17 +284,6 @@ PAIR_KERNEL_REPRS = [
      "[-0.28544724878129607, 1.3182317424157077, "
      "-0.2854472487812962], [0.05396649454933856, "
      "-0.2854472487812962, 0.3650238812225278]])"),
-    (4, "weight", "t3!=t1",
-     "(40.45186062721599, [23.054217760000004, 53.88073119999999, "
-     "19.834628032], [[56.99524799999999, 18.120000000000005, "
-     "46.06175999999999], [18.120000000000005, 56.99524799999999, "
-     "11.2512], [46.06175999999999, 11.2512, 56.99524799999999]])",
-     "(40.45186062721599, [0.21086942451939975, 2.5307461187860225, "
-     "0.02549698930214533], [[0.3592907923957638, "
-     "-0.21875526975440132, 0.01653168454801645], "
-     "[-0.21875526975440132, 1.2124331541791136, "
-     "-0.03704637136735968], [0.01653168454801645, "
-     "-0.03704637136735968, 0.028656733676704946]])"),
     (4, "stopping", "t3=t1",
      "(138.09892968, [135.94200800000002, 176.343352, "
      "135.94200800000002], [[84.3576, 136.4724, 125.94959999999999], "
@@ -284,18 +295,6 @@ PAIR_KERNEL_REPRS = [
      "[-0.18894456657031908, 0.6960870700705819, "
      "-0.18894456657031908], [-0.007800856972579772, "
      "-0.18894456657031908, 0.3151893230625361]])"),
-    (4, "stopping", "t3!=t1",
-     "(98.96866344321599, [98.64465295999999, 135.69974656, "
-     "110.65014003199998], [[68.24644799999999, 109.90540799999998, "
-     "108.62495999999999], [109.90540799999998, 132.42820799999998, "
-     "119.14775999999998], [108.62495999999999, 119.14775999999998, "
-     "75.11524799999998]])",
-     "(98.96866344321599, [0.3687886683055116, 2.605163184930062, "
-     "0.058137667838318224], [[0.32718658639626064, "
-     "-0.18006813793554832, -0.0003232810626949567], "
-     "[-0.18006813793554832, 0.648764746531926, "
-     "-0.03251340478311917], [-0.0003232810626949567, "
-     "-0.03251340478311917, 0.056809961659579425]])"),
     (6, "weight", "t3=t1",
      "(607.1538237570882, [887.9856271872002, 1030.8125925600004, "
      "887.9856271872002], [[1489.7394264000004, 1153.3805760000002, "
@@ -307,18 +306,6 @@ PAIR_KERNEL_REPRS = [
      "0.03863425446605346], [-0.4101401810979939, 1.67778537078074, "
      "-0.4101401810979939], [0.03863425446605346, "
      "-0.4101401810979939, 0.5842114571417815]])"),
-    (6, "weight", "t3!=t1",
-     "(394.70737832115105, [470.63051140385767, 751.1338491465119, "
-     "462.7889548797363], [[1213.5558188164798, 646.2516532800001, "
-     "1178.8221577151999], [646.2516532800001, 1213.5558188164798, "
-     "614.9600106240001], [1178.8221577151999, 614.9600106240001, "
-     "1213.5558188164798]])",
-     "(394.70737832115105, [0.44117059569569267, 3.615727477526853, "
-     "0.0609692825001258], [[0.6674478571962917, -0.4441356203489543, "
-     "0.030563798079116404], [-0.4441356203489543, "
-     "1.6414432294335342, -0.06651642937524728], "
-     "[0.030563798079116404, -0.06651642937524728, "
-     "0.06556566880113787]])"),
     (6, "stopping", "t3=t1",
      "(2210.034518939068, [3576.296943979201, 3782.1394301460014, "
      "3576.296943979201], [[4566.1204476, 5160.874396500001, "
@@ -331,18 +318,6 @@ PAIR_KERNEL_REPRS = [
      "[-0.30518512128478537, 1.2816080156812986, "
      "-0.30518512128478537], [-0.04348537725053648, "
      "-0.30518512128478537, 0.5230980819731097]])"),
-    (6, "stopping", "t3!=t1",
-     "(1281.8992875243262, [2214.981607594162, 2396.757024321562, "
-     "2326.1794684910165], [[3051.27591371568, 3547.90703213568, "
-     "3541.1632198272], [3547.90703213568, 3653.58964043568, "
-     "3616.8458281272], [3541.1632198272, 3616.8458281272, "
-     "3336.44723001648]])",
-     "(1281.8992875243262, [0.6393194869408084, 3.552415069209991, "
-     "0.09436102628244686], [[0.556450057744745, -0.3254381647448067, "
-     "-0.007177597089819626], [-0.3254381647448067, "
-     "1.2217597744221442, -0.05644787602121742], "
-     "[-0.007177597089819626, -0.05644787602121742, "
-     "0.092494824954898]])"),
     (24, "weight", "t3=t1",
      "(7317703264901.031, [48248122071171.26, 48248713112055.234, "
      "48248122071171.26], [[304869521637527.0, 304863228146616.94, "
@@ -355,17 +330,6 @@ PAIR_KERNEL_REPRS = [
      "5.9886624591814375, -1.2735835279315606], "
      "[-0.24782299133574703, -1.2735835279315606, "
      "2.1917136392305725]])"),
-    (24, "weight", "t3!=t1",
-     "(816419574816.223, [5886126940590.577, 5900042837185.504, "
-     "5886126939470.962], [[40865590612199.586, 40736427730164.35, "
-     "40865590591057.42], [40736427730164.35, 40865590612199.586, "
-     "40736427709022.19], [40865590591057.42, 40736427709022.19, "
-     "40865590612199.586]])",
-     "(816419574816.223, [2.6675829869816066, 13.730784680384298, "
-     "0.3749035548558333], [[2.40406466426904, -1.55081252965189, "
-     "-0.037035007824374605], [-1.55081252965189, 5.893599105759087, "
-     "-0.2179520327737031], [-0.037035007824374605, "
-     "-0.2179520327737031, 0.36969863493403077]])"),
     (24, "stopping", "t3=t1",
      "(29270706520367.42, [192993669057272.88, 192993670299515.0, "
      "192993669057272.88], [[1219465479079291.5, 1219465499006161.8, "
@@ -377,17 +341,6 @@ PAIR_KERNEL_REPRS = [
      "-0.2479772541063371], [-1.273396893505006, 5.988406518481009, "
      "-1.273396893505006], [-0.2479772541063371, -1.273396893505006, "
      "2.191583090991137]])"),
-    (24, "stopping", "t3!=t1",
-     "(3262804601033.0103, [23572338456101.08, 23572339519780.008, "
-     "23572339516215.082], [[163204019023758.9, 163204036080372.06, "
-     "163204036079240.28], [163204036080372.06, 163204036642443.56, "
-     "163204036640759.78], [163204036079240.28, 163204036640759.78, "
-     "163204036562512.03]])",
-     "(3262804601033.0103, [2.6730884301180864, 13.726670936225302, "
-     "0.3756773097767196], [[2.3753631178093197, -1.52885769257642, "
-     "-0.041842420914788625], [-1.52885769257642, 5.875772201999103, "
-     "-0.21486670147098058], [-0.041842420914788625, "
-     "-0.21486670147098058, 0.36979674737716917]])"),
     (50, "weight", "t3=t1",
      "(2.837979088955565e+27, [3.8983229243408183e+28, "
      "3.898322924401937e+28, 3.8983229243408183e+28], "
@@ -401,19 +354,6 @@ PAIR_KERNEL_REPRS = [
      "-0.5166193687793861], [-2.652910277624489, 12.475848328950924, "
      "-2.652910277624489], [-0.5166193687793861, -2.652910277624489, "
      "4.565798213574712]])"),
-    (50, "weight", "t3!=t1",
-     "(2.937119400199257e+25, [4.420705046811955e+26, "
-     "4.420710162497118e+26, 4.420705046811955e+26], "
-     "[[6.520615311585575e+27, 6.520605195823954e+27, "
-     "6.520615311585575e+27], [6.520605195823954e+27, "
-     "6.520615311585575e+27, 6.520605195823954e+27], "
-     "[6.520615311585575e+27, 6.520605195823954e+27, "
-     "6.520615311585575e+27]])",
-     "(2.937119400199257e+25, [5.568928751107151, 28.597234787849292, "
-     "0.7826602569123563], [[4.948741265679921, -3.1851729601237553, "
-     "-0.08716148443842152], [-3.1851729601237553, 12.24123816489405, "
-     "-0.44764592953090615], [-0.08716148443842152, "
-     "-0.44764592953090615, 0.7704105347750646]])"),
     (50, "stopping", "t3=t1",
      "(1.1351916355769454e+28, [1.5593291697485514e+29, "
      "1.5593291697485514e+29, 1.5593291697485514e+29], "
@@ -427,24 +367,11 @@ PAIR_KERNEL_REPRS = [
      "-0.516619369641352], [-2.6529102765366726, 12.475848327496564, "
      "-2.6529102765366726], [-0.516619369641352, -2.6529102765366726, "
      "4.565798212776231]])"),
-    (50, "stopping", "t3!=t1",
-     "(1.1748472530129895e+26, [1.7682830418618144e+27, "
-     "1.7682830418618144e+27, 1.7682830418618144e+27], "
-     "[[2.6082441014819055e+28, 2.6082441014819055e+28, "
-     "2.6082441014819055e+28], [2.6082441014819055e+28, "
-     "2.6082441014819055e+28, 2.6082441014819055e+28], "
-     "[2.6082441014819055e+28, 2.6082441014819055e+28, "
-     "2.6082441014819055e+28]])",
-     "(1.1748472530129895e+26, [5.568934376881397, 28.59723058398555, "
-     "0.7826610475617097], [[4.948673775001168, -3.1851220096552297, "
-     "-0.0871717602642484], [-3.1851220096552297, 12.24119864251275, "
-     "-0.4476387689245187], [-0.0871717602642484, "
-     "-0.4476387689245187, 0.7704098812543019]])"),
 ]
-# sha256 of the float64 bytes of (val, grad, hess, a, B) at 16 points of (3,6)
+# sha256 of the float64 bytes of (val, grad, hess) at 16 slice points of (3,6)
 PAIR_KERNEL_ARRAY_SHA256 = {
-    "weight": "32e2944c94cd9da3c206fe25054b8341248a606edca5a76691f29b95ce5c9449",
-    "stopping": "02644e2892fa45e21e6b40da9600ffdeaf572bb75cb884fd6b52d0b35765a2fb",
+    "weight": "3fe1fc6125c06810306b381e714d7ce71499f3a2eb5679a1372c73dc2cc5e1b2",
+    "stopping": "b97b99a0fec6ab7adbb4f28e8da9400c087c2122485a69d6da44790304f08dde",
 }
 
 
@@ -461,15 +388,17 @@ def test_pair_kernel_bits(r, kind, point, vgh, stats):
 @pytest.mark.parametrize("kind", ["weight", "stopping"])
 def test_pair_kernel_array_bits(kind):
     t1, t2 = np.geomspace(0.01, 20.0, 16), np.geomspace(30.0, 0.002, 16)
-    val, grad, hess = pair_vgh(P36, kind, t1, t2, t1)
-    a, B = pair_ratios((t1, t2, t1), val, grad, hess)
-    blob = b"".join(v.tobytes() for v in (val, *grad, *hess[0], *hess[1], *hess[2],
-                                          *a, *B[0], *B[1], *B[2]))
+    val, grad, hess = pair_vgh(P36, kind, t1, t2)
+    blob = b"".join(v.tobytes() for v in (val, *grad, *hess[0], *hess[1], *hess[2]))
     assert hashlib.sha256(blob).hexdigest() == PAIR_KERNEL_ARRAY_SHA256[kind]
 
 
 @pytest.mark.parametrize("kind", ["weight", "stopping"])
 def test_pair_kernel_scalar_overflow_raises(kind):
-    # the bracket powers of r = 64 overflow here; a scalar point raises
+    # the bracket powers of r = 64 overflow here; a scalar point raises,
+    # and pair_stats names the point and r
     with pytest.raises(OverflowError):
-        pair_vgh(EnsembleParams(3, 64), kind, 1.6e4, 2.6e8, 1.6e4)
+        pair_vgh(EnsembleParams(3, 64), kind, 1.6e4, 2.6e8)
+    with pytest.raises(OverflowError,
+                       match=r"at \(16000\.0, 260000000\.0, 16000\.0\) for r = 64"):
+        pair_stats(EnsembleParams(3, 64), kind, 1.6e4, 2.6e8)

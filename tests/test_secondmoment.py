@@ -28,7 +28,7 @@ from ldpc_moments.secondmoment import (
     local_limit_ratio,
     verify_conditions,
 )
-from ldpc_moments.secondmoment import _det3, _inner_solve, _psi, _sigma_c2
+from ldpc_moments.secondmoment import _det3, _point_solve, _psi, _sigma_c2
 from pair_gf_oracle import pair_gf_stop, pair_gf_weight
 
 P36 = EnsembleParams(3, 6)
@@ -37,7 +37,7 @@ P34 = EnsembleParams(3, 4)
 
 def _reduced_residuals(params, kind, omega, alpha, t1, t2):
     """Residuals of the two reduced saddle equations, as printed (a_i / r)."""
-    a = pair_stats(params, kind, t1, t2, t1)[1]
+    a = pair_stats(params, kind, t1, t2)[1]
     r = params.right_degree
     return (abs(a[0] / r - (omega - alpha)),
             abs(a[1] / r - alpha))
@@ -70,19 +70,19 @@ class TestSolveOverlap:
     def test_square_overlap_reduces_to_univariate_saddle(self):
         point = growth_point(P36, "weight", 0.3)
         x = point.saddle_x
-        t1, t2, _, _ = _inner_solve(point, 0.09)
+        t1, t2, _, _ = _point_solve(point, 0.09)
         assert t1 == pytest.approx(x, abs=1e-9)
         assert t2 == pytest.approx(x * x, abs=1e-9)
 
     def test_near_diagonal_limit(self):
         point = growth_point(P36, "weight", 0.3)
         x = point.saddle_x
-        t1, t2, _, _ = _inner_solve(point, 0.3 - 1e-5)
+        t1, t2, _, _ = _point_solve(point, 0.3 - 1e-5)
         assert t1 < 0.02
         assert t2 == pytest.approx(x, abs=0.01)
 
     def test_residuals_and_positivity(self):
-        t1, t2, val, _ = _inner_solve(growth_point(P36, "weight", 0.3), 0.05)
+        t1, t2, val, _ = _point_solve(growth_point(P36, "weight", 0.3), 0.05)
         r1, r2 = _reduced_residuals(P36, "weight", 0.3, 0.05, t1, t2)
         assert r1 < 1e-10 and r2 < 1e-10
         assert val > 0.0
@@ -90,7 +90,7 @@ class TestSolveOverlap:
     @pytest.mark.parametrize("kind,gf", [("weight", pair_gf_weight),
                                          ("stopping", pair_gf_stop)])
     def test_gf_value_consistent(self, kind, gf):
-        t1, t2, val, _ = _inner_solve(growth_point(P36, kind, 0.3), 0.11)
+        t1, t2, val, _ = _point_solve(growth_point(P36, kind, 0.3), 0.11)
         assert val == pytest.approx(gf(P36, (t1, t2, t1)), rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["weight", "stopping"])
@@ -105,7 +105,7 @@ class TestSolveOverlap:
             if point.growth <= 0:
                 continue
             x = point.saddle_x
-            t1, t2, val, _ = _inner_solve(point, omega * omega)
+            t1, t2, val, _ = _point_solve(point, omega * omega)
             assert t1 == pytest.approx(x, abs=1e-9)
             assert t2 == pytest.approx(x * x, abs=1e-9)
             # the pair function collapses to the squared single-check GF
@@ -115,7 +115,7 @@ class TestSolveOverlap:
 
     def test_b_matrix_positive_definite_and_sigma_positive(self):
         for alpha in (0.05, 0.09, 0.2, 0.28):
-            B = _inner_solve(growth_point(P36, "weight", 0.3), alpha)[3]
+            B = _point_solve(growth_point(P36, "weight", 0.3), alpha)[3]
             assert abs(_det3(B)) >= secondmoment._DET_FLOOR
             np.linalg.cholesky(np.array(B))  # raises if not pd
             assert _sigma_c2(P36, B) > 0.0
@@ -126,14 +126,14 @@ class TestStationarity:
     def test_square_overlap_is_stationary(self, params, omega):
         alpha = omega * omega
         point = growth_point(params, "weight", omega)
-        t1, t2, _, _ = _inner_solve(point, alpha)
+        t1, t2, _, _ = _point_solve(point, alpha)
         assert abs(_psi(point, alpha, t1, t2)) < 1e-8
 
     def test_sign_change_across_square_overlap(self):
         psis = []
         point = growth_point(P36, "weight", 0.3)
         for alpha in (0.09 - 1e-3, 0.09 + 1e-3):
-            t1, t2, _, _ = _inner_solve(point, alpha)
+            t1, t2, _, _ = _point_solve(point, alpha)
             psis.append(_psi(point, alpha, t1, t2))
         assert psis[0] > 0.0 > psis[1]
 
@@ -141,7 +141,7 @@ class TestStationarity:
         signs = []
         point = growth_point(P36, "weight", 0.3)
         for alpha in np.linspace(0.05, 0.13, 17).tolist():
-            t1, t2, _, _ = _inner_solve(point, alpha)
+            t1, t2, _, _ = _point_solve(point, alpha)
             signs.append(math.copysign(1.0, _psi(point, alpha, t1, t2)))
         flips = sum(s1 != s2 for s1, s2 in zip(signs, signs[1:]))
         assert flips == 1  # exactly one crossing in this window: at 0.09
@@ -226,10 +226,10 @@ class TestEndpoint:
         scalar = []
         real = genfun.pair_vgh
 
-        def counted(params, kind_, x1, x2, x3):
-            if not isinstance(x1, np.ndarray):
-                scalar.append((x1, x2, x3))
-            return real(params, kind_, x1, x2, x3)
+        def counted(params, kind_, t1, t2):
+            if not isinstance(t1, np.ndarray):
+                scalar.append((t1, t2))
+            return real(params, kind_, t1, t2)
 
         point = growth_point(P36, kind, 0.3)
         monkeypatch.setattr(genfun, "pair_vgh", counted)
@@ -248,7 +248,7 @@ class TestEndpoint:
         point = growth_point(params, kind, omega)
         x, r = point.saddle_x, params.right_degree
         assert _slice_phi(kind, r, x) == pytest.approx(
-            pair_vgh(params, kind, x, 0.0, x)[0], rel=1e-14)
+            pair_vgh(params, kind, x, 0.0)[0], rel=1e-14)
         got = endpoint_exponent(point)
         with mp.workdps(50):
             want = _slice_endpoint(mp, params, kind, mp.mpf(omega),
@@ -424,27 +424,12 @@ class TestVerifyConditions:
                 for p in rep.stationary_points] == points
 
 
-def _warm_solve(point, alpha, warm):
-    """(t1, t2, val, B) of the point solve at alpha from the warm start
-    (t1, t2), which must reach the acceptance residual."""
-    result = secondmoment._newton_from(point, alpha, *warm)
-    assert result is not None and result[0] < secondmoment._ACCEPT_TOL, (
-        alpha, result)
-    return result[1:]
-
-
-def _sequential_grid(point, alphas):
-    """Reference scan: one scalar warm-started point solve per alpha,
-    marching outward from omega^2 (the first grid scan)."""
-    omega, x_star = point.abscissa, point.saddle_x
+def _point_grid(point, alphas):
+    """Reference scan: one scalar point solve per alpha, each from the
+    omega^2 anchor."""
     t1, t2, val = (np.empty(alphas.size) for _ in range(3))
-    start = int(np.argmin(np.abs(alphas - omega * omega)))
-    for indices in (range(start, -1, -1), range(start + 1, alphas.size)):
-        warm = (x_star, x_star ** 2)
-        for idx in indices:
-            t1[idx], t2[idx], val[idx], _ = _warm_solve(
-                point, float(alphas[idx]), warm)
-            warm = (float(t1[idx]), float(t2[idx]))
+    for idx, alpha in enumerate(alphas.tolist()):
+        t1[idx], t2[idx], val[idx], _ = _point_solve(point, alpha)
     return t1, t2, val
 
 
@@ -478,17 +463,15 @@ UNSOLVED_ROWS = {((2, 5), "weight", 0.45), ((2, 5), "weight", 0.55)}
 
 class TestCurvatureReference:
     @staticmethod
-    def _bisect_both_ways(point, lo, hi, falling, warm):
+    def _bisect_both_ways(point, lo, hi, falling):
         """Root of psi in (lo, hi) for either direction of the sign change,
         with the solution there."""
         def below(mid):
-            nonlocal warm
-            t1, t2, _, _ = _warm_solve(point, mid, warm)
-            warm = (t1, t2)
+            t1, t2, _, _ = _point_solve(point, mid)
             return (_psi(point, mid, t1, t2) > 0.0) == falling
 
         root = firstmoment.bisect_root(below, lo, hi, 80, 1e-13)
-        return root, _warm_solve(point, root, warm)
+        return root, _point_solve(point, root)
 
     @pytest.mark.parametrize("kind", ["weight", "stopping"])
     @pytest.mark.parametrize("pair", CURVATURE_PAIRS,
@@ -511,13 +494,12 @@ class TestCurvatureReference:
             for idx in np.flatnonzero(psis[:-1] * psis[1:] < 0.0):
                 falling = bool(psis[idx] > 0.0)
                 root, (_, _, _, B) = self._bisect_both_ways(
-                    point, float(alphas[idx]), float(alphas[idx + 1]), falling,
-                    (float(t1s[idx]), float(t2s[idx])))
+                    point, float(alphas[idx]), float(alphas[idx + 1]), falling)
                 d2 = _curvature_d2(point, root, _sigma_c2(params, B))
                 assert (d2 < 0.0) == falling, (omega, root, d2)
                 directions += 1
             alpha_sq = omega * omega
-            B = _inner_solve(point, alpha_sq)[3]
+            B = _point_solve(point, alpha_sq)[3]
             d2 = _curvature_d2(point, alpha_sq, _sigma_c2(params, B))
             try:
                 delta_value(point)
@@ -534,7 +516,7 @@ class TestRayScan:
                                   for (l, r), k, w in SCAN_CASES])
     def test_rays_match_point_solves(self, pair, kind, omega):
         # 50 rays spread over the window against the point solver at each
-        # ray's alpha, marching out from omega^2 as the grid scan did
+        # ray's alpha, each solved from the omega^2 anchor
         params = EnsembleParams(*pair)
         if omega is None:
             omega = min_abscissa(params, kind) + 1e-6
@@ -547,7 +529,7 @@ class TestRayScan:
                                 & (alphas <= omega - margin))
         pick = inside[np.linspace(0, inside.size - 1, 50).astype(int)]
         alphas, t1, t2, val = alphas[pick], t1[pick], t2[pick], val[pick]
-        rt1, rt2, rval = _sequential_grid(point, alphas)
+        rt1, rt2, rval = _point_grid(point, alphas)
         exps = secondmoment._exponent(point, alphas, t1, t2, val)
         rexps = secondmoment._exponent(point, alphas, rt1, rt2, rval)
         assert np.max(np.abs(exps - rexps)) < 1e-12
@@ -564,8 +546,7 @@ class TestRayScan:
                                              np.array([math.log(x) + 0.5]))
         s = math.exp(u[0])
         assert s == pytest.approx(x, rel=1e-12)
-        _, grad, _ = pair_vgh(P36, kind, np.array([s]), np.array([s * s]),
-                              np.array([s]))
+        _, grad, _ = pair_vgh(P36, kind, np.array([s]), np.array([s * s]))
         assert a2[0] / 6 == pytest.approx(0.09, abs=1e-13)
         assert s * grad[0][0] / val[0] / 6 == pytest.approx(0.3 - 0.09, abs=1e-13)
 
@@ -575,18 +556,18 @@ class TestRayScan:
         # peak is the kernel at (x*, x*^2, x*), the anchor's edge value is
         # the last ray, and the endpoint below 1/2 is the coarse ray rho = 0
         solves, arrays = [], []
-        real_solve, real_vgh = secondmoment._inner_solve, secondmoment.pair_vgh
+        real_solve, real_vgh = secondmoment._point_solve, secondmoment.pair_vgh
 
         def counted(*args, **kwargs):
             solves.append(args[1])
             return real_solve(*args, **kwargs)
 
-        def vgh(params, kind, x1, x2, x3):
-            if isinstance(x1, np.ndarray):
-                arrays.append(x1.size)
-            return real_vgh(params, kind, x1, x2, x3)
+        def vgh(params, kind, t1, t2):
+            if isinstance(t1, np.ndarray):
+                arrays.append(t1.size)
+            return real_vgh(params, kind, t1, t2)
 
-        monkeypatch.setattr(secondmoment, "_inner_solve", counted)
+        monkeypatch.setattr(secondmoment, "_point_solve", counted)
         monkeypatch.setattr(secondmoment, "pair_vgh", vgh)
         rep = verify_conditions(growth_point(P36, "weight", 0.3))
         assert rep.condition1_ok and rep.condition2_ok
@@ -845,7 +826,7 @@ class TestPointSolve:
         point = growth_point(params, "weight", omega)
         assert exponent_curve(point, alpha) == pytest.approx(
             -0.1562436108877385, abs=1e-12)
-        t1, t2, _, _ = _inner_solve(point, alpha)
+        t1, t2, _, _ = _point_solve(point, alpha)
         r1, r2 = _reduced_residuals(params, "weight", omega, alpha, t1, t2)
         assert r1 < 1e-10 and r2 < 1e-10
 
@@ -1043,7 +1024,7 @@ class TestSecondMomentPrefactor:
         the stopping pair function."""
         l, r = params.left_degree, params.right_degree
         x = solve_saddle(params, kind, w)[0]
-        B = pair_stats(params, kind, x, x * x, x)[2]
+        B = pair_stats(params, kind, x, x * x)[2]
         sc2 = _sigma_c2(params, B)
         core = w ** 2 * (1 - w) ** 2 - (l - 1) * sc2
         d = 4.0 if kind == "weight" else 1.0
@@ -1076,7 +1057,7 @@ class TestSigmaCurvatureCrossCheck:
         for n in (48, 96):
             W = n // 3
             i0 = round(n * w * w)
-            B = _inner_solve(growth_point(P36, "weight", w), i0 / n)[3]
+            B = _point_solve(growth_point(P36, "weight", w), i0 / n)[3]
             sigma_c2 = _sigma_c2(P36, B)
             idx = [(3 * (W - i), 3 * i, 3 * (W - i)) for i in
                    (i0 - 1, i0, i0 + 1)]
