@@ -11,6 +11,7 @@ from ldpc_moments import exactcomb
 from ldpc_moments.errors import DivisibilityError
 from ldpc_moments.genfun import (
     EnsembleParams,
+    _pow,
     pair_stats,
     pair_vgh,
     saddle_stats_uni,
@@ -370,7 +371,7 @@ PAIR_KERNEL_REPRS = [
 ]
 # sha256 of the float64 bytes of (val, grad, hess) at 16 slice points of (3,6)
 PAIR_KERNEL_ARRAY_SHA256 = {
-    "weight": "3fe1fc6125c06810306b381e714d7ce71499f3a2eb5679a1372c73dc2cc5e1b2",
+    "weight": "e28cd1beb43634cdc18306334f70319cf0ae1f14e0409f8252067db238f02822",
     "stopping": "b97b99a0fec6ab7adbb4f28e8da9400c087c2122485a69d6da44790304f08dde",
 }
 
@@ -391,6 +392,50 @@ def test_pair_kernel_array_bits(kind):
     val, grad, hess = pair_vgh(P36, kind, t1, t2)
     blob = b"".join(v.tobytes() for v in (val, *grad, *hess[0], *hess[1], *hess[2]))
     assert hashlib.sha256(blob).hexdigest() == PAIR_KERNEL_ARRAY_SHA256[kind]
+
+
+class _NonnegativePowArray(np.ndarray):
+    """An array whose ** takes only nonnegative bases: numpy's array power
+    is about 30x slower on a negative one."""
+
+    def __pow__(self, e):
+        assert (self.view(np.ndarray) >= 0.0).all(), "negative base under **"
+        return super().__pow__(e)
+
+
+@pytest.mark.parametrize("r", [5, 6, 45, 64])
+def test_weight_kernel_takes_no_negative_array_base(r):
+    t1 = np.geomspace(0.01, 20.0, 16).view(_NonnegativePowArray)
+    t2 = np.geomspace(30.0, 0.002, 16).view(_NonnegativePowArray)
+    # the brackets B = D = 1 - t2 and C = 1 - 2 t1 + t2 are negative here
+    assert (1.0 - t2 < 0.0).any() and (1.0 - 2.0 * t1 + t2 < 0.0).any()
+    val, _, _ = pair_vgh(EnsembleParams(2, r), "weight", t1, t2)
+    assert isinstance(val, _NonnegativePowArray) and np.isfinite(val).all()
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5, 43, 62])
+def test_pow_matches_array_power(e):
+    v = np.array([-0.0, 0.0, -np.inf, np.inf, np.nan, -1e-300, 1e-300,
+                  -0.3, 0.3, -1.0, 1.0, -14.802113280034728, 14.8, -150.0,
+                  150.0, -1e5, 1e5, -1e6, 1e6])  # |v| >= 1e5 overflows at e = 62
+    with np.errstate(over="ignore", under="ignore"):
+        want, got = v ** e, _pow(v, e)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan]))
+    fin = np.isfinite(want)
+    assert (np.abs(got[fin] - want[fin]) <= np.spacing(np.abs(want[fin]))).all()
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5, 43, 62])
+@pytest.mark.parametrize("v", [-14.802113280034728, -0.3, -0.0, 0.0, 1.5, 30.0])
+def test_pow_keeps_float_power(v, e):
+    # scalar kernel bits are pinned, so floats must not take the array form
+    for x in (v, np.float64(v)):
+        got, want = _pow(x, e), x ** e
+        assert type(got) is type(want) and got.hex() == want.hex()
 
 
 @pytest.mark.parametrize("kind", ["weight", "stopping"])

@@ -2,11 +2,12 @@
 
 The first five bound rows were rendered by the package before the trivariate
 statistics, determinant, bisection and saddle-cache code paths were merged;
-the other bound rows and the table rows are those of the benchmark reference,
-and the omega_min reprs were recorded before the minimum-abscissa scan was
-warm-started.  A refactor that changes any digit, verdict or error code of
-these rows, or any bit of omega_min, fails here, without the benchmark
-harness.
+the condition-false bound rows and the table rows are those of the benchmark
+reference, the odd-r rows above 1/2 were rendered before the weight kernel
+took its array powers as |v| ** e, and the omega_min reprs were recorded
+before the minimum-abscissa scan was warm-started.  A refactor that changes
+any digit, verdict or error code of these rows, or any bit of omega_min,
+fails here, without the benchmark harness.
 """
 
 import pytest
@@ -49,6 +50,17 @@ BOUND_ROWS = [
      "0.996875,319,0.0211461152,,,false,false"),
     (3, 64, "weight", 0.003125,
      "0.003125,0.00729469085,0.00869177286,,,false,true"),
+    # odd r above 1/2: the weight brackets are negative on most rays there
+    # and their power r - 2 is odd; a weight above (r-1)/r would need a
+    # check with all of its r edges set, an odd parity, so (3,7) at 0.9
+    # has no saddle
+    (3, 7, "weight", 0.6,
+     "0.6,1.50019237,0.375943098,5.6794746e-07,0.999999371,true,true"),
+    (3, 7, "weight", 0.8,
+     "0.8,4.61233109,0.187994972,0.0263821687,0.97076768,true,true"),
+    (3, 7, "weight", 0.9, "0.9,,,,NO_BRACKET,,"),
+    (2, 45, "weight", 0.7,
+     "0.7,2.33333333,0.580057761,2.95319325e-14,1,true,true"),
 ]
 
 TABLE_ROWS = [
