@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 from .errors import NoBracketError, NoRootError, UnsupportedPolyError
 from .exactcomb import ExactPolynomial
-from .genfun import KIND_WEIGHT, EnsembleParams, check_kind, saddle_stats_uni, stop_gf, weight_gf
+from .genfun import (KIND_WEIGHT, EnsembleParams, check_kind, saddle_mean_uni,
+                     saddle_stats_uni, stop_gf, weight_gf)
 
 _SADDLE_RESIDUAL_TOL = 1e-12
 _BRACKET_START = 1e-8
@@ -96,9 +97,11 @@ def solve_saddle(params: EnsembleParams, kind: str, abscissa: float,
 
     a_phi is strictly increasing from 0 to deg phi (r - 1 for the weight
     kind at odd r, where the x^r terms of p cancel; r otherwise), so the
-    root is bracketed by doubling from 1e-8, bisected (at most 80 steps)
-    and polished by Newton (a' = b/x).  Residual |a(x) - r*abscissa| <
-    1e-12.  There is no root when r*abscissa >= deg phi (NoBracketError).
+    root is bracketed by doubling from 1e-8 and bisected (at most 80 steps)
+    on a alone (:func:`saddle_mean_uni`), then polished by Newton
+    (a' = b/x), the only steps that evaluate b.  Residual
+    |a(x) - r*abscissa| < 1e-12.  There is no root when
+    r*abscissa >= deg phi (NoBracketError).
 
     A positive ``seed`` (say, the saddle of a neighbouring abscissa) is
     polished by the same Newton steps first; its answer is kept only if it
@@ -123,7 +126,7 @@ def solve_saddle(params: EnsembleParams, kind: str, abscissa: float,
                 return x, b
 
     def resid(x: float) -> float:
-        return saddle_stats_uni(params, kind, x)[0] - target
+        return saddle_mean_uni(params, kind, x) - target
 
     lo = _BRACKET_START
     if resid(lo) > 0.0:

@@ -91,14 +91,9 @@ def stop_gf(params: EnsembleParams, x: float) -> float:
     return (1.0 + x) ** r - r * x
 
 
-def saddle_stats_uni(params: EnsembleParams, kind: str,
-                     x: float) -> tuple[float, float]:
-    """Log-derivative pair (a, b) of p (weight) or beta (stopping) at x > 0:
-    a(x) = x phi'/phi and b(x) = x a'(x).
-
-    Uses b = a + x^2 phi''/phi - a^2 with ratio forms of phi'/phi and
-    phi''/phi that stay finite for large x (no overflowing powers).
-    """
+def saddle_mean_uni(params: EnsembleParams, kind: str, x: float) -> float:
+    """Log-derivative a(x) = x phi'/phi of p (weight) or beta (stopping) at
+    x > 0, in a ratio form that stays finite for large x."""
     check_kind(kind)
     if x <= 0:
         raise ValueError("x must be positive")
@@ -106,11 +101,25 @@ def saddle_stats_uni(params: EnsembleParams, kind: str,
     if kind == KIND_WEIGHT:
         # divide numerator and denominator by (1+x)^(r-1); v in (-1, 1]
         v = (1.0 - x) / (1.0 + x)
-        a = r * x * (1.0 - v ** (r - 1)) / ((1.0 + x) * (1.0 + v ** r))
+        return r * x * (1.0 - v ** (r - 1)) / ((1.0 + x) * (1.0 + v ** r))
+    u = (1.0 + x) ** (-(r - 1))
+    return r * x * (1.0 - u) / ((1.0 + x) - r * x * u)
+
+
+def saddle_stats_uni(params: EnsembleParams, kind: str,
+                     x: float) -> tuple[float, float]:
+    """Log-derivative pair (a, b) of p (weight) or beta (stopping) at x > 0:
+    a(x) = x phi'/phi from :func:`saddle_mean_uni` and b(x) = x a'(x).
+
+    Uses b = a + x^2 phi''/phi - a^2 with a ratio form of phi''/phi that
+    stays finite for large x (no overflowing powers).
+    """
+    a = saddle_mean_uni(params, kind, x)
+    r = params.right_degree
+    if kind == KIND_WEIGHT:
+        v = (1.0 - x) / (1.0 + x)
         dpp = r * (r - 1) * (1.0 + v ** (r - 2)) / ((1.0 + x) ** 2 * (1.0 + v ** r))
     else:
-        u = (1.0 + x) ** (-(r - 1))
-        a = r * x * (1.0 - u) / ((1.0 + x) - r * x * u)
         dpp = r * (r - 1) / ((1.0 + x) ** 2 - r * x * (1.0 + x) ** (-(r - 2)))
     return a, a + x * x * dpp - a * a
 
@@ -168,8 +177,9 @@ def pair_vgh(params: EnsembleParams, kind: str, t1: float, t2: float):
     Returns plain floats/lists; used by the Newton solvers where building
     numpy arrays per evaluation would dominate the cost.  The body is
     arithmetic only, so equal-length numpy arrays of points work as well
-    and give arrays in place of the floats.  The Hessian is symmetric, and
-    for f its three diagonal entries are one object.
+    and give arrays in place of the floats.  The Hessian is symmetric; for
+    f its three diagonal entries are one object, and for g the entries 22
+    and 12 are the objects 00 and 01.
     """
     r = params.right_degree
     if kind == KIND_WEIGHT:
@@ -195,19 +205,18 @@ def pair_vgh(params: EnsembleParams, kind: str, t1: float, t2: float):
     # brackets 1 + x1 and 1 + x3 are one q on the slice
     S0, q = 1.0 + t1 + t2 + t1, 1.0 + t1
     p, pd = q ** (r - 1), q ** (r - 2)
-    val = (S0 ** r - r * p * (t2 + t1) - r * t1 * (p - (r - 1) * t1)
+    rp, t21 = r * p, t2 + t1
+    val = (S0 ** r - rp * t21 - r * t1 * (p - (r - 1) * t1)
            - r * t2 * (p - 1.0))
-    Sd = S0 ** (r - 1)
+    rSd, c = r * S0 ** (r - 1), r * (r - 1)
     grad = [
-        r * Sd - r * (r - 1) * pd * (t2 + t1) - r * (p - (r - 1) * t1),
-        r * Sd - r * p - r * (p - 1.0),
-        r * Sd - r * p - r * (r - 1) * (t1 * (pd - 1.0) + t2 * pd),
+        rSd - c * pd * t21 - r * (p - (r - 1) * t1),
+        rSd - rp - r * (p - 1.0),
+        rSd - rp - c * (t1 * (pd - 1.0) + t2 * pd),
     ]
-    Sdd, c, pdd = S0 ** (r - 2), r * (r - 1), q ** (r - 3)
-    h00 = c * Sdd - c * (r - 2) * pdd * (t2 + t1)
-    h01 = c * Sdd - c * pd
+    Sdd, pdd = S0 ** (r - 2), q ** (r - 3)
+    cSdd = c * Sdd
+    # t1 + t2 and t2 + t1 are one float: h22 is h00, and h12 is h01
+    h00, h01 = cSdd - c * (r - 2) * pdd * t21, cSdd - c * pd
     h02 = c * (Sdd - pd - pd + 1.0)
-    h11 = c * Sdd
-    h12 = c * Sdd - c * pd
-    h22 = c * Sdd - c * (r - 2) * pdd * (t1 + t2)
-    return val, grad, [[h00, h01, h02], [h01, h11, h12], [h02, h12, h22]]
+    return val, grad, [[h00, h01, h02], [h01, cSdd, h01], [h02, h01, h00]]

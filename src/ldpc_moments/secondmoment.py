@@ -385,7 +385,7 @@ def _scan_rays(point: GrowthPoint):
     if point.kind == KIND_WEIGHT and r % 2 and floor > need:
         raise NoConvergenceError(f"overlap rays end before alpha = {need} at "
                                  f"omega = {omega} (odd r: none below {floor})")
-    coarse = np.linspace(-_RAY_SPAN, _RAY_SPAN, 2 * _RAY_SPAN + 1)
+    coarse = np.arange(-_RAY_SPAN, _RAY_SPAN + 1.0)
     rays = np.append(coarse, -np.inf) if omega < 0.5 else coarse
     u, a2, val = _ray_solve(point, rays, _ray_seeds(point, rays))
     face = _face_exponent(point, u[-1], val[-1]) if omega < 0.5 else math.nan
@@ -492,6 +492,9 @@ def _ray_solve(point: GrowthPoint, ln_rho, u0):
     u stops at the cap of :func:`_ray_cap`; a ray still below its root
     there has none inside the float range.
 
+    A ray leaves the packed arrays of unsettled rays on the step where it
+    settles; each ray takes the iterates it would take alone.
+
     Returns arrays (u, a2, val) at the accepted points; u is +inf on
     the rays whose root lies past the float range and NaN on the others
     that found no root.
@@ -499,44 +502,48 @@ def _ray_solve(point: GrowthPoint, ln_rho, u0):
     params, kind = point.params, point.kind
     r = params.right_degree
     target = r * point.abscissa
-    cap = _ray_cap(point, ln_rho)
+    out = np.full((3, ln_rho.size), np.nan)
+    # the unsettled rays: index, ln rho, u, bracket ends and cap
+    idx, cap = np.arange(ln_rho.size), _ray_cap(point, ln_rho)
     u = np.minimum(u0, cap)
     lo, hi = np.full(u.size, -np.inf), np.full(u.size, np.inf)
-    out = np.full((3, u.size), np.nan)
-    live = np.arange(u.size)
     with np.errstate(all="ignore"):
         for _ in range(_RAY_STEPS):
-            s, t2 = np.exp(u[live]), np.exp(ln_rho[live] + 2.0 * u[live])
+            s, t2 = np.exp(u), np.exp(ln_rho + 2.0 * u)
             val, grad, hess = pair_vgh(params, kind, s, t2)
             a1, a2 = s * (grad[0] / val), t2 * (grad[1] / val)
             f = a1 + a2 - target
             usable = (val > 0.0) & (val < np.inf) & np.isfinite(f)
             upper = ~usable | (f > 0.0)
-            hi[live] = np.where(upper, u[live], hi[live])
-            lo[live] = np.where(upper, lo[live], u[live])
+            hi, lo = np.where(upper, u, hi), np.where(upper, lo, u)
             # f' = (1/2) d^2 ln phi / du^2, from the Hessian along (s, 2 t2, s)
             (h11, h12, h13), (_, h22, h23), (_, _, h33) = hess
             slope = (0.5 * (s * s * ((h11 + 2.0 * h13 + h33) / val)
                             + 4.0 * t2 * (t2 * (h22 / val) + s * ((h12 + h23) / val)))
                      + a1 + 2.0 * a2 - 2.0 * (a1 + a2) ** 2)
-            step = np.clip(-f / slope, -_RAY_JUMP, _RAY_JUMP)
-            nxt = u[live] + np.where(usable & (slope > 0.0), step, np.nan)
-            l, h = lo[live], hi[live]
-            fallback = np.where(np.isfinite(l),
-                                np.where(np.isfinite(h), 0.5 * (l + h), l + _RAY_JUMP),
-                                h - _RAY_JUMP)
-            nxt = np.minimum(np.where((nxt > l) & (nxt < h), nxt, fallback), cap[live])
-            done = usable & ((np.abs(f) <= _RAY_TOL * r)
-                             | ((nxt == u[live]) & (np.abs(f) <= _ACCEPT_TOL * r)))
-            out[:, live[done]] = u[live[done]], a2[done], val[done]
-            # below the root at the cap: the root lies past the float range
-            capped = usable & ~done & (f < 0.0) & (u[live] >= cap[live])
-            out[0, live[capped]] = np.inf
-            stalled = nxt == u[live]
-            u[live] = nxt
-            live = live[~(done | capped | stalled)]
-            if live.size == 0:
-                break
+            nxt = u + np.maximum(np.minimum(-f / slope, _RAY_JUMP), -_RAY_JUMP)
+            inside = usable & (slope > 0.0) & (nxt > lo) & (nxt < hi)
+            if not inside.all():
+                fallback = np.where(np.isfinite(lo),
+                                    np.where(np.isfinite(hi), 0.5 * (lo + hi),
+                                             lo + _RAY_JUMP),
+                                    hi - _RAY_JUMP)
+                nxt = np.where(inside, nxt, fallback)
+            nxt = np.minimum(nxt, cap)
+            stalled, size = nxt == u, np.abs(f)
+            done = usable & ((size <= _RAY_TOL * r)
+                             | (stalled & (size <= _ACCEPT_TOL * r)))
+            settled = done | stalled  # a capped ray stalls at its cap
+            if settled.any():
+                out[:, idx[done]] = u[done], a2[done], val[done]
+                # below the root at the cap: the root lies past the float range
+                out[0, idx[usable & ~done & (f < 0.0) & (u >= cap)]] = np.inf
+                keep = ~settled
+                if not keep.any():
+                    break
+                idx, ln_rho, nxt, lo, hi, cap = (
+                    v[keep] for v in (idx, ln_rho, nxt, lo, hi, cap))
+            u = nxt
     return out[0], out[1], out[2]
 
 

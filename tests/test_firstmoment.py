@@ -74,6 +74,29 @@ def avg_count(params: EnsembleParams, kind: str, n: int, abscissa: float) -> Avg
                     exponent=point.growth, prefactor=prefactor)
 
 
+# repr of the cold solve_saddle result (no seed), (x, b)
+COLD_SADDLE_REPRS = [
+    ((3, 6), "weight", 0.01, "(0.04531325963963412, 0.11689097568170917)"),
+    ((3, 6), "weight", 0.3, "(0.4365977748807075, 1.3861195851311505)"),
+    ((3, 6), "weight", 0.7, "(2.290437692389137, 1.3861195851311479)"),
+    ((3, 6), "stopping", 0.01, "(0.04345813233159718, 0.1216102223303646)"),
+    ((3, 6), "stopping", 0.3, "(0.338528620641349, 1.5266400062178294)"),
+    ((3, 6), "stopping", 0.7, "(2.268463573907022, 1.1741419710231256)"),
+    ((12, 24), "weight", 0.01, "(0.021801760086502087, 0.43964962027424137)"),
+    ((12, 24), "weight", 0.3, "(0.4285714291745891, 5.040000171300036)"),
+    ((12, 24), "weight", 0.7, "(2.3333333300494594, 5.040000171300221)"),
+    ((12, 24), "stopping", 0.01, "(0.019777718661773247, 0.47759800837719324)"),
+    ((12, 24), "stopping", 0.3, "(0.4275173442952519, 4.968213841810936)"),
+    ((12, 24), "stopping", 0.7, "(2.3333333332176416, 5.0399999962314155)"),
+    ((3, 64), "weight", 0.01, "(0.014171053805100822, 1.0240666221642214)"),
+    ((3, 64), "weight", 0.3, "(0.4285714285714285, 13.439999999999884)"),
+    ((3, 64), "weight", 0.7, "(2.333333333333332, 13.440000000000282)"),
+    ((3, 64), "stopping", 0.01, "(0.012166184842086241, 1.1393430676401957)"),
+    ((3, 64), "stopping", 0.3, "(0.42857142662976877, 13.43999891240287)"),
+    ((3, 64), "stopping", 0.7, "(2.333333333333332, 13.440000000000282)"),
+]
+
+
 class TestSolveSaddle:
     @pytest.mark.parametrize("params", TESTED_ENSEMBLES)
     def test_weight_symmetry_gives_unit_saddle(self, params):
@@ -134,6 +157,11 @@ class TestSolveSaddle:
     def test_unusable_seed_is_ignored(self, seed):
         assert solve_saddle(P36, "weight", 0.3, seed) == solve_saddle(
             P36, "weight", 0.3)
+
+    @pytest.mark.parametrize("pair,kind,omega,want", COLD_SADDLE_REPRS,
+                             ids=[f"{l}:{r}-{k}-{w}" for (l, r), k, w, _ in COLD_SADDLE_REPRS])
+    def test_cold_root_bits(self, pair, kind, omega, want):
+        assert repr(solve_saddle(EnsembleParams(*pair), kind, omega)) == want
 
     def test_boundary_abscissas_rejected(self):
         for bad in (0.0, 1.0, -0.2, 1.3):
@@ -225,6 +253,14 @@ class TestSaddleEvaluations:
         assert secondmoment.delta(point).delta is not None
         assert counts["inside"] > 0
         assert counts["outside"] == 0
+
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    def test_bracket_reads_the_mean_alone(self, monkeypatch, kind):
+        # doubling and bisection take a(x) only: b is evaluated by the
+        # Newton polish, at most 9 times, where the bracket made about 80 calls
+        counts = _count_uni_calls(monkeypatch)
+        firstmoment.solve_saddle(P36, kind, 0.3)
+        assert 0 < counts["inside"] <= 9
 
 
 class TestHaymanCoeff:

@@ -14,6 +14,7 @@ from ldpc_moments.genfun import (
     _pow,
     pair_stats,
     pair_vgh,
+    saddle_mean_uni,
     saddle_stats_uni,
     stop_gf,
     weight_gf,
@@ -159,6 +160,38 @@ class TestUnivariateStats:
     def test_requires_positive_x(self):
         with pytest.raises(ValueError):
             saddle_stats_uni(P36, "weight", 0.0)
+
+
+# sha256 of the float64 bytes of saddle_stats_uni(...) over r in UNI_DEGREES
+# and UNI_POINTS, per kind
+UNI_DEGREES = (3, 5, 6, 17, 33, 64)
+UNI_POINTS = np.geomspace(1e-8, 1e8, 200)
+UNI_STATS_SHA256 = {
+    "weight": "e647b7a76745f30f8a6341217e31da48f9ab724fcb0294a0e60ba7c4052a8cd1",
+    "stopping": "8866ba7da48f2b268b084cb886b6920674a7311ff7a4596f7e792148dca8006e",
+}
+
+
+class TestUnivariateMean:
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    def test_mean_is_the_pair_mean(self, kind):
+        for r in UNI_DEGREES:
+            params = EnsembleParams(2, r)
+            for x in UNI_POINTS:
+                a = saddle_mean_uni(params, kind, float(x))
+                assert repr(a) == repr(saddle_stats_uni(params, kind, float(x))[0])
+
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    def test_pair_bits(self, kind):
+        blob = np.array([saddle_stats_uni(EnsembleParams(2, r), kind, float(x))
+                         for r in UNI_DEGREES for x in UNI_POINTS]).tobytes()
+        assert hashlib.sha256(blob).hexdigest() == UNI_STATS_SHA256[kind]
+
+    def test_checks_kind_and_x(self):
+        with pytest.raises(ValueError):
+            saddle_mean_uni(P36, "codeword", 0.5)
+        with pytest.raises(ValueError):
+            saddle_mean_uni(P36, "weight", 0.0)
 
 
 class TestTrivariateStats:

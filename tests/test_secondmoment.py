@@ -1,6 +1,7 @@
 """Overlap saddles, dominance conditions, delta bounds, local limit ratios."""
 
 import dataclasses
+import hashlib
 import inspect
 import math
 
@@ -679,6 +680,50 @@ class TestRayScan:
                 assert f < 0.0, x
             elif np.isfinite(got):
                 assert f >= 0.0, x
+
+
+# sha256 of the float64 bytes of the six _scan_rays outputs (ln rho, alpha,
+# t1, t2, val and E(0)) of one row each
+SCAN_SHA256 = [
+    ((3, 6), "weight", 0.3,
+     "c471979187a1a6cb3b7ef8316dc3e2ca9c7b7b306957148d44bb17a3cd78e540"),
+    ((3, 6), "weight", 0.7,
+     "6db6747032232665005b77fc2beddc3ca51b84749578c8f4c85918e6a33f0f8c"),
+    # a competing maximum
+    ((3, 6), "stopping", 0.021875,
+     "0477dcd085881b5c5a49beac4001736fa06121a0fcf6eba550fc03afdb266bf4"),
+    ((12, 24), "stopping", 0.6,
+     "721d6836019f5dbb3e5831d735db98d21ffb7fbcb4aa6794b7245c10af297c41"),
+    ((3, 64), "weight", 0.1,
+     "3c89f01a743c8bf3f536c79911fdfd666bb5c8dbb0859c9a3bd9a8082711b7ed"),
+    ((32, 64), "stopping", 0.2,
+     "f7b9aa83625ee9f01880dc5c17f1b104feac1fced2eaf67ef6247d54909e37a0"),
+]
+
+
+class TestRayBits:
+    @pytest.mark.parametrize("pair,kind,omega,digest", SCAN_SHA256,
+                             ids=[f"{l}:{r}-{k}-{w}" for (l, r), k, w, _ in SCAN_SHA256])
+    def test_scan_bits(self, pair, kind, omega, digest):
+        point = growth_point(EnsembleParams(*pair), kind, omega)
+        blob = b"".join(np.asarray(v, dtype=np.float64).tobytes()
+                        for v in secondmoment._scan_rays(point))
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+    @pytest.mark.parametrize("pair,omega,nan,inf", [
+        ((2, 5), 0.5, 17, 0), ((3, 64), 0.7, 0, 39)], ids=["2:5", "3:64"])
+    def test_batch_gives_each_ray_its_lone_bits(self, pair, omega, nan, inf):
+        # rays settle at different steps and leave the batch as they do
+        point = growth_point(EnsembleParams(*pair), "weight", omega)
+        coarse = np.arange(-secondmoment._RAY_SPAN, secondmoment._RAY_SPAN + 1.0)
+        seeds = secondmoment._ray_seeds(point, coarse)
+        batch = secondmoment._ray_solve(point, coarse, seeds)
+        assert np.isnan(batch[0]).sum() == nan
+        assert np.isposinf(batch[0]).sum() == inf
+        for k in range(coarse.size):
+            alone = secondmoment._ray_solve(point, coarse[k:k + 1], seeds[k:k + 1])
+            for got, want in zip(batch, alone):
+                assert got[k:k + 1].tobytes() == want.tobytes(), coarse[k]
 
 
 class TestPredictedSeeds:
