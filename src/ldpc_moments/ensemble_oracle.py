@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import TooLargeError
-from .genfun import KIND_STOPPING, KIND_WEIGHT, EnsembleParams, check_kind
+from .genfun import KIND_WEIGHT, EnsembleParams, check_kind
 
 _EXHAUSTIVE_N_CAP = 28
 _NULLITY_CAP = 24  # 2^24 null-space vectors at most
@@ -73,7 +73,8 @@ def count_words(graph: TannerGraph, W: int, kind: str) -> int:
 
     Codewords: weight-W vectors in the GF(2) null space of the parity matrix
     (edge multiplicities reduced mod 2).  Stopping sets: W-subsets of
-    variables such that no check sees exactly one incident edge slot.
+    variables such that no check sees exactly one incident edge slot.  The
+    exhaustive average counts each socket-to-check map with the same counters.
     """
     check_kind(kind)
     n = graph.n
@@ -82,7 +83,7 @@ def count_words(graph: TannerGraph, W: int, kind: str) -> int:
     if not 0 <= W <= n:
         raise ValueError(f"W={W} outside [0, {n}]")
     if kind == KIND_WEIGHT:
-        return _count_weight(graph, W)
+        return _weight_profile(graph)[W]
     return _count_stopping(graph, W)
 
 
@@ -133,8 +134,8 @@ def exhaustive_moment(params: EnsembleParams, n: int, W: int,
     """Exact ensemble averages (E[count], E[count^2]) over all (n*l)! socket
     permutations.  A permutation matters only through the check each
     variable socket meets, so the work is the E!/(r!)^m maps of the E = n*l
-    sockets onto the m checks (70 for (2,4) at n=4), each followed by a
-    loop over the 2^n subsets; TooLargeError once maps * 2^n exceeds 1e7."""
+    sockets onto the m checks (70 for (2,4) at n=4), each counted like one
+    sampled graph; TooLargeError once maps * 2^n subsets exceeds 1e7."""
     check_kind(kind)
     l, r = params.left_degree, params.right_degree
     if n < 1:
@@ -194,18 +195,18 @@ def _gf2_null_basis(rows: list, n: int) -> list:
     return basis
 
 
-def _count_weight(graph: TannerGraph, W: int) -> int:
+def _weight_profile(graph: TannerGraph) -> list:
+    """Codeword counts at every weight 0..n, from one Gray-code walk."""
     basis = _gf2_null_basis(_parity_rows(graph), graph.n)
     if len(basis) > _NULLITY_CAP:
         raise TooLargeError(
             f"null space dimension {len(basis)} above cap {_NULLITY_CAP}")
-    count = 1 if W == 0 else 0
+    counts = [1] + [0] * graph.n  # the zero word
     cur = 0
     for g in range(1, 1 << len(basis)):
         cur ^= basis[(g & -g).bit_length() - 1]  # Gray-code walk
-        if cur.bit_count() == W:
-            count += 1
-    return count
+        counts[cur.bit_count()] += 1
+    return counts
 
 
 def _count_stopping(graph: TannerGraph, W: int) -> int:
@@ -246,29 +247,6 @@ def _incidence(subsets: list, n: int) -> np.ndarray:
     return out
 
 
-def _profile_from_mult(mult_rows: tuple, n: int, kind: str) -> tuple:
-    """Counts for every W at once by brute force over all 2^n subsets.
-
-    Only used in the exhaustive regime, where maps * 2^n stays below 1e7.
-    """
-    counts = [0] * (n + 1)
-    m = len(mult_rows)
-    for mask in range(1 << n):
-        ok = True
-        for c in range(m):
-            row = mult_rows[c]
-            s = 0
-            for v in range(n):
-                if (mask >> v) & 1:
-                    s += row[v]
-            if (s & 1) if kind == KIND_WEIGHT else (s == 1):
-                ok = False
-                break
-        if ok:
-            counts[mask.bit_count()] += 1
-    return tuple(counts)
-
-
 def _exhaustive_work(E: int, r: int, n: int) -> int:
     """E!/(r!)^m * 2^n, the socket-to-check maps times the subsets of each,
     as a product of binomials C(E, r) C(E-r, r) ... that stops once it
@@ -301,7 +279,9 @@ def _exhaustive_tallies(l: int, r: int, n: int):
     permutations.  Permutation perm sends variable socket vs to check
     perm[vs] // r, and each of the E!/(r!)^m socket-to-check maps arises
     from exactly (r!)^m permutations, so each map is counted once and its
-    sums are scaled by (r!)^m."""
+    sums are scaled by (r!)^m.  Each distinct multiplicity matrix is counted
+    once, on the graph that gives the j-th socket dealt to check c the
+    check socket c*r + j."""
     E = n * l
     m = E // r
     weight_sums = [[0, 0] for _ in range(n + 1)]
@@ -315,8 +295,10 @@ def _exhaustive_tallies(l: int, r: int, n: int):
         key = tuple(tuple(row) for row in mult)
         prof = profiles.get(key)
         if prof is None:
-            prof = (_profile_from_mult(key, n, KIND_WEIGHT),
-                    _profile_from_mult(key, n, KIND_STOPPING))
+            graph = TannerGraph(n=n, left_degree=l, right_degree=r,
+                                socket_perm=np.argsort(np.ravel(groups)))
+            prof = (_weight_profile(graph),
+                    [_count_stopping(graph, W) for W in range(n + 1)])
             profiles[key] = prof
         wprof, sprof = prof
         for W in range(n + 1):

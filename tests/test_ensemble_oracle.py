@@ -38,10 +38,39 @@ def _chunked_stopping_count(graph, W, chunk=4096):
     return total
 
 
+def _definition_profiles(graph):
+    """Codeword and stopping-set counts at every size 0..n from a walk over
+    all 2^n subsets of variables that applies the definitions to the edge
+    slots each check sees, read straight off the socket permutation: a
+    codeword leaves every check an even number, a stopping set leaves no
+    check exactly one."""
+    n, l, r = graph.n, graph.left_degree, graph.right_degree
+    masks = np.arange(1 << n)
+    chosen = (masks >> np.arange(n)[:, None]) & 1  # variables x subsets
+    seen = np.zeros((graph.check_count, 1 << n), dtype=np.int64)
+    for vs, cs in enumerate(graph.socket_perm.tolist()):
+        seen[cs // r] += chosen[vs // l]
+    sizes = chosen.sum(axis=0)
+    weight = np.bincount(sizes[(seen % 2 == 0).all(axis=0)], minlength=n + 1)
+    stopping = np.bincount(sizes[(seen != 1).all(axis=0)], minlength=n + 1)
+    return weight.tolist(), stopping.tolist()
+
+
+def _map_graphs(l, r, n):
+    """The graph of every socket-to-check map of (l, r) at block length n,
+    check c taking check sockets c*r .. c*r+r-1 in the order dealt."""
+    for groups in ensemble_oracle._check_assignments(tuple(range(n * l)), r):
+        perm = np.empty(n * l, dtype=np.int64)
+        for c, group in enumerate(groups):
+            perm[list(group)] = np.arange(c * r, (c + 1) * r)
+        yield TannerGraph(n=n, left_degree=l, right_degree=r, socket_perm=perm)
+
+
 def _permutation_tallies(l, r, n):
     """Per-W sums of counts and squared counts by walking every one of the
     (n*l)! socket permutations (the loop that counting each socket-to-check
-    map once replaced)."""
+    map once replaced).  The graph of each permutation is counted by the
+    counters ``count_words`` uses, once per multiplicity matrix."""
     E = n * l
     m = E // r
     weight_sums = [[0, 0] for _ in range(n + 1)]
@@ -55,8 +84,10 @@ def _permutation_tallies(l, r, n):
         key = tuple(tuple(row) for row in mult)
         prof = profiles.get(key)
         if prof is None:
-            prof = (ensemble_oracle._profile_from_mult(key, n, "weight"),
-                    ensemble_oracle._profile_from_mult(key, n, "stopping"))
+            g = TannerGraph(n=n, left_degree=l, right_degree=r,
+                            socket_perm=np.array(perm))
+            prof = (ensemble_oracle._weight_profile(g),
+                    [ensemble_oracle._count_stopping(g, W) for W in range(n + 1)])
             profiles[key] = prof
         wprof, sprof = prof
         for W in range(n + 1):
@@ -82,15 +113,16 @@ class _SquaredCount(int):
 
 
 def _count_visits(monkeypatch, n):
-    """Make every profile hold counts that tally their products, and return
-    a function giving the configurations visited so far: each visit squares
-    its weight and stopping count at every W once, 2(n+1) products."""
-    profile = ensemble_oracle._profile_from_mult
-
-    def counted(mult_rows, size, kind):
-        return tuple(_SquaredCount(c) for c in profile(mult_rows, size, kind))
-
-    monkeypatch.setattr(ensemble_oracle, "_profile_from_mult", counted)
+    """Make the weight and stopping counters return counts that tally their
+    products, and return a function giving the configurations visited so
+    far: each visit squares its weight and stopping count at every W once,
+    2(n+1) products."""
+    weight_profile = ensemble_oracle._weight_profile
+    count_stopping = ensemble_oracle._count_stopping
+    monkeypatch.setattr(ensemble_oracle, "_weight_profile",
+                        lambda g: [_SquaredCount(c) for c in weight_profile(g)])
+    monkeypatch.setattr(ensemble_oracle, "_count_stopping",
+                        lambda g, W: _SquaredCount(count_stopping(g, W)))
     _SquaredCount.products = 0
     return lambda: _SquaredCount.products / (2 * (n + 1))
 
@@ -225,6 +257,25 @@ class TestCountWords:
         g = sample_graph(EnsembleParams(2, 4), 30, 0)
         with pytest.raises(TooLargeError):
             count_words(g, 2, "weight")
+
+
+class TestCountersMatchDefinitions:
+    @staticmethod
+    def _assert_matches(g):
+        weight, stopping = _definition_profiles(g)
+        assert [count_words(g, W, "weight") for W in range(g.n + 1)] == weight
+        assert [count_words(g, W, "stopping") for W in range(g.n + 1)] == stopping
+
+    @pytest.mark.parametrize("l,r,n,maps", [(2, 4, 4, 70), (3, 6, 4, 924)])
+    def test_every_map(self, l, r, n, maps):
+        graphs = list(_map_graphs(l, r, n))
+        assert len(graphs) == maps  # (n*l)!/(r!)^m
+        for g in graphs:
+            self._assert_matches(g)
+
+    def test_sampled_graphs(self):
+        for seed in range(50):
+            self._assert_matches(sample_graph(P36, 12, 9000 + seed))
 
 
 class TestMcMoments:
