@@ -168,27 +168,24 @@ def _parity_rows(graph: TannerGraph) -> list:
 
 def _gf2_null_basis(rows: list, n: int) -> list:
     """Basis of the GF(2) null space of the given bit-packed rows."""
-    rref = []
-    pivot_cols = []
+    pivots = {}  # pivot column -> reduced row, in elimination order
     for row in rows:
         cur = row
-        for prow, pcol in zip(rref, pivot_cols):
+        for pcol, prow in pivots.items():
             if (cur >> pcol) & 1:
                 cur ^= prow
         if cur:
             pcol = cur.bit_length() - 1
-            for k, prow in enumerate(rref):
+            for k, prow in pivots.items():
                 if (prow >> pcol) & 1:
-                    rref[k] = prow ^ cur
-            rref.append(cur)
-            pivot_cols.append(pcol)
-    pivot_set = set(pivot_cols)
+                    pivots[k] = prow ^ cur
+            pivots[pcol] = cur
     basis = []
     for free_col in range(n):
-        if free_col in pivot_set:
+        if free_col in pivots:
             continue
         vec = 1 << free_col
-        for prow, pcol in zip(rref, pivot_cols):
+        for pcol, prow in pivots.items():
             if (prow >> free_col) & 1:
                 vec |= 1 << pcol
         basis.append(vec)

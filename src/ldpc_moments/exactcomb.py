@@ -145,7 +145,15 @@ def power_coefficients(poly: ExactPolynomial, m: int, indices) -> dict:
     * its cells are visited once, in (k1, k3, k2) order, which puts every
       k - d before k; a_k is the exact integer quotient of the sum pushed
       into cell k by the cells before it, and a nonzero a_k is then pushed
-      on to its successors k + d, so cells no term reaches cost nothing.
+      on to its successors k + d, so cells no term reaches cost nothing;
+    * a polynomial equal to its x1 <-> x3 mirror (c_(d1,d2,d3) = c_(d3,d2,d1),
+      as for both pair GFs) has a mirrored power, a_(k1,k2,k3) = a_(k3,k2,k1):
+      the wanted indices are closed under the mirror, and only the cells
+      with k1 <= k3 are computed and stored.  A cell j with j1 < j3 pushes
+      for itself and its unvisited mirror: once to t = j + d if t1 < t3,
+      twice if t1 = t3, once to (t3, t2, t1) if t1 > t3.  A cell with
+      j1 = j3 pushes once where t1 <= t3; its push along the mirror of d
+      stands for the one with t1 > t3.
 
     The recurrence divides by p0.  A polynomial whose constant term is zero
     is powered if its componentwise-minimum exponent mu is itself one of its
@@ -174,13 +182,19 @@ def power_coefficients(poly: ExactPolynomial, m: int, indices) -> dict:
     reach = [k for k in shifted.values() if min(k) >= 0]
     if not reach:
         return out
+    half = all(poly.terms.get(e[::-1]) == c for e, c in poly.terms.items())
+    if half:
+        reach += [k[::-1] for k in reach]
     lim = _staircase(reach)
     off, size = [], 0  # cell (k1, k2, k3) of the staircase is a[off[k1][k3] + k2]
-    for row in lim:
+    for k1, row in enumerate(lim):
         row_off = []
-        for top in row:
-            row_off.append(size)
-            size += top + 1
+        for k3, top in enumerate(row):
+            if half and k3 < k1:
+                row_off.append(off[k3][k1])  # read and written at its mirror
+            else:
+                row_off.append(size)
+                size += top + 1
         off.append(row_off)
     steps = {}  # d1 -> [(d3, d2, c_d, m |d|)] over the terms of Q but its constant
     for e, c in poly.terms.items():
@@ -192,9 +206,11 @@ def power_coefficients(poly: ExactPolynomial, m: int, indices) -> dict:
     a[0] = p0 ** m
     n1 = len(lim)
     for j1, (row, row_off) in enumerate(zip(lim, off)):
-        for j3, top in enumerate(row):
+        for j3 in range(j1 if half else 0, len(row)):
             start = row_off[j3]
-            for j2 in range(top + 1):
+            twin = half and j1 < j3  # j also pushes for its unvisited mirror
+            drop = half and not twin
+            for j2 in range(row[j3] + 1):
                 v = a[start + j2]
                 if not v:
                     continue
@@ -211,10 +227,13 @@ def power_coefficients(poly: ExactPolynomial, m: int, indices) -> dict:
                     krow, krow_off = lim[k1], off[k1]
                     for d3, d2, c, md in group:
                         k3 = j3 + d3
-                        if k3 < len(krow):
+                        if k3 < len(krow) and not (drop and k1 > k3):
                             k2 = j2 + d2
                             if k2 <= krow[k3]:
-                                a[krow_off[k3] + k2] += (md - s) * c * v
+                                push = (md - s) * c * v
+                                if twin and k1 == k3:
+                                    push += push
+                                a[krow_off[k3] + k2] += push
     for ix, (k1, k2, k3) in shifted.items():
         if min(k1, k2, k3) >= 0:
             out[ix] = a[off[k1][k3] + k2]

@@ -19,6 +19,8 @@ import math
 from array import array
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NoBracketError, NoRootError, UnsupportedPolyError
 from .exactcomb import ExactPolynomial
 from .genfun import (KIND_WEIGHT, EnsembleParams, check_kind, saddle_mean_uni,
@@ -239,16 +241,13 @@ def hayman_coeff(poly: ExactPolynomial, m: int, k: int) -> float:
 @functools.cache
 def _search_grid() -> array:
     """The abscissas 1e-4, 2e-4, ... below 0.5 that :func:`min_abscissa`
-    searches, accumulated by repeated addition of the step and with the
-    last one clamped to 0.5 - 1e-12.  Built at the first call, as packed
-    doubles (40 kB, a quarter of a list of floats)."""
+    searches, accumulated left to right by ``np.cumsum`` (the bits of
+    repeated addition of the step) and with the last one clamped to
+    0.5 - 1e-12.  Built at the first call, as packed doubles (40 kB, a
+    quarter of a list of floats), so every element reads as a float."""
     step = _MIN_SEARCH_STEP
-    grid = array("d", [step])
-    w = step + step
-    while w < 0.5 + 0.5 * step:
-        grid.append(min(w, 0.5 - 1e-12))
-        w += step
-    return grid
+    w = np.cumsum(np.full(int(0.5 / step) + 1, step))
+    return array("d", np.minimum(w[w < 0.5 + 0.5 * step], 0.5 - 1e-12).tobytes())
 
 
 def min_abscissa(params: EnsembleParams, kind: str) -> float:

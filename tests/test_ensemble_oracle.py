@@ -198,6 +198,24 @@ class TestParityRows:
         assert ensemble_oracle._parity_rows(g) == [0b0011, 0b1100]
 
 
+class TestNullBasis:
+    # bases of seeded graphs, recorded while the elimination kept its pivots
+    # in two parallel lists
+    @pytest.mark.parametrize("l,r,n,seed,basis", [
+        (3, 6, 12, 1, [257, 2818, 68, 1800, 2608, 2176]),
+        (3, 6, 24, 2, [4358145, 15032322, 12870404, 2114056, 8389392, 10510624,
+                       4612160, 2293888, 14844928, 2574336, 2420736, 8912896, 9437184]),
+        (2, 4, 8, 3, [209, 130, 84, 216, 32]),
+        (4, 8, 16, 4, [49217, 50178, 36932, 55624, 40272, 33888, 22912, 20992, 40960]),
+        (2, 3, 9, 5, [209, 18, 500, 504]),
+    ])
+    def test_seeded_bases(self, l, r, n, seed, basis):
+        g = sample_graph(EnsembleParams(l, r), n, seed)
+        rows = ensemble_oracle._parity_rows(g)
+        assert ensemble_oracle._gf2_null_basis(rows, n) == basis
+        assert all(not (row & vec).bit_count() % 2 for row in rows for vec in basis)
+
+
 class TestCountWords:
     @pytest.mark.parametrize("kind", ["weight", "stopping"])
     def test_empty_configuration(self, kind):

@@ -315,6 +315,59 @@ class TestPowerMatchesSplitPower:
             assert power_coefficients(poly, m, idx) == _split_power_coefficients(poly, m, idx)
 
 
+def _mirror_signed(poly, rng):
+    """``poly`` with each mirror pair of coefficients scaled by one random
+    sign and size, so that it stays equal to its x1 <-> x3 mirror."""
+    scale = {}
+    for e in sorted(poly.terms):
+        scale.setdefault(min(e, e[::-1]), rng.choice((-3, -1, 1, 2)))
+    return ExactPolynomial(3, {e: c * scale[min(e, e[::-1])] for e, c in poly.terms.items()})
+
+
+class TestPowerMirror:
+    """Polynomials equal to their x1 <-> x3 mirror are powered on the cells
+    with k1 <= k3 only; every wanted coefficient, on either side of the
+    mirror, against plain multiplication."""
+
+    OFFSETS = [(-3, 3, -3), (3, -3, 3), (2, 0, 0), (0, 2, 0), (-1, 1, -1), (1, 1, 1)]
+
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    @pytest.mark.parametrize("r", [3, 4, 6])
+    def test_off_the_diagonal(self, r, kind):
+        rng = random.Random(10 * r + len(kind))
+        pair = expand_pair_gf(EnsembleParams(2, r), kind)
+        for m in range(7):
+            top = min(r * m, 9) + 2
+            idx = [ix for ix in (tuple(rng.randrange(top) for _ in range(3))
+                                 for _ in range(12)) if ix[0] != ix[2]][:5]
+            idx.append(idx[0][::-1])  # one index beside its mirror
+            for poly in (pair, _mirror_signed(pair, rng)):
+                assert power_coefficients(poly, m, idx) == _naive_coefficients(poly, m, idx)
+
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    @pytest.mark.parametrize("r", [3, 4, 6])
+    def test_on_the_diagonal(self, r, kind):
+        # the overlap indices (l(W - i), l i, l(W - i)) of exact_second_moment
+        rng = random.Random(20 * r + len(kind))
+        pair = expand_pair_gf(EnsembleParams(2, r), kind)
+        for m in range(7):
+            W = r * m // 4
+            idx = [(2 * (W - i), 2 * i, 2 * (W - i)) for i in range(W + 1)]
+            for poly in (pair, _mirror_signed(pair, rng)):
+                assert power_coefficients(poly, m, idx) == _naive_coefficients(poly, m, idx)
+
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    @pytest.mark.parametrize("r", [3, 4, 6])
+    def test_asymmetric_wanted_set(self, r, kind):
+        # the offsets of ``verify --suite locallimit`` around a symmetric base
+        pair = expand_pair_gf(EnsembleParams(2, r), kind)
+        for m in range(7):
+            k = 3 + r * m // 8
+            base = (k, k, k)
+            idx = [base] + [tuple(b + o for b, o in zip(base, off)) for off in self.OFFSETS]
+            assert power_coefficients(pair, m, idx) == _naive_coefficients(pair, m, idx)
+
+
 class TestPowerWork:
     """Coefficient products of the overlap powers of the benchmark rows;
     counts, not times, so they hold on any machine."""
@@ -322,12 +375,12 @@ class TestPowerWork:
     def test_weight_products(self, monkeypatch):
         _count_products(monkeypatch)
         exact_second_moment(P36, 36, 12, "weight")
-        assert 0 < _CountedInt.products <= 80_000
+        assert 0 < _CountedInt.products <= 42_000
 
     def test_stopping_products(self, monkeypatch):
         _count_products(monkeypatch)
         exact_second_moment(P36, 24, 8, "stopping")
-        assert 0 < _CountedInt.products <= 200_000
+        assert 0 < _CountedInt.products <= 105_000
 
 
 class TestPowerInputs:
@@ -377,6 +430,16 @@ class TestPowerInputs:
         assert power_coefficients(poly, 3, [(1, 0, 0)]) != {(1, 0, 0): 6}
         with pytest.raises(ArithmeticError, match="inexact"):
             power_coefficients(poly, 3, [(3, 0, 0)])
+
+    def test_inexact_step_raises_on_the_mirror_half(self):
+        class OffByOne(int):
+            def __rmul__(self, other):
+                return int(self) * other + 1
+
+        poly = ExactPolynomial(3, {(0, 0, 0): 1, (1, 0, 0): OffByOne(2),
+                                   (0, 0, 1): OffByOne(2)})
+        with pytest.raises(ArithmeticError, match="inexact"):
+            power_coefficients(poly, 3, [(2, 0, 1)])
 
 
 class TestFirstMoment:

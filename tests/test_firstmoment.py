@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -429,6 +430,26 @@ class TestMinAbscissa:
         assert wmin == pytest.approx(zero, rel=1e-5)
         assert growth_point(params, kind, wmin * (1 - 1e-4)).growth < 0.0
         assert growth_point(params, kind, wmin * (1 + 1e-4)).growth > 0.0
+
+
+def _accumulated_grid():
+    """Reference for ``firstmoment._search_grid``: the loop it replaced,
+    which adds the step once per point and clamps the last to 0.5 - 1e-12."""
+    step = 1e-4
+    grid = array("d", [step])
+    w = step + step
+    while w < 0.5 + 0.5 * step:
+        grid.append(min(w, 0.5 - 1e-12))
+        w += step
+    return grid
+
+
+class TestSearchGrid:
+    def test_bits_of_repeated_addition(self):
+        grid = firstmoment._search_grid()
+        assert len(grid) == 5000
+        assert bytes(grid) == bytes(_accumulated_grid())
+        assert type(grid[0]) is float and grid[-1] == 0.5 - 1e-12
 
 
 def _scan_min_abscissa(params, kind):

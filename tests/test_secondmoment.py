@@ -1046,6 +1046,60 @@ class TestLocalLimitRatio:
                                 (1, 0, 0))
         assert val > 0.0
 
+    def test_verify_locallimit_rows_unchanged(self, capsys):
+        assert main(["verify", "--suite", "locallimit", "--format", "json"]) == 0
+        assert capsys.readouterr().out == LOCALLIMIT_JSON
+
+
+# ldpc-moments verify --suite locallimit --format json, recorded while every
+# coefficient of the exact power was still computed on the whole staircase
+LOCALLIMIT_JSON = """\
+[
+  {
+    "check": "offset_-3_3_-3",
+    "status": "PASS",
+    "measured": "0.06518->0.02648",
+    "tolerance": "<=0.3 decreasing"
+  },
+  {
+    "check": "offset_3_-3_3",
+    "status": "PASS",
+    "measured": "0.02519->0.01587",
+    "tolerance": "<=0.3 decreasing"
+  },
+  {
+    "check": "offset_2_0_0",
+    "status": "PASS",
+    "measured": "0.01921->0.01118",
+    "tolerance": "<=0.3 decreasing"
+  },
+  {
+    "check": "offset_0_2_0",
+    "status": "PASS",
+    "measured": "0.01921->0.01118",
+    "tolerance": "<=0.3 decreasing"
+  },
+  {
+    "check": "offset_-1_1_-1",
+    "status": "PASS",
+    "measured": "0.01464->0.007109",
+    "tolerance": "<=0.3 decreasing"
+  },
+  {
+    "check": "offset_1_1_1",
+    "status": "PASS",
+    "measured": "0.0444->0.02078",
+    "tolerance": "<=0.3 decreasing"
+  },
+  {
+    "check": "identity_offset",
+    "status": "PASS",
+    "measured": 1.0,
+    "tolerance": 1.0
+  }
+]
+"""
+
 
 class TestLargeDegreeRobustness:
     def test_full_overlap_range_solvable_at_degree_48(self):
