@@ -36,16 +36,16 @@ def hayman_errors(params, omega, ns):
     return errs
 
 
-def llt_errors(params, n, omega, alpha, offsets):
+def llt_errors(point, n, alpha, offsets):
     """{offset: relative error of local_limit_ratio} against the ratio of
-    exact pair-GF power coefficients (weight kind, block length n)."""
-    l = params.left_degree
-    W, i0 = round(n * omega), round(n * alpha)
+    exact pair-GF power coefficients at block length n, for the ensemble,
+    kind and abscissa of the growth point."""
+    l = point.params.left_degree
+    W, i0 = round(n * point.abscissa), round(n * alpha)
     base = (l * (W - i0), l * i0, l * (W - i0))
-    pair = exactcomb.expand_pair_gf(params, KIND_WEIGHT)
+    pair = exactcomb.expand_pair_gf(point.params, point.kind)
     indices = [base] + [tuple(base[k] + o[k] for k in range(3)) for o in offsets]
-    coeffs = exactcomb.power_coefficients(pair, params.check_count(n), indices)
-    point = firstmoment.growth_point(params, KIND_WEIGHT, omega)
+    coeffs = exactcomb.power_coefficients(pair, point.params.check_count(n), indices)
     errors = {}
     for o, j in zip(offsets, indices[1:]):
         pred = secondmoment.local_limit_ratio(point, n, alpha, o)

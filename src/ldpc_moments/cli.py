@@ -140,7 +140,7 @@ def run_verify(suite, seed=12345):
         raise ValueError(f"unknown suite {suite!r}; choose from {VERIFY_SUITES}")
     results = {"hayman": _verify_hayman, "locallimit": _verify_locallimit,
                "closedform": _verify_closedform, "endpoint": _verify_endpoint,
-               "exact": _verify_exact, "mc": _verify_mc}[suite](seed)
+               "exact": _verify_exact, "mc": lambda: _verify_mc(seed)}[suite]()
     rows = [{"check": name, "status": _STATUS[ok], "measured": measured,
              "tolerance": tol} for name, ok, measured, tol in results]
     return rows, all(row["status"] != "FAIL" for row in rows)
@@ -153,7 +153,7 @@ _STATUS = {True: "PASS", False: "FAIL", None: "SKIP"}
 _P36 = EnsembleParams(3, 6)
 
 
-def _verify_hayman(seed):
+def _verify_hayman():
     binom = exactcomb.ExactPolynomial(1, {0: 1, 1: 1})
     err = abs(firstmoment.hayman_coeff(binom, 60, 18) / math.comb(60, 18) - 1.0)
     p6 = exactcomb.check_poly(6, KIND_WEIGHT)
@@ -176,25 +176,25 @@ def _verify_hayman(seed):
     return rows
 
 
-def _verify_locallimit(seed):
+def _verify_locallimit():
     omega, alpha = 1.0 / 3.0, 1.0 / 6.0
     offsets = [(-3, 3, -3), (3, -3, 3), (2, 0, 0), (0, 2, 0), (-1, 1, -1), (1, 1, 1)]
-    e24, e48 = (checks.llt_errors(_P36, n, omega, alpha, offsets) for n in (24, 48))
+    gp = firstmoment.growth_point(_P36, KIND_WEIGHT, omega)
+    e24, e48 = (checks.llt_errors(gp, n, alpha, offsets) for n in (24, 48))
     rows = [(f"offset_{o[0]}_{o[1]}_{o[2]}", e24[o] <= 0.30 and e48[o] < e24[o],
              f"{e24[o]:.4g}->{e48[o]:.4g}", "<=0.3 decreasing") for o in offsets]
-    gp = firstmoment.growth_point(_P36, KIND_WEIGHT, omega)
     ident = secondmoment.local_limit_ratio(gp, 24, alpha, (0, 0, 0))
     return rows + [("identity_offset", ident == 1.0, ident, 1.0)]
 
 
-def _verify_closedform(seed):
+def _verify_closedform():
     worst = checks.closed_form_gap([0.15 + 0.05 * k for k in range(15)])
     spot = abs(secondmoment.delta34_closed_form(0.25) - 0.08059)
     return [("grid_0.15_0.85", worst <= 1e-9, worst, 1e-9),
             ("spot_0.25", spot <= 1e-4, spot, 1e-4)]
 
 
-def _verify_endpoint(seed):
+def _verify_endpoint():
     gp = firstmoment.growth_point(_P36, KIND_WEIGHT, 0.3)
     diff = checks.endpoint_gap(gp)
     peak = secondmoment.exponent_curve(gp, 0.09)
@@ -206,7 +206,7 @@ def _verify_endpoint(seed):
              f"{errs[24]:.4g}->{errs[48]:.4g}", "decreasing")]
 
 
-def _verify_exact(seed):
+def _verify_exact():
     rows = []
     for kind in KINDS:
         bad = checks.exhaustive_mismatches(EnsembleParams(2, 4), 4, kind)

@@ -117,12 +117,13 @@ def expand_pair_gf(params: EnsembleParams, kind: str) -> ExactPolynomial:
 def power_coeff(poly: ExactPolynomial, m: int, index) -> int:
     """Exact coefficient of ``poly**m`` at ``index`` (0 off support): the
     one-index case of :func:`power_coefficients`, which powers a univariate
-    polynomial as the trivariate one with exponents (e, 0, 0)."""
+    polynomial as the trivariate one with exponents (0, e, 0), its own
+    x1 <-> x3 mirror."""
     if poly.variable_count == 1:
         if not isinstance(index, int) or index < 0:
             raise ValueError(f"bad univariate index {index!r}")
-        poly = ExactPolynomial(3, {(e, 0, 0): c for e, c in poly.terms.items()})
-        index = (index, 0, 0)
+        poly = ExactPolynomial(3, {(0, e, 0): c for e, c in poly.terms.items()})
+        index = (0, index, 0)
     index = tuple(index)
     return power_coefficients(poly, m, [index])[index]
 
@@ -142,24 +143,23 @@ def power_coefficients(poly: ExactPolynomial, m: int, indices) -> dict:
     * only the staircase of the wanted indices is computed (the union of
       the boxes below them, see :func:`_staircase`), since every k - d lies
       componentwise below k;
-    * its cells are visited once, in (k1, k3, k2) order, which puts every
+    * P equals its x1 <-> x3 mirror (c_(d1,d2,d3) = c_(d3,d2,d1), as for
+      both pair GFs and for a univariate polynomial on the x2 axis), so its
+      power is mirrored too, a_(k1,k2,k3) = a_(k3,k2,k1): the wanted indices
+      are closed under the mirror, and only the cells with k1 <= k3 are
+      computed and stored;
+    * those cells are visited once, in (k1, k3, k2) order, which puts every
       k - d before k; a_k is the exact integer quotient of the sum pushed
       into cell k by the cells before it, and a nonzero a_k is then pushed
       on to its successors k + d, so cells no term reaches cost nothing;
-    * a polynomial equal to its x1 <-> x3 mirror (c_(d1,d2,d3) = c_(d3,d2,d1),
-      as for both pair GFs) has a mirrored power, a_(k1,k2,k3) = a_(k3,k2,k1):
-      the wanted indices are closed under the mirror, and only the cells
-      with k1 <= k3 are computed and stored.  A cell j with j1 < j3 pushes
-      for itself and its unvisited mirror: once to t = j + d if t1 < t3,
-      twice if t1 = t3, once to (t3, t2, t1) if t1 > t3.  A cell with
-      j1 = j3 pushes once where t1 <= t3; its push along the mirror of d
-      stands for the one with t1 > t3.
+    * a cell j with j1 < j3 pushes for itself and its unvisited mirror: once
+      to t = j + d if t1 < t3, twice if t1 = t3, once to (t3, t2, t1) if
+      t1 > t3.  A cell with j1 = j3 pushes once where t1 <= t3; its push
+      along the mirror of d stands for the one with t1 > t3.
 
-    The recurrence divides by p0.  A polynomial whose constant term is zero
-    is powered if its componentwise-minimum exponent mu is itself one of its
-    terms (always true in one variable): P = x^mu * Q with Q(0) != 0, and
-    the coefficient of P**m at k is that of Q**m at k - m * mu.  Any other
-    polynomial raises ``ValueError``.  Every coefficient is an exact int.
+    The recurrence divides by p0, so a polynomial with no constant term
+    raises ``ValueError``, as does one that is not its own mirror.  Every
+    coefficient is an exact int.
     """
     if poly.variable_count != 3:
         raise ValueError("power_coefficients is trivariate-only")
@@ -171,45 +171,35 @@ def power_coefficients(poly: ExactPolynomial, m: int, indices) -> dict:
     if any(len(ix) != 3 or not all(isinstance(k, int) for k in ix) or min(ix) < 0
            for ix in wanted):
         raise ValueError("indices must be triples of nonnegative ints")
-    mu = tuple(map(min, zip(*poly.terms)))
-    p0 = poly.terms.get(mu)
+    p0 = poly.terms.get((0, 0, 0))
     if p0 is None:
-        raise ValueError(
-            "power_coefficients needs a nonzero constant term, or a term x^mu at "
-            "the componentwise-minimum exponent mu to divide out")
-    out = dict.fromkeys(wanted, 0)
-    shifted = {ix: tuple(i - m * u for i, u in zip(ix, mu)) for ix in out}
-    reach = [k for k in shifted.values() if min(k) >= 0]
-    if not reach:
-        return out
-    half = all(poly.terms.get(e[::-1]) == c for e, c in poly.terms.items())
-    if half:
-        reach += [k[::-1] for k in reach]
-    lim = _staircase(reach)
+        raise ValueError("power_coefficients needs a nonzero constant term")
+    if any(poly.terms.get(e[::-1]) != c for e, c in poly.terms.items()):
+        raise ValueError("power_coefficients needs a polynomial equal to its "
+                         "x1 <-> x3 mirror")
+    lim = _staircase(wanted + [ix[::-1] for ix in wanted])
     off, size = [], 0  # cell (k1, k2, k3) of the staircase is a[off[k1][k3] + k2]
     for k1, row in enumerate(lim):
         row_off = []
         for k3, top in enumerate(row):
-            if half and k3 < k1:
+            if k3 < k1:
                 row_off.append(off[k3][k1])  # read and written at its mirror
             else:
                 row_off.append(size)
                 size += top + 1
         off.append(row_off)
-    steps = {}  # d1 -> [(d3, d2, c_d, m |d|)] over the terms of Q but its constant
-    for e, c in poly.terms.items():
-        if e != mu:
-            d1, d2, d3 = (i - u for i, u in zip(e, mu))
+    steps = {}  # d1 -> [(d3, d2, c_d, m |d|)] over the terms of P but its constant
+    for (d1, d2, d3), c in poly.terms.items():
+        if d1 or d2 or d3:
             steps.setdefault(d1, []).append((d3, d2, c, m * (d1 + d2 + d3)))
     steps = sorted(steps.items())
     a = [0] * size
     a[0] = p0 ** m
     n1 = len(lim)
     for j1, (row, row_off) in enumerate(zip(lim, off)):
-        for j3 in range(j1 if half else 0, len(row)):
+        for j3 in range(j1, len(row)):
             start = row_off[j3]
-            twin = half and j1 < j3  # j also pushes for its unvisited mirror
-            drop = half and not twin
+            twin = j1 < j3  # j also pushes for its unvisited mirror
             for j2 in range(row[j3] + 1):
                 v = a[start + j2]
                 if not v:
@@ -227,17 +217,14 @@ def power_coefficients(poly: ExactPolynomial, m: int, indices) -> dict:
                     krow, krow_off = lim[k1], off[k1]
                     for d3, d2, c, md in group:
                         k3 = j3 + d3
-                        if k3 < len(krow) and not (drop and k1 > k3):
+                        if k3 < len(krow) and (twin or k1 <= k3):
                             k2 = j2 + d2
                             if k2 <= krow[k3]:
                                 push = (md - s) * c * v
                                 if twin and k1 == k3:
                                     push += push
                                 a[krow_off[k3] + k2] += push
-    for ix, (k1, k2, k3) in shifted.items():
-        if min(k1, k2, k3) >= 0:
-            out[ix] = a[off[k1][k3] + k2]
-    return out
+    return {ix: a[off[ix[0]][ix[2]] + ix[1]] for ix in wanted}
 
 
 def exact_first_moment(params: EnsembleParams, n: int, W: int, kind: str) -> Fraction:
@@ -260,31 +247,31 @@ def exact_second_moment(params: EnsembleParams, n: int, W: int, kind: str) -> Fr
     socket placements of the complement; C_i is the trivariate coefficient of
     the pair generating function.
     """
-    check_kind(kind)
-    l = params.left_degree
-    m = _check_counts(params, n, W)
-    indices = {i: (l * (W - i), l * i, l * (W - i))
-               for i in range(max(0, 2 * W - n), W + 1)}
-    C = power_coefficients(expand_pair_gf(params, kind), m, indices.values())
-    total = Fraction(0)
-    for i, ix in indices.items():
-        if C[ix]:
-            total += _pair_prefactor(params, n, W, i) * C[ix]
-    return total
+    return sum(_overlap_terms(params, n, W, kind).values(), Fraction(0))
 
 
 def exact_term(params: EnsembleParams, n: int, W: int, i: int, kind: str) -> Fraction:
     """Single overlap term S_i = F_i * C_i of the second-moment sum."""
+    return _overlap_terms(params, n, W, kind, i)[i]
+
+
+def _overlap_terms(params: EnsembleParams, n: int, W: int, kind: str,
+                   only=None) -> dict:
+    """{i: S_i = F_i * C_i} over every overlap i of the second-moment sum,
+    or over the one overlap ``only``, with the C_i from one power of the
+    pair GF; F_i is left uncomputed where C_i = 0."""
     check_kind(kind)
     l = params.left_degree
     m = _check_counts(params, n, W)
-    if not max(0, 2 * W - n) <= i <= W:
+    overlaps = range(max(0, 2 * W - n), W + 1)
+    if only is not None and only not in overlaps:
         raise ValueError(
-            f"overlap {i} outside [{max(0, 2 * W - n)}, {W}] for n={n}, W={W}")
-    pair = expand_pair_gf(params, kind)
-    index = (l * (W - i), l * i, l * (W - i))
-    Ci = power_coeff(pair, m, index)
-    return _pair_prefactor(params, n, W, i) * Ci
+            f"overlap {only} outside [{overlaps.start}, {W}] for n={n}, W={W}")
+    indices = {i: (l * (W - i), l * i, l * (W - i))
+               for i in (overlaps if only is None else [only])}
+    C = power_coefficients(expand_pair_gf(params, kind), m, indices.values())
+    return {i: _pair_prefactor(params, n, W, i) * C[ix] if C[ix] else Fraction(0)
+            for i, ix in indices.items()}
 
 
 def _pair_prefactor(params: EnsembleParams, n: int, W: int, i: int) -> Fraction:

@@ -136,6 +136,7 @@ def test_criterion_07_hayman_convergence():
 def test_criterion_08_local_limit_theorem():
     params = EnsembleParams(3, 6)
     omega, alpha = 1.0 / 3.0, 1.0 / 6.0
+    point = firstmoment.growth_point(params, "weight", omega)
     offsets = [(-3, 3, -3), (3, -3, 3), (-1, 1, -1), (1, 1, 1),
                (2, 0, 0), (0, 2, 0), (0, 0, 2), (-2, 0, 0), (2, 2, 2)]
     errs = {}
@@ -143,7 +144,7 @@ def test_criterion_08_local_limit_theorem():
         norms = [math.sqrt(6 / (3 * n)) * math.sqrt(sum(o * o for o in off))
                  for off in offsets]
         assert all(u <= 2.0 for u in norms)
-        for off, err in checks.llt_errors(params, n, omega, alpha, offsets).items():
+        for off, err in checks.llt_errors(point, n, alpha, offsets).items():
             errs[(n, off)] = err
     ok24 = max(errs[(24, o)] for o in offsets) <= 0.30
     closer = all(errs[(48, o)] < errs[(24, o)] for o in offsets)

@@ -109,7 +109,7 @@ class TestSaddleSolves:
         run_bound_curve(P36, kind, grid, 0.95)
         assert [args[2] for args in saddle_solves] == grid
 
-    @pytest.mark.parametrize("suite,solves", [("endpoint", 2), ("locallimit", 3)])
+    @pytest.mark.parametrize("suite,solves", [("endpoint", 2), ("locallimit", 1)])
     def test_verify_suite_solves_once_per_abscissa(self, saddle_solves, suite,
                                                    solves):
         run_verify(suite)

@@ -114,6 +114,15 @@ def _split_power_coefficients(poly, m, indices):
     return out
 
 
+def _mirror_signed(poly, rng):
+    """``poly`` with each mirror pair of coefficients scaled by one random
+    sign and size, so that it stays equal to its x1 <-> x3 mirror."""
+    scale = {}
+    for e in sorted(poly.terms):
+        scale.setdefault(min(e, e[::-1]), rng.choice((-3, -1, 1, 2)))
+    return ExactPolynomial(3, {e: c * scale[min(e, e[::-1])] for e, c in poly.terms.items()})
+
+
 class _CountedInt(int):
     """An int that counts the products it takes part in."""
 
@@ -249,8 +258,7 @@ class TestPowerMatchesNaive:
     def test_random_indices(self, r, kind):
         rng = random.Random(1000 * r + len(kind))
         pair = expand_pair_gf(EnsembleParams(2, r), kind)
-        signed = ExactPolynomial(3, {e: c * rng.choice((-3, -1, 1, 2))
-                                     for e, c in pair.terms.items()})
+        signed = _mirror_signed(pair, rng)
         for m in range(8):
             for poly in (pair, signed):
                 # some indices off the support, some past the degree r*m
@@ -307,21 +315,11 @@ class TestPowerMatchesSplitPower:
     def test_signed_pair_polynomials(self, r, kind, p0):
         rng = random.Random(100 * r + 10 * p0 + len(kind))
         pair = expand_pair_gf(EnsembleParams(2, r), kind)
-        poly = ExactPolynomial(3, {e: p0 if e == (0, 0, 0) else c * rng.choice((-3, -1, 1, 2))
-                                   for e, c in pair.terms.items()})
+        poly = ExactPolynomial(3, {**_mirror_signed(pair, rng).terms, (0, 0, 0): p0})
         for m in range(13):
             top = min(r * m, 12) + 2
             idx = [tuple(rng.randrange(top) for _ in range(3)) for _ in range(4)]
             assert power_coefficients(poly, m, idx) == _split_power_coefficients(poly, m, idx)
-
-
-def _mirror_signed(poly, rng):
-    """``poly`` with each mirror pair of coefficients scaled by one random
-    sign and size, so that it stays equal to its x1 <-> x3 mirror."""
-    scale = {}
-    for e in sorted(poly.terms):
-        scale.setdefault(min(e, e[::-1]), rng.choice((-3, -1, 1, 2)))
-    return ExactPolynomial(3, {e: c * scale[min(e, e[::-1])] for e, c in poly.terms.items()})
 
 
 class TestPowerMirror:
@@ -384,25 +382,45 @@ class TestPowerWork:
 
 
 class TestPowerInputs:
-    def test_minimum_exponent_term_is_divided_out(self):
-        # (x^2 + 2 x^3)^3 = x^6 (1 + 2x)^3
-        assert power_coeff(ExactPolynomial(1, {2: 1, 3: 2}), 3, 7) == 6
-        assert power_coeff(ExactPolynomial(1, {2: 1, 3: 2}), 3, 5) == 0
-        # x1 x3 (1 + x1 + 2 x2 - x3), powered past and short of m * mu
-        poly = ExactPolynomial(3, {(1, 0, 1): 1, (2, 0, 1): 1, (1, 1, 1): 2, (1, 0, 2): -1})
-        idx = [(4, 1, 3), (3, 0, 3), (2, 2, 4), (6, 1, 5), (0, 0, 0)]
-        for m in range(5):
-            assert power_coefficients(poly, m, idx) == _naive_coefficients(poly, m, idx)
+    def test_minimum_exponent_term_is_not_divided_out(self):
+        # x^2 + 2 x^3 and x1 x3 (1 + x1 + 2 x2 + x3): a lowest term x^mu is
+        # no constant term, and the recurrence divides by the constant
+        poly = ExactPolynomial(3, {(1, 0, 1): 1, (2, 0, 1): 1, (1, 1, 1): 2, (1, 0, 2): 1})
+        for call in (lambda: power_coeff(ExactPolynomial(1, {2: 1, 3: 2}), 3, 7),
+                     lambda: power_coefficients(poly, 3, [(4, 1, 3)])):
+            with pytest.raises(ValueError, match="nonzero constant term"):
+                call()
 
     @pytest.mark.parametrize("kind", ["weight", "stopping"])
     def test_univariate_without_constant_term(self, kind):
-        rng = random.Random(len(kind))
         for r in (3, 6):
             terms = {e + 2: c for e, c in check_poly(r, kind).terms.items() if e}
-            poly = ExactPolynomial(1, terms)
-            for m in range(6):
-                for k in {0, 4 * m, 4 * m + 1, rng.randrange(6 * m + 3)}:
-                    assert power_coeff(poly, m, k) == _naive_univariate(terms, m, k)
+            with pytest.raises(ValueError, match="nonzero constant term"):
+                power_coeff(ExactPolynomial(1, terms), 3, 12)
+
+    @pytest.mark.parametrize("terms", [
+        {(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): 1},   # 1 + x1 + x2
+        {(0, 0, 0): 1, (1, 0, 0): 2, (0, 0, 1): 3},   # 1 + 2 x1 + 3 x3
+    ])
+    def test_asymmetric_polynomial_rejected(self, terms):
+        with pytest.raises(ValueError, match="x1 <-> x3 mirror"):
+            power_coefficients(ExactPolynomial(3, terms), 3, [(1, 2, 0)])
+
+    @pytest.mark.parametrize("kind", ["weight", "stopping"])
+    def test_univariate_rides_the_x2_axis(self, monkeypatch, kind):
+        # (0, e, 0) is its own x1 <-> x3 mirror, so the one path powers it
+        poly = check_poly(6, kind)
+        axis = ExactPolynomial(3, {(0, e, 0): c for e, c in poly.terms.items()})
+        calls = []
+
+        def recorded(p, m, indices):
+            calls.append((p.terms, list(indices)))
+            return power_coefficients(p, m, indices)
+
+        monkeypatch.setattr(exactcomb, "power_coefficients", recorded)
+        for k in range(20):
+            assert power_coeff(poly, 3, k) == power_coefficients(axis, 3, [(0, k, 0)])[(0, k, 0)]
+        assert calls == [(axis.terms, [(0, k, 0)]) for k in range(20)]
 
     @pytest.mark.parametrize("terms", [
         {(1, 0, 0): 1, (0, 1, 0): 1},   # x1 + x2, whose cube has 3 at (1, 2, 0)
@@ -420,16 +438,6 @@ class TestPowerInputs:
             power_coefficients(pair, 2, [(0, 0, 0), index])
         with pytest.raises(ValueError, match="nonnegative ints"):
             power_coeff(pair, 2, index)
-
-    def test_inexact_step_raises(self):
-        class OffByOne(int):
-            def __rmul__(self, other):
-                return int(self) * other + 1
-
-        poly = ExactPolynomial(3, {(0, 0, 0): 1, (1, 0, 0): OffByOne(2)})
-        assert power_coefficients(poly, 3, [(1, 0, 0)]) != {(1, 0, 0): 6}
-        with pytest.raises(ArithmeticError, match="inexact"):
-            power_coefficients(poly, 3, [(3, 0, 0)])
 
     def test_inexact_step_raises_on_the_mirror_half(self):
         class OffByOne(int):

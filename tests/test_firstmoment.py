@@ -345,7 +345,8 @@ class TestAvgCount:
         for call in (lambda: avg_count(P36, "weight", 5, 0.4),
                      lambda: exact_first_moment(P36, 5, 2, "weight"),
                      lambda: checks.hayman_errors(P36, 0.4, (5,)),
-                     lambda: checks.llt_errors(P36, 5, 0.4, 0.2, [(2, 0, 2)])):
+                     lambda: checks.llt_errors(growth_point(P36, "weight", 0.4), 5, 0.2,
+                                               [(2, 0, 2)])):
             with pytest.raises(DivisibilityError, match=r"^r=6 must divide n\*l=15$"):
                 call()
 

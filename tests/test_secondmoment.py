@@ -1024,7 +1024,8 @@ class TestLocalLimitRatio:
 
     def test_prediction_accuracy_and_convergence(self):
         offsets = [(-3, 3, -3), (2, 0, 0), (-1, 1, -1)]
-        errs = {n: checks.llt_errors(P36, n, 1 / 3, 1 / 6, offsets) for n in (24, 48)}
+        point = growth_point(P36, "weight", 1 / 3)
+        errs = {n: checks.llt_errors(point, n, 1 / 6, offsets) for n in (24, 48)}
         for o in offsets:
             assert errs[24][o] < 0.30
             assert errs[48][o] < errs[24][o]
